@@ -5,8 +5,9 @@
 Run from the root of a qtsvm source tree; the package is imported from its
 src/ directory, with nothing installed.  This launcher uses only the
 standard library.  It pins BLAS to one thread, times the workload's set-up
-in fresh interpreters, then runs bench/workloads.py once in one more fresh
-interpreter, which is the only process doing work while it is measured.
+(--trace 0) or the import of qtsvm.cli (--trace 1) in fresh interpreters,
+then runs bench/workloads.py once in one more fresh interpreter, which is
+the only process doing work while it is measured.
 Outputs go to .bench_out/<workload>/ under the root.  The last line printed
 is {"correct", "attempted", "failed", "metrics"}: with --trace 0 the
 end-to-end metrics of BENCHMARK.json, with --trace 1 the per-layer ones.
@@ -37,10 +38,17 @@ ENV_PINS = {
     "MKL_NUM_THREADS": "1",
     "PYTHONHASHSEED": "0",
 }
-# The median of three set-ups; the first in a fresh checkout also compiles
-# bytecode and fills the file cache.
-SETUP_REPEATS = 3
-CHILD_TIMEOUT_S = 170
+# The median of five set-ups: the first in a fresh checkout also compiles
+# bytecode and fills the file cache, and single set-ups swing by a quarter
+# with the machine.
+SETUP_REPEATS = 5
+
+
+def run_budget_s(seconds: float) -> float:
+    """Wall time the whole run may take before its child is killed and the
+    run fails: 175 s at the default 20 s, so a run ends within 180 s, and
+    room for four times --seconds plus set-up when that is longer."""
+    return max(175.0, 4.0 * seconds + 60.0)
 
 
 def child_env() -> dict:
@@ -56,10 +64,10 @@ def python(args, env, timeout):
                           check=True)
 
 
-def fresh_import_s(module, env) -> float:
+def fresh_import_s(module, env, timeout) -> float:
     code = ("import time; t = time.perf_counter(); import {0}; "
             "print(time.perf_counter() - t)").format(module)
-    return float(python(["-c", code], env, 60).stdout)
+    return float(python(["-c", code], env, timeout).stdout)
 
 
 def main(argv=None) -> int:
@@ -82,16 +90,23 @@ def main(argv=None) -> int:
     env = child_env()
     worker = [str(HERE / "workloads.py"), "--workload", args.workload,
               "--seed", str(args.seed), "--out-dir", str(out_dir)]
+    deadline = time.perf_counter() + run_budget_s(args.seconds)
+
+    def left():
+        return max(1.0, deadline - time.perf_counter())
+
+    # The traced run reports no setup_s, so it spends no time on it.
     try:
-        setups = []
+        setups, import_s = [], []
         for _ in range(SETUP_REPEATS):
+            if args.trace:
+                import_s.append(fresh_import_s("qtsvm.cli", env, left()))
+                continue
             t0 = time.perf_counter()
-            python(worker + ["--setup-only"], env, CHILD_TIMEOUT_S)
+            python(worker + ["--setup-only"], env, left())
             setups.append(time.perf_counter() - t0)
-        import_s = ([fresh_import_s("qtsvm.cli", env) for _ in range(SETUP_REPEATS)]
-                    if args.trace else [])
         proc = python(worker + ["--seconds", str(args.seconds), "--trace", str(args.trace)],
-                      env, CHILD_TIMEOUT_S)
+                      env, left())
     except subprocess.CalledProcessError as exc:
         print(f"error: {exc.cmd[1:3]} exited {exc.returncode}\n{exc.stderr}", file=sys.stderr)
         return 1
@@ -101,7 +116,8 @@ def main(argv=None) -> int:
 
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     metrics = result["metrics"]
-    metrics["setup_s"] = {"value": statistics.median(setups), "unit": "s"}
+    if setups:
+        metrics["setup_s"] = {"value": statistics.median(setups), "unit": "s"}
     if import_s:
         metrics["cli.import_s"] = {"value": statistics.median(import_s), "unit": "s"}
     for problem in result["problems"]:

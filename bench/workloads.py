@@ -127,10 +127,13 @@ class GridCV:
     def check(self, r: Round) -> list[str]:
         problems = [f"predict_many returned labels outside {{-1, 1}} on cell {c}"
                     for c in r.extra.get("bad_labels", [])]
+        r.failed += len(problems)
         acc = {}
         for example, ds, d, cl1, lsq in r.extra["results"]:
             sizes = checks.stratified_fold_sizes(d.m_pos, d.m_neg, self.FOLDS)
-            for name, res in (("cl1qtsvm", cl1), ("lsqtsvm", lsq)):
+            for name, res, grid in (("cl1qtsvm", cl1, self.cl1_grid),
+                                    ("lsqtsvm", lsq, self.lsq_grid)):
+                found = len(problems)
                 folds = sorted(rec.fold for rec in res.folds)
                 if folds != list(range(self.FOLDS)):
                     problems.append(f"{name} ex{example} seed {ds}: folds {folds}")
@@ -139,6 +142,9 @@ class GridCV:
                         problems.append(
                             f"{name} ex{example} seed {ds} fold {rec.fold}: confusion "
                             f"counts sum to {rec.counts.total}, fold has {sizes[rec.fold]}")
+                if len(problems) > found:
+                    # The cell's CV for this method failed: all its fits.
+                    r.failed += self.FOLDS * len(grid)
                 acc.setdefault((example, name), []).append(100.0 * res.acc_mean)
         for example, target in self.EXAMPLES:
             cl1_pct, lsq_pct = acc[(example, "cl1qtsvm")], acc[(example, "lsqtsvm")]
@@ -171,10 +177,12 @@ def gaussian_classes(n, m_per_class, seed):
 
 class HighDimFit:
     """Single cl1qtsvm fits, c1 = c2 = 0.01, each followed by predict_many on
-    a held-out batch.  The full-lifting fits fail the descent check on every
-    input (the lifted dimension exceeds the own-class count, so the weights
-    blow up); their training data is fixed so that the failure count does
-    not depend on --seed.  The reduced fit and all held-out batches do."""
+    a held-out batch.  The full-lifting fits fail the descent check (the
+    lifted dimension exceeds the own-class count, so the weights blow up):
+    on data seeds 0-39 all 120 of them rise, by 9e-5 or more relative.  A
+    failure the benchmark keeps must not depend on --seed, since runs with
+    other seeds must fail the same share of operations, so their training
+    data is fixed.  The reduced fit and all held-out batches use --seed."""
 
     CASES = ((20, 150, LiftingMode.FULL), (30, 300, LiftingMode.FULL),
              (80, 50, LiftingMode.FULL), (100, 300, LiftingMode.REDUCED))
@@ -222,6 +230,8 @@ class HighDimFit:
             bad = checks.label_mismatches(m, X, labels)
             if bad:
                 problems.append(f"{tag}: {bad} predict_many labels differ from the surfaces")
+                r.failed += 1
+            fit_ok = True
             Zp = checks.lift(checks.scale(m, d.X_pos), m["full"])
             Zm = checks.lift(checks.scale(m, d.X_neg), m["full"])
             for side, sub, Z_own, Z_other, sign in (("pos", report.pos, Zp, Zm, -1.0),
@@ -231,9 +241,16 @@ class HighDimFit:
                     self.cfg.c1, self.cfg.c2, sign)
                 if not err <= checks.NORMAL_EQ_TOL:
                     problems.append(f"{tag} {side}: normal-equation backward error {err:.2e}")
+                    fit_ok = False
             if not (checks.descends(report.pos.objective_trace)
                     and checks.descends(report.neg.objective_trace)):
-                r.failed += 1
+                # The named fault (see the class docstring) fails every
+                # full-lifting fit and leaves the run correct; a reduced
+                # fit that rises is a new fault.
+                if mode is not LiftingMode.FULL:
+                    problems.append(f"{tag}: objective trace rises")
+                fit_ok = False
+            r.failed += not fit_ok
         return problems
 
 
@@ -332,12 +349,15 @@ class CliSweep:
         for name, code, out, err in r.extra.pop("outputs"):
             if code != 0:
                 problems.append(f"qtsvm {name} exited {code}: {err.strip()}")
+                r.failed += 1
             printed[name] = out
         if problems:
             return problems
-        problems += self._check_results()
-        problems += self._check_nemenyi(printed["nemenyi"])
-        problems += self._check_predict(printed["predict"])
+        # One failed operation per command whose outputs are wrong.
+        for found in (self._check_results(), self._check_nemenyi(printed["nemenyi"]),
+                      self._check_predict(printed["predict"])):
+            problems += found
+            r.failed += bool(found)
         return problems
 
     def _check_results(self):
