@@ -114,6 +114,8 @@ def cmd_train(args) -> int:
                 "iterations": rep.iterations_used,
                 "converged": rep.converged,
                 "branch": rep.branch_used,
+                "lstsq_fallbacks": rep.lstsq_fallbacks,
+                "peak_weight": rep.peak_weight,
                 "objective_trace": list(rep.objective_trace),
             }
             for name, rep in (("pos", fit_report.pos), ("neg", fit_report.neg))

@@ -7,13 +7,12 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import Dataset, fit_scaler, inject_label_noise
 from .errors import InvalidInputError
 from .lifting import LiftingMode
-from .model import predict_many
-from .solver_cl1 import SolverConfig, fit
+from .model import predict_many, predict_stack
+from .solver_cl1 import SolverConfig, fit_grid
 from .solver_lsq import DEFAULT_RIDGE, fit_lsq
 
 # Studentized-range critical values over sqrt(2), alpha = 0.05.
@@ -69,18 +68,26 @@ def f1(counts: ConfusionCounts) -> float:
     return 2 * counts.tp / denom
 
 
+# A trainer's evaluate(train, test, grid, mode, scaler) fits one model per
+# grid point on the training split and returns the test split's confusion
+# counts under each, in grid order.
+
+
 class CL1Trainer:
-    """Grid-searchable wrapper around the capped-L1 solver."""
+    """Grid-searchable wrapper around the capped-L1 solver.  The whole grid
+    of a split is fit in one stacked solve and labelled at once."""
 
     name = "cl1qtsvm"
 
     def __init__(self, base: SolverConfig | None = None):
         self.base = base if base is not None else SolverConfig()
 
-    def train(self, dataset, params, mode, scaler):
-        cfg = replace(self.base, **params)
-        model, _ = fit(dataset, cfg, mode=mode, scaler=scaler)
-        return lambda X: predict_many(model, X)
+    def evaluate(self, train, test, grid, mode, scaler) -> list[ConfusionCounts]:
+        cfgs = [replace(self.base, **params) for params in grid]
+        fitted = fit_grid(train, cfgs, mode=mode, scaler=scaler)
+        X, y = test.stacked()
+        labels = predict_stack(fitted.scaler, fitted.pos, fitted.neg, X)
+        return [counts_from_predictions(y, row) for row in labels]
 
 
 class LSQTrainer:
@@ -91,10 +98,14 @@ class LSQTrainer:
     def __init__(self, ridge: float = DEFAULT_RIDGE):
         self.ridge = ridge
 
-    def train(self, dataset, params, mode, scaler):
-        model = fit_lsq(dataset, C=params["C"], ridge=self.ridge, mode=mode,
-                        scaler=scaler)
-        return lambda X: predict_many(model, X)
+    def evaluate(self, train, test, grid, mode, scaler) -> list[ConfusionCounts]:
+        X, y = test.stacked()
+        return [
+            counts_from_predictions(y, predict_many(
+                fit_lsq(train, C=params["C"], ridge=self.ridge, mode=mode,
+                        scaler=scaler), X))
+            for params in grid
+        ]
 
 
 def default_grid(method: str) -> list[dict]:
@@ -178,12 +189,6 @@ def _split(dataset: Dataset, assign: np.ndarray, fold: int):
     return train, test
 
 
-def _evaluate(trainer, train, test, params, mode, scaler):
-    predictor = trainer.train(train, params, mode, scaler)
-    X, y = test.stacked()
-    return counts_from_predictions(y, predictor(X))
-
-
 def _inner_select(trainer, train, spec: CvSpec, scaler, seed_key):
     """Pick the grid point with the best inner-CV mean accuracy."""
     k = min(spec.inner_folds, train.m_pos, train.m_neg)
@@ -192,17 +197,13 @@ def _inner_select(trainer, train, spec: CvSpec, scaler, seed_key):
             "training split too small for inner model selection; use fewer folds"
         )
     assign = _stratified_folds(train.m_pos, train.m_neg, k, seed_key)
-    best_params, best_acc = None, -1.0
-    for params in spec.grid:
-        accs = []
-        for fold in range(k):
-            tr, te = _split(train, assign, fold)
-            counts = _evaluate(trainer, tr, te, params, spec.mode, scaler)
-            accs.append(accuracy(counts))
-        mean_acc = float(np.mean(accs))
-        if mean_acc > best_acc:
-            best_params, best_acc = params, mean_acc
-    return best_params
+    per_fold = []
+    for fold in range(k):
+        tr, te = _split(train, assign, fold)
+        counts = trainer.evaluate(tr, te, spec.grid, spec.mode, scaler)
+        per_fold.append([accuracy(c) for c in counts])
+    means = [float(np.mean(accs)) for accs in zip(*per_fold)]
+    return spec.grid[int(np.argmax(means))]
 
 
 def cross_validate(dataset: Dataset, trainer, spec: CvSpec) -> EvalResult:
@@ -227,8 +228,10 @@ def cross_validate(dataset: Dataset, trainer, spec: CvSpec) -> EvalResult:
 
     accs = [accuracy(r.counts) for r in records]
     f1s = [f1(r.counts) for r in records]
+    # Ties go to the grid point that occurs first in record order, so the
+    # choice does not depend on the hash seed.
     chosen = [tuple(sorted(r.params.items())) for r in records]
-    winner = max(set(chosen), key=chosen.count)
+    winner = max(chosen, key=chosen.count)
     return EvalResult(
         acc_mean=float(np.mean(accs)),
         acc_std=float(np.std(accs)),
@@ -250,7 +253,7 @@ def _cross_validate_nested(dataset, trainer, spec, full_scaler):
             train, test = _split(dataset, assign, fold)
             params = _inner_select(trainer, train, spec, full_scaler,
                                    [spec.seed, rep, fold, 1])
-            counts = _evaluate(trainer, train, test, params, spec.mode, full_scaler)
+            [counts] = trainer.evaluate(train, test, (params,), spec.mode, full_scaler)
             records.append(FoldRecord(repeat=rep, fold=fold, params=params,
                                       counts=counts,
                                       seconds=time.perf_counter() - t0))
@@ -265,14 +268,13 @@ def _cross_validate_flat(dataset, trainer, spec, full_scaler):
                                    [spec.seed, rep])
         for fold in range(spec.folds):
             train, test = _split(dataset, assign, fold)
+            t0 = time.perf_counter()
+            counts = trainer.evaluate(train, test, spec.grid, spec.mode, full_scaler)
+            # The grid is fit in one go; its time is shared out evenly.
+            seconds = (time.perf_counter() - t0) / len(spec.grid)
             for gi, params in enumerate(spec.grid):
-                t0 = time.perf_counter()
-                counts = _evaluate(trainer, train, test, params, spec.mode,
-                                   full_scaler)
-                per_grid[gi].append(
-                    FoldRecord(repeat=rep, fold=fold, params=params,
-                               counts=counts, seconds=time.perf_counter() - t0)
-                )
+                per_grid[gi].append(FoldRecord(repeat=rep, fold=fold, params=params,
+                                               counts=counts[gi], seconds=seconds))
     means = [float(np.mean([accuracy(r.counts) for r in recs])) for recs in per_grid]
     return per_grid[int(np.argmax(means))]
 
@@ -327,6 +329,9 @@ def nemenyi_cd(k: int, N: int, q_alpha: float | None = None) -> float:
 def mean_ranks(scores: np.ndarray) -> np.ndarray:
     """Mean rank per method (columns) over datasets (rows); rank 1 is the
     best score, ties get midranks."""
+    # Imported here: scipy.stats costs most of a cold import of the package.
+    from scipy.stats import rankdata
+
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     ranks = np.vstack([rankdata(-row, method="average") for row in scores])
     return ranks.mean(axis=0)

@@ -133,22 +133,26 @@ def unpack_weights(w: np.ndarray, n: int, mode: LiftingMode):
     """Rebuild (W, b, c) from a lifted weight vector; inverse of pack_weights.
 
     Returns a tuple (W, b, c) with W symmetric (full) or diagonal (reduced).
+    A stack of vectors, shape (G, lifted_dim), gives stacks W (G, n, n),
+    b (G, n) and c (G,).
     """
     w = np.asarray(w, dtype=float)
     expected = lifted_dim(n, mode)
-    if w.ndim != 1 or w.size != expected:
+    if w.ndim not in (1, 2) or w.shape[-1] != expected:
+        length = w.shape[-1] if w.ndim else w.size
         raise InvalidInputError(
-            f"weight vector has length {w.size}, expected {expected} "
+            f"weight vector has length {length}, expected {expected} "
             f"for n={n} in {mode.value} mode"
         )
+    W = np.zeros(w.shape[:-1] + (n, n))
     if mode is LiftingMode.FULL:
         k = n * (n + 1) // 2
-        W = np.zeros((n, n))
-        W[_triu_indices(n)] = w[:k]
-        W = W + W.T - np.diag(np.diag(W))
+        rows, cols = _triu_indices(n)
+        W[..., rows, cols] = w[..., :k]
+        W[..., cols, rows] = w[..., :k]
     else:
         k = n
-        W = np.diag(w[:k])
-    b = w[k : k + n].copy()
-    c = float(w[-1])
+        W[..., np.arange(n), np.arange(n)] = w[..., :k]
+    b = w[..., k : k + n].copy()
+    c = float(w[-1]) if w.ndim == 1 else w[:, -1].copy()
     return W, b, c

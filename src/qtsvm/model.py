@@ -87,16 +87,44 @@ class TrainedModel:
             raise InvalidInputError("model components disagree on feature dimension")
 
 
-def _distances(m: TrainedModel, X: np.ndarray) -> np.ndarray:
-    """Normalized distances to both surfaces, shape (rows, 2)."""
-    Xs = apply_scaler(m.scaler, X)
-    out = np.empty((Xs.shape[0], 2))
-    for k, s in enumerate((m.surface_pos, m.surface_neg)):
-        vals = 0.5 * np.einsum("ij,ij->i", Xs @ s.W, Xs) + Xs @ s.b + s.c
-        grads = Xs @ s.W.T + s.b
-        denom = np.maximum(np.linalg.norm(grads, axis=1), GRADIENT_NORM_FLOOR)
-        out[:, k] = np.abs(vals) / denom
-    return out
+def _distances(Xs: np.ndarray, W: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Normalized distances of the scaled rows Xs to a stack of S surfaces
+    (W (S, n, n), b (S, n), c (S,)); shape (S, rows).
+
+    W is symmetric, so Xs W serves both the quadratic term and the
+    gradient Wx + b.
+    """
+    XW = Xs @ W
+    vals = np.einsum("sij,ij->si", XW, Xs)
+    vals *= 0.5
+    vals += (Xs @ b[..., None])[..., 0]
+    vals += c[:, None]
+    # These arrays are as large as the batch, so they are reused in place;
+    # the gradient norm is summed as np.linalg.norm sums it.
+    grads = np.add(XW, b[:, None, :], out=XW)
+    norms = np.sqrt(np.add.reduce(np.square(grads, out=grads), axis=2))
+    np.maximum(norms, GRADIENT_NORM_FLOOR, out=norms)
+    return np.divide(np.abs(vals, out=vals), norms, out=vals)
+
+
+def predict_stack(scaler: NormalizationParams, pos, neg, X: np.ndarray) -> np.ndarray:
+    """Labels of the raw rows X under G surface pairs at once, shape (G, rows).
+
+    pos and neg are (W, b, c) stacks of shapes (G, n, n), (G, n) and (G,),
+    as unpack_weights returns them for a stack of weight vectors.  A row is
+    +1 if it is at least as close (in normalized distance) to the positive
+    surface of a pair as to its negative one.
+    """
+    d = _distances(apply_scaler(scaler, X), *(np.concatenate(p) for p in zip(pos, neg)))
+    G = d.shape[0] // 2
+    return np.where(d[:G] <= d[G:], 1, -1)
+
+
+def _one_pair(m: TrainedModel):
+    """The model's two surfaces as the one-pair stacks predict_stack takes."""
+    return tuple(
+        (s.W[None], s.b[None], np.array([s.c])) for s in (m.surface_pos, m.surface_neg)
+    )
 
 
 def predict(m: TrainedModel, x: np.ndarray) -> int:
@@ -105,8 +133,7 @@ def predict(m: TrainedModel, x: np.ndarray) -> int:
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n,):
         raise InvalidInputError(f"expected a vector of length {m.n}, got {x.shape}")
-    d = _distances(m, x[None, :])[0]
-    return 1 if d[0] <= d[1] else -1
+    return int(predict_stack(m.scaler, *_one_pair(m), x[None, :])[0, 0])
 
 
 def predict_many(m: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -114,8 +141,7 @@ def predict_many(m: TrainedModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != m.n:
         raise InvalidInputError(f"expected {m.n} features, got {X.shape[1]}")
-    d = _distances(m, X)
-    return np.where(d[:, 0] <= d[:, 1], 1, -1)
+    return predict_stack(m.scaler, *_one_pair(m), X)[0]
 
 
 def _surface_doc(s: QuadraticSurface, mode: LiftingMode) -> dict:

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, artifact round-trips, replay."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtsvm
 from qtsvm.cli import main
 from qtsvm.data import load_csv
 
@@ -71,6 +76,8 @@ def test_train_and_predict_roundtrip(tmp_path, method, capsys):
             trace = sub["objective_trace"]
             assert all(b <= a + 1e-9 * (1 + abs(a))
                        for a, b in zip(trace, trace[1:]))
+            assert sub["lstsq_fallbacks"] == 0
+            assert 1.0 <= sub["peak_weight"] <= 1e12
 
     preds = tmp_path / "preds.csv"
     assert run(["predict", "--model", model, "--data", data, "--out", preds]) == 0
@@ -192,3 +199,14 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats is most of a cold import; only the Nemenyi ranks need it.
+    src = str(Path(qtsvm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qtsvm.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

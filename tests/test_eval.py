@@ -1,12 +1,19 @@
 """Metrics, cross-validation machinery, robustness sweeps, Nemenyi test."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtsvm
 from qtsvm.data import gen_example1, gen_example3
 from qtsvm.errors import InvalidInputError
+from qtsvm.lifting import LiftingMode
 from qtsvm.evaluation import (
     CL1Trainer,
     ConfusionCounts,
@@ -136,6 +143,46 @@ def test_cross_validate_rejects_tiny_dataset():
     d = gen_example1(3, seed=5)
     with pytest.raises(InvalidInputError):
         cross_validate(d, CL1Trainer(), CvSpec(folds=5, grid=FAST_GRID))
+
+
+# Nested selection whose per-fold choices tie 2-2 between C = 1e-5 and
+# C = 0.01.
+TIED_CV = """
+import json
+from collections import Counter
+from qtsvm.data import gen_example3, inject_label_noise
+from qtsvm.evaluation import CvSpec, LSQTrainer, cross_validate, default_grid
+d = inject_label_noise(gen_example3(30, 3), 0.1, seed=4)
+r = cross_validate(d, LSQTrainer(), CvSpec(folds=4, repeats=1, seed=3,
+                                           grid=tuple(default_grid("lsqtsvm"))))
+chosen = Counter(json.dumps(rec.params) for rec in r.folds).most_common()
+print(json.dumps([r.best_params, chosen]))
+"""
+
+
+def test_best_params_tie_independent_of_hash_seed():
+    src = str(Path(qtsvm.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("0", "2"):
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", TIED_CV], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outs.append(json.loads(proc.stdout))
+    (best_a, chosen), (best_b, _) = outs
+    assert len(chosen) >= 2 and chosen[0][1] == chosen[1][1]  # a real tie
+    # Counter lists ties in first-seen order: the first in record order wins.
+    assert best_a == best_b == json.loads(chosen[0][0])
+
+
+def test_trainers_evaluate_grid_point_by_point():
+    # A grid evaluated at once gives each point's counts as alone.
+    train, test = gen_example1(30, seed=7), gen_example1(30, seed=8)
+    for trainer, grid in ((CL1Trainer(), FAST_GRID), (LSQTrainer(), LSQ_GRID)):
+        together = trainer.evaluate(train, test, grid, LiftingMode.FULL, None)
+        alone = [trainer.evaluate(train, test, (p,), LiftingMode.FULL, None)[0]
+                 for p in grid]
+        assert together == alone
 
 
 def test_robustness_sweep_layout():

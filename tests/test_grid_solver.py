@@ -1,0 +1,194 @@
+"""The stacked grid IRLS against the serial loop it replaced, and its
+lane-by-lane least-squares fallback."""
+
+import numpy as np
+import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
+from qtsvm import solver_cl1
+from qtsvm.data import fit_scaler, gen_example1, inject_label_noise, scale_dataset
+from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights, unpack_weights
+from qtsvm.model import GRADIENT_NORM_FLOOR, predict_stack
+from qtsvm.solver_cl1 import (
+    SolverConfig,
+    _capped_weights,
+    _irls,
+    _psd_solve_stack,
+    _solve_lanes,
+    fit,
+    fit_grid,
+)
+
+POWERS = (1e-4, 1e-2, 1.0, 1e2, 1e4)
+GRID = [SolverConfig(c1=a, c2=b) for a in POWERS for b in POWERS]
+# Distances at or past this are rounding-decided: a constant surface sits
+# at the gradient floor, about 1e12.
+FLOOR_DISTANCE = 1e8
+
+
+def serial_subproblem(Z_own, Z_other, sign, cfg):
+    """The serial IRLS loop the stacked one replaced, direct branch: one
+    lane, scipy's Cholesky solve, least squares where Cholesky fails."""
+    l = Z_own.shape[0]
+    w = np.zeros(l)
+    converged = False
+    for t in range(cfg.max_iter):
+        if t == 0:
+            q, u = np.ones(Z_own.shape[1]), np.ones(Z_other.shape[1])
+        else:
+            q = _capped_weights(Z_own.T @ w, cfg.cap_eps, cfg.weight_floor)
+            u = _capped_weights(1.0 - sign * (Z_other.T @ w), cfg.cap_eps,
+                                cfg.weight_floor)
+        B = (Z_own * q) @ Z_own.T + cfg.c2 * (Z_other * u) @ Z_other.T
+        B[np.diag_indices(l)] += cfg.c1
+        rhs = Z_other @ u
+        try:
+            x = cho_solve(cho_factor(B, lower=True), rhs)
+        except LinAlgError:
+            x = np.linalg.lstsq(B, rhs, rcond=None)[0]
+        w_new = sign * cfg.c2 * x
+        step = float(np.linalg.norm(w_new - w))
+        converged = step <= cfg.conv_tol * (1.0 + float(np.linalg.norm(w)))
+        w = w_new
+        if converged:
+            return w, t + 1, True
+    return w, cfg.max_iter, False
+
+
+def serial_distances(Xs, W, b, c):
+    """Normalized distance to one surface, as the serial code computed it."""
+    vals = 0.5 * np.einsum("ij,ij->i", Xs @ W, Xs) + Xs @ b + c
+    grads = Xs @ W.T + b
+    return np.abs(vals) / np.maximum(np.linalg.norm(grads, axis=1), GRADIENT_NORM_FLOOR)
+
+
+@pytest.fixture(scope="module")
+def split():
+    d = inject_label_noise(gen_example1(60, seed=3), 0.1, seed=3)
+    test = gen_example1(100, seed=4)
+    scaler = fit_scaler(d)
+    scaled = scale_dataset(d, scaler)
+    return d, test, scaler, lift_matrix(scaled.X_pos).T, lift_matrix(scaled.X_neg).T
+
+
+@pytest.mark.parametrize("side", ["pos", "neg"])
+def test_stacked_irls_matches_serial_loop(split, side):
+    _, _, _, Zp, Zm = split
+    Z_own, Z_other, sign = (Zp, Zm, -1.0) if side == "pos" else (Zm, Zp, 1.0)
+    c1 = np.array([cfg.c1 for cfg in GRID])
+    c2 = np.array([cfg.c2 for cfg in GRID])
+    W, reports = _irls(Z_own, Z_other, sign, c1, c2, SolverConfig(), "direct")
+    both_converged = 0
+    for g, cfg in enumerate(GRID):
+        w_ref, iters_ref, conv_ref = serial_subproblem(Z_own, Z_other, sign, cfg)
+        rep = reports[g]
+        assert np.isfinite(W[g]).all()
+        if rep.converged and conv_ref:
+            both_converged += 1
+            assert rep.iterations_used == iters_ref, cfg
+            assert np.linalg.norm(W[g] - w_ref) <= 1e-5 * np.linalg.norm(w_ref), cfg
+    assert both_converged >= len(GRID) // 2
+
+
+def test_stacked_labels_match_serial_labels(split):
+    d, test, scaler, Zp, Zm = split
+    grid = fit_grid(d, GRID, scaler=scaler)
+    X, _ = test.stacked()
+    labels = predict_stack(grid.scaler, grid.pos, grid.neg, X)
+    scaled = scale_dataset(test, scaler)
+    Xs = np.vstack([scaled.X_pos, scaled.X_neg])
+    compared = 0
+    for g, cfg in enumerate(GRID):
+        w_pos, _, _ = serial_subproblem(Zp, Zm, -1.0, cfg)
+        w_neg, _, _ = serial_subproblem(Zm, Zp, 1.0, cfg)
+        d_pos = serial_distances(Xs, *unpack_weights(w_pos, 2, LiftingMode.FULL))
+        d_neg = serial_distances(Xs, *unpack_weights(w_neg, 2, LiftingMode.FULL))
+        ref = np.where(d_pos <= d_neg, 1, -1)
+        decided = np.maximum(d_pos, d_neg) < FLOOR_DISTANCE
+        np.testing.assert_array_equal(labels[g][decided], ref[decided], err_msg=str(cfg))
+        compared += decided.sum()
+    assert compared >= X.shape[0] * len(GRID) // 2
+
+
+def lane_weights(stack, g):
+    """Lifted weight vector of lane g of a (W, b, c) surface stack."""
+    return pack_weights(stack[0][g], stack[1][g], stack[2][g], LiftingMode.FULL)
+
+
+def assert_lanes_agree(a, b, pairs):
+    """Lane ga of fit a and lane gb of fit b, for each (ga, gb) in pairs,
+    agree in iterations and weights where both converge."""
+    for ga, gb in pairs:
+        for side in ("pos", "neg"):
+            rep_a = getattr(a.reports[ga], side)
+            rep_b = getattr(b.reports[gb], side)
+            if rep_a.converged and rep_b.converged:
+                w_a = lane_weights(getattr(a, side), ga)
+                w_b = lane_weights(getattr(b, side), gb)
+                assert rep_a.iterations_used == rep_b.iterations_used
+                assert np.linalg.norm(w_a - w_b) <= 1e-5 * np.linalg.norm(w_a)
+
+
+def test_fit_grid_matches_single_fits():
+    # Configurations that differ beyond (c1, c2) are solved in separate
+    # stacks; each lane still equals its own single fit.
+    d = gen_example1(40, seed=5)
+    cfgs = [SolverConfig(c1=0.01, c2=0.01), SolverConfig(c1=1.0, c2=0.1, cap_eps=0.5),
+            SolverConfig(c1=1.0, c2=0.1), SolverConfig(c1=0.1, c2=1.0, max_iter=3)]
+    grid = fit_grid(d, cfgs)
+    for g, cfg in enumerate(cfgs):
+        assert_lanes_agree(grid, fit_grid(d, [cfg]), [(g, 0)])
+        assert grid.reports[g].pos.iterations_used <= cfg.max_iter
+    assert sum(r.pos.converged and r.neg.converged for r in grid.reports) >= 2
+
+
+def test_lane_chunks_match_one_chunk(monkeypatch):
+    # With a one-byte budget every lane is its own chunk and the weighted
+    # Gram matrices are formed lane by lane, not from pairwise products.
+    d = gen_example1(40, seed=5)
+    whole = fit_grid(d, GRID)
+    monkeypatch.setattr(solver_cl1, "LANE_CHUNK_BYTES", 1)
+    assert_lanes_agree(whole, fit_grid(d, GRID), [(g, g) for g in range(len(GRID))])
+
+
+@pytest.mark.parametrize("l", [4, solver_cl1.STACKED_SOLVE_MAX_DIM + 10])
+def test_fallback_is_lane_wise(l):
+    # Small systems are solved as one stack, large ones lane by lane.
+    rng = np.random.default_rng(0)
+    B = np.empty((3, l, l))
+    for g in range(3):
+        A = rng.standard_normal((l, l))
+        B[g] = A @ A.T + l * np.eye(l)
+    B[1] = np.diag(np.arange(l) - 1.5)  # indefinite: Cholesky fails
+    rhs = rng.standard_normal((3, l))
+    X, fell = _psd_solve_stack(B, rhs)
+    np.testing.assert_array_equal(fell, [False, True, False])
+    np.testing.assert_array_equal(X[1], np.linalg.lstsq(B[1], rhs[1], rcond=None)[0])
+    for g in (0, 2):
+        np.testing.assert_allclose(X[g], np.linalg.solve(B[g], rhs[g]), rtol=1e-9)
+
+
+def test_fallback_counted_on_its_lane_only():
+    # A negative own-class weight makes lane 1's system indefinite.
+    rng = np.random.default_rng(1)
+    Z_own = lift_matrix(rng.standard_normal((12, 2))).T
+    Z_other = lift_matrix(rng.standard_normal((12, 2))).T
+    Q = np.ones((3, 12))
+    Q[1, 0] = -1e6
+    U = np.ones((3, 12))
+    c = np.array([0.1, 0.1, 0.1])
+    W, fell = _solve_lanes(Z_own, Z_other, Q, U, c, c, -1.0, "direct")
+    np.testing.assert_array_equal(fell, [0, 1, 0])
+    B = (Z_own * Q[1]) @ Z_own.T + 0.1 * (Z_other * U[1]) @ Z_other.T + 0.1 * np.eye(6)
+    ref = -0.1 * np.linalg.lstsq(B, Z_other @ U[1], rcond=None)[0]
+    np.testing.assert_allclose(W[1], ref, rtol=1e-9)
+
+
+def test_report_counts_fallbacks_and_peak_weight():
+    d = gen_example1(30, seed=6)
+    _, report = fit(d, SolverConfig(c1=1e-5, c2=1e5))
+    for rep in (report.pos, report.neg):
+        assert rep.lstsq_fallbacks >= 0
+        state = rep.final_state
+        assert rep.peak_weight >= max(state.q.max(), state.u.max())
+        assert rep.peak_weight <= 1.0 / SolverConfig().weight_floor
