@@ -20,7 +20,7 @@ from .errors import (
     NumericError,
     QtsvmError,
 )
-from .lifting import LiftingMode, dvec, hvec, lift, lifted_dim, lvec, pack_weights, qvec, unpack_weights
+from .lifting import LiftingMode, dvec, hvec, lifted_dim, lvec, pack_weights, qvec, unpack_weights
 from .model import (
     QuadraticSurface,
     TrainedModel,

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .data import GENERATORS, Dataset, inject_label_noise, load_csv
+from .data import GENERATORS, Dataset, inject_label_noise, load_csv, load_features
 from .errors import DataFormatError, InvalidInputError, QtsvmError
 from .evaluation import (
     CL1Trainer,
@@ -146,11 +146,13 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    with open(args.data, newline="") as fh:
-        width = len(next(csv.reader(fh)))
+    try:
+        with open(args.data, newline="") as fh:
+            width = len(next(csv.reader(fh), []))
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {args.data}: {exc}") from exc
     if width == model.n:
-        # Unlabeled file: plain numeric matrix.
-        X = np.loadtxt(args.data, delimiter=",", skiprows=0, ndmin=2)
+        X = load_features(args.data)
         y = None
     elif width == model.n + 1:
         dataset = _load_labeled(args.data)
@@ -229,6 +231,10 @@ def cmd_benchmark(args) -> int:
     seed = int(cfg.get("seed", 0))
     datasets = _benchmark_datasets(cfg, seed)
     noise_ratios = cfg.get("noise_ratios", [0.0])
+    try:
+        mode = LiftingMode(cfg.get("mode", "full"))
+    except ValueError:
+        _config_error(f"unknown mode {cfg['mode']!r}")
 
     def spec_for(trainer):
         return CvSpec(
@@ -237,7 +243,7 @@ def cmd_benchmark(args) -> int:
             seed=seed,
             grid=tuple(cfg.get("grid", {}).get(trainer.name,
                                                default_grid(trainer.name))),
-            mode=LiftingMode(cfg.get("mode", "full")),
+            mode=mode,
             selection=cfg.get("selection", "nested"),
             normalize=cfg.get("normalize", "full"),
         )

@@ -194,6 +194,32 @@ def _is_numeric(cell: str) -> bool:
         return False
 
 
+def _read_rows(path) -> list:
+    """The nonblank rows of a CSV file."""
+    try:
+        with open(path, newline="") as fh:
+            raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    if not raw:
+        raise DataFormatError(f"{path} is empty")
+    return raw
+
+
+def load_features(path) -> np.ndarray:
+    """Load an unlabeled rectangular numeric CSV as an (m, n) matrix.
+
+    A header row is auto-detected when the first row has a non-numeric cell.
+    """
+    raw = _read_rows(path)
+    if len(raw) > 1 and not all(_is_numeric(c) for c in raw[0]):
+        raw = raw[1:]
+    try:
+        return np.array(raw, dtype=float)
+    except ValueError as exc:
+        raise DataFormatError(f"{path} is not a rectangular numeric table: {exc}") from exc
+
+
 def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
     """Load a rectangular numeric CSV with one label column.
 
@@ -204,14 +230,7 @@ def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
     A header row is auto-detected when the first row has a non-numeric cell
     outside the label column.
     """
-    try:
-        with open(path, newline="") as fh:
-            raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    if not raw:
-        raise DataFormatError(f"{path} is empty")
-
+    raw = _read_rows(path)
     header = None
     width = len(raw[0])
     if isinstance(label_column, str):

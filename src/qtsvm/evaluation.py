@@ -11,9 +11,9 @@ import numpy as np
 from .data import Dataset, fit_scaler, inject_label_noise
 from .errors import InvalidInputError
 from .lifting import LiftingMode
-from .model import predict_many, predict_stack
+from .model import predict_stack
 from .solver_cl1 import SolverConfig, fit_grid
-from .solver_lsq import DEFAULT_RIDGE, fit_lsq
+from .solver_lsq import fit_lsq_grid
 
 # Studentized-range critical values over sqrt(2), alpha = 0.05.
 Q_ALPHA_05 = {
@@ -52,6 +52,17 @@ def counts_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Confusion
     )
 
 
+def counts_stack(y_true: np.ndarray, labels: np.ndarray) -> list[ConfusionCounts]:
+    """Confusion counts of each row of a (G, rows) label stack, as
+    counts_from_predictions gives them row by row."""
+    true_pos, true_neg = y_true == 1, y_true == -1
+    pred_pos, pred_neg = labels == 1, labels == -1
+    table = np.stack([(pred_pos & true_pos).sum(axis=1), (pred_neg & true_neg).sum(axis=1),
+                      (pred_pos & true_neg).sum(axis=1), (pred_neg & true_pos).sum(axis=1)],
+                     axis=1)
+    return [ConfusionCounts(*row) for row in table.tolist()]
+
+
 def accuracy(counts: ConfusionCounts) -> float:
     if counts.total < 1:
         raise InvalidInputError("accuracy needs at least one sample")
@@ -68,44 +79,39 @@ def f1(counts: ConfusionCounts) -> float:
     return 2 * counts.tp / denom
 
 
-# A trainer's evaluate(train, test, grid, mode, scaler) fits one model per
-# grid point on the training split and returns the test split's confusion
-# counts under each, in grid order.
+class _GridTrainer:
+    """A grid-searchable trainer.  Subclasses define
+    fit_split(train, grid, mode, scaler), which fits a grid of parameter
+    dicts on the training split as one GridFit."""
+
+    def evaluate(self, train, test, grid, mode, scaler) -> list[ConfusionCounts]:
+        """Fit one model per grid point on the training split, all in one
+        stacked solve, and return the test split's confusion counts under
+        each, in grid order."""
+        fitted = self.fit_split(train, grid, mode, scaler)
+        X, y = test.stacked()
+        return counts_stack(y, predict_stack(fitted.scaler, fitted.pos, fitted.neg, X))
 
 
-class CL1Trainer:
-    """Grid-searchable wrapper around the capped-L1 solver.  The whole grid
-    of a split is fit in one stacked solve and labelled at once."""
+class CL1Trainer(_GridTrainer):
+    """Grid-searchable wrapper around the capped-L1 solver."""
 
     name = "cl1qtsvm"
 
-    def __init__(self, base: SolverConfig | None = None):
-        self.base = base if base is not None else SolverConfig()
-
-    def evaluate(self, train, test, grid, mode, scaler) -> list[ConfusionCounts]:
-        cfgs = [replace(self.base, **params) for params in grid]
-        fitted = fit_grid(train, cfgs, mode=mode, scaler=scaler)
-        X, y = test.stacked()
-        labels = predict_stack(fitted.scaler, fitted.pos, fitted.neg, X)
-        return [counts_from_predictions(y, row) for row in labels]
+    @staticmethod
+    def fit_split(train, grid, mode, scaler):
+        return fit_grid(train, [SolverConfig(**params) for params in grid], mode, scaler)
 
 
-class LSQTrainer:
+class LSQTrainer(_GridTrainer):
     """Grid-searchable wrapper around the least-squares baseline."""
 
     name = "lsqtsvm"
 
-    def __init__(self, ridge: float = DEFAULT_RIDGE):
-        self.ridge = ridge
-
-    def evaluate(self, train, test, grid, mode, scaler) -> list[ConfusionCounts]:
-        X, y = test.stacked()
-        return [
-            counts_from_predictions(y, predict_many(
-                fit_lsq(train, C=params["C"], ridge=self.ridge, mode=mode,
-                        scaler=scaler), X))
-            for params in grid
-        ]
+    @staticmethod
+    def fit_split(train, grid, mode, scaler):
+        return fit_lsq_grid(train, [params["C"] for params in grid], mode=mode,
+                            scaler=scaler)
 
 
 def default_grid(method: str) -> list[dict]:

@@ -9,7 +9,6 @@ dimension from (n^2+3n+2)/2 to 2n+1 for high-dimensional data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,14 +21,6 @@ SYMMETRY_TOL = 1e-10
 class LiftingMode(str, Enum):
     FULL = "full"
     REDUCED = "reduced"
-
-
-@dataclass(frozen=True)
-class LiftedSample:
-    """A sample mapped into lifted monomial space; last entry is always 1."""
-
-    values: np.ndarray
-    mode: LiftingMode
 
 
 def lifted_dim(n: int, mode: LiftingMode) -> int:
@@ -102,16 +93,9 @@ def qvec(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * x
 
 
-def lift(x: np.ndarray, mode: LiftingMode = LiftingMode.FULL) -> LiftedSample:
-    """Lift one sample: [lvec(x); x; 1] (full) or [qvec(x); x; 1] (reduced)."""
-    x = np.asarray(x, dtype=float)
-    head = lvec(x) if mode is LiftingMode.FULL else qvec(x)
-    values = np.concatenate([head, x, [1.0]])
-    return LiftedSample(values=values, mode=mode)
-
-
 def lift_matrix(X: np.ndarray, mode: LiftingMode = LiftingMode.FULL) -> np.ndarray:
-    """Lift every row of X; returns an (m, lifted_dim) array."""
+    """Lift every row x of X to [lvec(x); x; 1] (full) or [qvec(x); x; 1]
+    (reduced); returns an (m, lifted_dim) array."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m, n = X.shape
     if mode is LiftingMode.FULL:

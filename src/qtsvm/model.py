@@ -12,6 +12,7 @@ from .data import NormalizationParams, apply_scaler
 from .errors import (
     InvalidInputError,
     MalformedModelFileError,
+    ModelFileError,
     ModelInconsistencyError,
     ModelVersionError,
 )
@@ -168,17 +169,17 @@ def save_model(m: TrainedModel, path) -> None:
 
 def _surface_from_doc(doc: dict, n: int, mode: LiftingMode) -> QuadraticSurface:
     w = np.concatenate([doc["w_head"], doc["b"], [doc["c"]]])
-    try:
-        W, b, c = unpack_weights(w, n, mode)
-    except InvalidInputError as exc:
-        raise ModelInconsistencyError(str(exc)) from exc
-    return QuadraticSurface(W=W, b=b, c=c)
+    return QuadraticSurface(*unpack_weights(w, n, mode))
 
 
 def load_model(path) -> TrainedModel:
+    """Read a model file.  A file that cannot be read, parsed or trusted
+    raises a ModelFileError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
+    except OSError as exc:
+        raise ModelFileError(f"cannot read model file: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedModelFileError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -197,16 +198,16 @@ def load_model(path) -> TrainedModel:
             minimum=np.array(scaler_doc["min"], dtype=float),
             maximum=np.array(scaler_doc["max"], dtype=float),
         )
-        sp = _surface_from_doc(doc["surface_pos"], n, mode)
-        sn = _surface_from_doc(doc["surface_neg"], n, mode)
+        if scaler.minimum.shape != scaler.maximum.shape or scaler.minimum.size != n:
+            raise ModelInconsistencyError(
+                f"{path}: scaler dimension {scaler.minimum.size} != n={n}"
+            )
+        return TrainedModel(surface_pos=_surface_from_doc(doc["surface_pos"], n, mode),
+                            surface_neg=_surface_from_doc(doc["surface_neg"], n, mode),
+                            mode=mode, scaler=scaler, n=n)
     except KeyError as exc:
         raise MalformedModelFileError(f"{path}: missing field {exc}") from exc
-    if scaler.minimum.size != n:
-        raise ModelInconsistencyError(
-            f"{path}: scaler dimension {scaler.minimum.size} != n={n}"
-        )
-    try:
-        return TrainedModel(surface_pos=sp, surface_neg=sn, mode=mode,
-                            scaler=scaler, n=n)
+    except (TypeError, ValueError) as exc:
+        raise MalformedModelFileError(f"{path}: {exc}") from exc
     except InvalidInputError as exc:
         raise ModelInconsistencyError(f"{path}: {exc}") from exc

@@ -104,9 +104,17 @@ class GridFit:
     """
 
     scaler: NormalizationParams
+    mode: LiftingMode
     pos: tuple
     neg: tuple
     reports: list
+
+    def model(self, g: int) -> TrainedModel:
+        """The trained classifier of configuration g."""
+        pos, neg = ([a[g] for a in stack] for stack in (self.pos, self.neg))
+        return TrainedModel(surface_pos=QuadraticSurface(*pos),
+                            surface_neg=QuadraticSurface(*neg),
+                            mode=self.mode, scaler=self.scaler, n=self.pos[1].shape[1])
 
 
 # Most memory one chunk of lanes may take for a (lanes, l, samples)
@@ -135,19 +143,16 @@ def _capped_weights(residuals: np.ndarray, cap_eps: float, floor: float) -> np.n
     return np.where(a <= cap_eps, 1.0 / np.maximum(a, floor), cap_eps)
 
 
-# Every subproblem below is written once for both surfaces as (own, other,
-# sign): the positive surface is (Zp, Zm, -1), the negative one (Zm, Zp, +1).
-# Own-class residuals are w.z over the own class; slacks are 1 - sign w.z
-# over the other class.  w may be one weight vector or a stack of them.
+# Every subproblem below is written for the positive surface, with Z_own
+# the lifted samples of its own class and Z_other those of the other class:
+# own-class residuals are w.z over the own class, slacks 1 + w.z over the
+# other.  The negative surface is minus the positive one with the classes
+# swapped, since negating w negates every residual and turns the slacks
+# 1 - w.z into 1 + (-w).z.  w may be one weight vector or a stack of them.
 
 
-def _slacks(w, Z_other, sign):
-    return 1.0 - sign * (w @ Z_other)
-
-
-def _weights(w, Z_own, Z_other, sign, cap_eps, floor) -> ReweightState:
-    return ReweightState(q=_capped_weights(w @ Z_own, cap_eps, floor),
-                         u=_capped_weights(_slacks(w, Z_other, sign), cap_eps, floor))
+def _slacks(w, Z_other):
+    return 1.0 + w @ Z_other
 
 
 def compute_weights_pos(w_plus, Zp, Zm, cap_eps, weight_floor=1e-12) -> ReweightState:
@@ -156,13 +161,8 @@ def compute_weights_pos(w_plus, Zp, Zm, cap_eps, weight_floor=1e-12) -> Reweight
     Own-class residuals are w.z_i over the positives; slacks are
     eta_j = 1 + w.z_j over the negatives.
     """
-    return _weights(w_plus, Zp, Zm, -1.0, cap_eps, weight_floor)
-
-
-def compute_weights_neg(w_minus, Zp, Zm, cap_eps, weight_floor=1e-12) -> ReweightState:
-    """Mirror of compute_weights_pos: residuals over the negatives,
-    slacks eta_i = 1 - w.z_i over the positives."""
-    return _weights(w_minus, Zm, Zp, 1.0, cap_eps, weight_floor)
+    return ReweightState(q=_capped_weights(w_plus @ Zp, cap_eps, weight_floor),
+                         u=_capped_weights(_slacks(w_plus, Zm), cap_eps, weight_floor))
 
 
 def _pick_branch(m_l: int, m_other: int, requested: str) -> str:
@@ -207,7 +207,16 @@ def _psd_solve_stack(B, rhs):
         # The stacked factorization fails as a whole; find the lanes.
         fell = np.array([_psd_solver(A)[1] for A in B])
     ok = ~fell
-    X[ok] = np.linalg.solve(B[ok], rhs[ok, :, None])[..., 0]
+    try:
+        X[ok] = np.linalg.solve(B[ok], rhs[ok, :, None])[..., 0]
+    except LinAlgError:
+        # LU found a matrix exactly singular that Cholesky passed (pivots
+        # rounded to tiny positives); such lanes fall back too.
+        for g in np.flatnonzero(ok):
+            try:
+                X[g] = np.linalg.solve(B[g], rhs[g])
+            except LinAlgError:
+                fell[g] = True
     for g in np.flatnonzero(fell):
         X[g] = np.linalg.lstsq(B[g], rhs[g], rcond=None)[0]
     return X, fell
@@ -277,9 +286,9 @@ def _solve_smw(Z_own, Z_other, q, u, c1, c2):
     return Yv - YZ @ K_solve(Z_other_k.T @ Yv), int(fell) + int(fell_k)
 
 
-def _solve_lanes(Z_own, Z_other, Q, U, c1, c2, sign, branch):
+def _solve_lanes(Z_own, Z_other, Q, U, c1, c2, branch):
     """Solve (Z_own diag(q) Z_own' + c1 I + c2 Z_other diag(u) Z_other') w
-    = sign * c2 * Z_other u for every lane g (rows of Q and U, entries of
+    = -c2 * Z_other u for every lane g (rows of Q and U, entries of
     c1 and c2) by the requested branch.
 
     Returns the solutions, shape (G, l), and each lane's count of
@@ -291,24 +300,15 @@ def _solve_lanes(Z_own, Z_other, Q, U, c1, c2, sign, branch):
         lanes = [_solve_smw(Z_own, Z_other, *lane) for lane in zip(Q, U, c1, c2)]
         X = np.array([x for x, _ in lanes])
         fell = np.array([f for _, f in lanes])
-    return sign * c2[:, None] * X, fell
-
-
-def _solve_one(Z_own, Z_other, state, cfg, sign):
-    branch = _pick_branch(Z_own.shape[0], Z_other.shape[1], cfg.branch)
-    w, _ = _solve_lanes(Z_own, Z_other, state.q[None], state.u[None],
-                        np.array([cfg.c1]), np.array([cfg.c2]), sign, branch)
-    return w[0]
+    return -c2[:, None] * X, fell
 
 
 def update_w_plus(Zp, Zm, state: ReweightState, cfg: SolverConfig) -> np.ndarray:
     """One closed-form update of the positive-surface weight vector."""
-    return _solve_one(Zp, Zm, state, cfg, -1.0)
-
-
-def update_w_minus(Zp, Zm, state: ReweightState, cfg: SolverConfig) -> np.ndarray:
-    """One closed-form update of the negative-surface weight vector."""
-    return _solve_one(Zm, Zp, state, cfg, 1.0)
+    branch = _pick_branch(Zp.shape[0], Zm.shape[1], cfg.branch)
+    w, _ = _solve_lanes(Zp, Zm, state.q[None], state.u[None],
+                        np.array([cfg.c1]), np.array([cfg.c2]), branch)
+    return w[0]
 
 
 def _mixed_loss_sum(values: np.ndarray, cap_eps: float):
@@ -334,37 +334,23 @@ def _objective(w, residuals, slacks, c1, c2, cap_eps):
 
 def objective_plus(w_plus, Zp, Zm, cfg: SolverConfig) -> float:
     """Objective of the positive-surface subproblem (mixed-loss form)."""
-    return float(_objective(w_plus, w_plus @ Zp, _slacks(w_plus, Zm, -1.0),
+    return float(_objective(w_plus, w_plus @ Zp, _slacks(w_plus, Zm),
                             cfg.c1, cfg.c2, cfg.cap_eps))
-
-
-def objective_neg(w_minus, Zp, Zm, cfg: SolverConfig) -> float:
-    """Objective of the negative-surface subproblem (mixed-loss form)."""
-    return float(_objective(w_minus, w_minus @ Zm, _slacks(w_minus, Zp, 1.0),
-                            cfg.c1, cfg.c2, cfg.cap_eps))
-
-
-def _stationarity(w, Z_own, Z_other, sign, state, cfg) -> float:
-    grad = (
-        Z_own @ (state.q * (w @ Z_own))
-        + cfg.c1 * w
-        - sign * cfg.c2 * (Z_other @ (state.u * _slacks(w, Z_other, sign)))
-    )
-    return float(np.linalg.norm(grad))
 
 
 def stationarity_residual_plus(w_plus, Zp, Zm, state, cfg) -> float:
     """Norm of the weighted normal-equation gradient at w_plus."""
-    return _stationarity(w_plus, Zp, Zm, -1.0, state, cfg)
+    grad = (
+        Zp @ (state.q * (w_plus @ Zp))
+        + cfg.c1 * w_plus
+        + cfg.c2 * (Zm @ (state.u * _slacks(w_plus, Zm)))
+    )
+    return float(np.linalg.norm(grad))
 
 
-def stationarity_residual_neg(w_minus, Zp, Zm, state, cfg) -> float:
-    return _stationarity(w_minus, Zm, Zp, 1.0, state, cfg)
-
-
-def _irls(Z_own, Z_other, sign, c1, c2, cfg: SolverConfig, branch):
-    """The capped-L1 IRLS of one subproblem over a stack of lanes, lane g
-    with penalties (c1[g], c2[g]) and the rest of cfg.
+def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch):
+    """The capped-L1 IRLS of the positive subproblem over a stack of lanes,
+    lane g with penalties (c1[g], c2[g]) and the rest of cfg.
 
     Each lane keeps its own weights and stops on its own step rule; the
     lanes still running are solved together.  Returns the weight vectors,
@@ -388,11 +374,10 @@ def _irls(Z_own, Z_other, sign, c1, c2, cfg: SolverConfig, branch):
             Q[lanes] = _capped_weights(R, cfg.cap_eps, cfg.weight_floor)
             U[lanes] = _capped_weights(S, cfg.cap_eps, cfg.weight_floor)
         Qa, Ua = Q[lanes], U[lanes]
-        W_new, fell = _solve_lanes(Z_own, Z_other, Qa, Ua, c1[lanes], c2[lanes],
-                                   sign, branch)
+        W_new, fell = _solve_lanes(Z_own, Z_other, Qa, Ua, c1[lanes], c2[lanes], branch)
         if not np.isfinite(W_new).all():
             raise NumericError(f"non-finite iterate at iteration {t}")
-        R, S = W_new @ Z_own, _slacks(W_new, Z_other, sign)
+        R, S = W_new @ Z_own, _slacks(W_new, Z_other)
         trace[t, lanes] = _objective(W_new, R, S, c1[lanes], c2[lanes], cfg.cap_eps)
         W_old = W[lanes]
         step = np.linalg.norm(W_new - W_old, axis=1)
@@ -444,21 +429,23 @@ def fit_grid(
     groups: dict = {}
     for g, cfg in enumerate(cfgs):
         groups.setdefault(replace(cfg, c1=1.0, c2=1.0), []).append(g)
-    sides = {"pos": (Zp, Zm, -1.0), "neg": (Zm, Zp, 1.0)}
+    sides = {"pos": (Zp, Zm), "neg": (Zm, Zp)}
     w = {side: np.empty((len(cfgs), Zp.shape[0])) for side in sides}
     reps = {side: [None] * len(cfgs) for side in sides}
     for shared, idx in groups.items():
         c1 = np.array([cfgs[g].c1 for g in idx])
         c2 = np.array([cfgs[g].c2 for g in idx])
-        for side, (Z_own, Z_other, sign) in sides.items():
+        for side, (Z_own, Z_other) in sides.items():
             branch = _pick_branch(Z_own.shape[0], Z_other.shape[1], shared.branch)
-            w[side][idx], lane_reps = _irls(Z_own, Z_other, sign, c1, c2, shared, branch)
+            w[side][idx], lane_reps = _irls(Z_own, Z_other, c1, c2, shared, branch)
             for g, rep in zip(idx, lane_reps):
                 reps[side][g] = rep
     return GridFit(
         scaler=scaler,
+        mode=mode,
         pos=unpack_weights(w["pos"], dataset.n, mode),
-        neg=unpack_weights(w["neg"], dataset.n, mode),
+        # The positive solve on swapped classes gives minus the negative surface.
+        neg=unpack_weights(-w["neg"], dataset.n, mode),
         reports=[FitReport(pos=p, neg=q) for p, q in zip(reps["pos"], reps["neg"])],
     )
 
@@ -475,12 +462,4 @@ def fit(
     passing one in lets callers normalize on a larger split beforehand.
     """
     grid = fit_grid(dataset, [cfg], mode, scaler)
-    pos, neg = ([a[0] for a in stack] for stack in (grid.pos, grid.neg))
-    model = TrainedModel(
-        surface_pos=QuadraticSurface(*pos),
-        surface_neg=QuadraticSurface(*neg),
-        mode=mode,
-        scaler=grid.scaler,
-        n=dataset.n,
-    )
-    return model, grid.reports[0]
+    return grid.model(0), grid.reports[0]

@@ -1,36 +1,47 @@
 """Least-squares quadratic-surface twin SVM baseline.
 
 Each surface minimizes a proximal squared term on its own class plus a
-squared slack penalty on the other class; substituting the equality
-constraints gives an unconstrained quadratic solved by one symmetric
-factorization.  A small ridge keeps the system positive definite when
-the own-class Gram matrix is rank deficient.
+squared slack penalty on the other class, with a small ridge that keeps
+the system positive definite when the own-class Gram matrix is rank
+deficient.  Its normal equations are those of the first, unweighted step
+of the capped-L1 iteration with c1 = ridge and c2 = 2C, so the baseline is
+fit as that one step of the capped-L1 solver.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
-from .data import Dataset, NormalizationParams, fit_scaler, scale_dataset
+from .data import Dataset, NormalizationParams
 from .errors import InvalidInputError, NumericError
-from .lifting import LiftingMode, lift_matrix, unpack_weights
-from .model import QuadraticSurface, TrainedModel
+from .lifting import LiftingMode
+from .model import TrainedModel
+from .solver_cl1 import GridFit, SolverConfig, fit_grid
 
 DEFAULT_RIDGE = 1e-8
 
 
-def _solve_one(Z_own, Z_other, C, ridge, sign):
-    """Normal equations of one twin subproblem:
-    (Z_own Z_own' + 2C Z_other Z_other' + ridge I) w = sign * 2C * Z_other e."""
-    m_l = Z_own.shape[0]
-    B = Z_own @ Z_own.T + 2.0 * C * (Z_other @ Z_other.T)
-    B[np.diag_indices(m_l)] += ridge
-    rhs = sign * 2.0 * C * Z_other.sum(axis=1)
-    try:
-        return cho_solve(cho_factor(B, lower=True), rhs)
-    except LinAlgError as exc:
-        raise NumericError(f"least-squares system factorization failed: {exc}") from exc
+def fit_lsq_grid(
+    dataset: Dataset,
+    Cs,
+    ridge: float = DEFAULT_RIDGE,
+    mode: LiftingMode = LiftingMode.FULL,
+    scaler: NormalizationParams | None = None,
+) -> GridFit:
+    """Train the least-squares twin classifier for each penalty C in ``Cs``
+    in one stacked solve.
+
+    Raises NumericError when a system is not positive definite in floating
+    point, rather than accept the capped-L1 solver's least-squares fallback.
+    """
+    if min(Cs) <= 0:
+        raise InvalidInputError("C must be > 0")
+    if ridge <= 0:
+        raise InvalidInputError("ridge must be > 0")
+    cfgs = [SolverConfig(c1=ridge, c2=2.0 * C, max_iter=1, branch="direct") for C in Cs]
+    grid = fit_grid(dataset, cfgs, mode, scaler)
+    if any(rep.pos.lstsq_fallbacks or rep.neg.lstsq_fallbacks for rep in grid.reports):
+        raise NumericError("least-squares system factorization failed: "
+                           "not positive definite")
+    return grid
 
 
 def fit_lsq(
@@ -41,26 +52,4 @@ def fit_lsq(
     scaler: NormalizationParams | None = None,
 ) -> TrainedModel:
     """Train the least-squares twin classifier in closed form."""
-    if C <= 0:
-        raise InvalidInputError("C must be > 0")
-    if ridge < 0:
-        raise InvalidInputError("ridge must be >= 0")
-    if dataset.m_pos == 0 or dataset.m_neg == 0:
-        raise InvalidInputError("both classes must be nonempty")
-    if scaler is None:
-        scaler = fit_scaler(dataset)
-    scaled = scale_dataset(dataset, scaler)
-    Zp = lift_matrix(scaled.X_pos, mode).T
-    Zm = lift_matrix(scaled.X_neg, mode).T
-
-    w_pos = _solve_one(Zp, Zm, C, ridge, -1.0)
-    w_neg = _solve_one(Zm, Zp, C, ridge, +1.0)
-
-    n = dataset.n
-    return TrainedModel(
-        surface_pos=QuadraticSurface(*unpack_weights(w_pos, n, mode)),
-        surface_neg=QuadraticSurface(*unpack_weights(w_neg, n, mode)),
-        mode=mode,
-        scaler=scaler,
-        n=n,
-    )
+    return fit_lsq_grid(dataset, [C], ridge, mode, scaler).model(0)

@@ -33,7 +33,6 @@ from qtsvm.solver_cl1 import (
     ReweightState,
     SolverConfig,
     fit,
-    stationarity_residual_neg,
     stationarity_residual_plus,
     update_w_plus,
 )
@@ -160,7 +159,8 @@ def test_criterion_4_stationarity():
                 wm = pack_weights(model.surface_neg.W, model.surface_neg.b,
                                   model.surface_neg.c, LiftingMode.FULL)
                 rp = stationarity_residual_plus(wp, Zp, Zm, rep.pos.final_state, cfg)
-                rm = stationarity_residual_neg(wm, Zp, Zm, rep.neg.final_state, cfg)
+                # The negative surface is the positive one at -w, classes swapped.
+                rm = stationarity_residual_plus(-wm, Zm, Zp, rep.neg.final_state, cfg)
                 worst = max(worst,
                             rp / (1.0 + np.linalg.norm(wp)),
                             rm / (1.0 + np.linalg.norm(wm)))

@@ -210,3 +210,64 @@ def test_cli_import_leaves_out_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def _predict_with_model(mutate):
+    """argv of a predict whose model file is the trained one changed by mutate."""
+    def argv(tmp_path, model):
+        doc = json.loads(model.read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        return ["predict", "--model", bad, "--data", tmp_path / "d.csv",
+                "--out", tmp_path / "p.csv"]
+    return argv
+
+
+def _unlabeled_with_header(tmp_path, model):
+    X = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1)[:, :2]
+    bare = tmp_path / "bare.csv"
+    bare.write_text("x1,x2\n" + "".join(f"{a},{b}\n" for a, b in X.tolist()))
+    return ["predict", "--model", model, "--data", bare, "--out", tmp_path / "p.csv"]
+
+
+def _bench_config_mode(tmp_path, model):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({**BENCH_CONFIG, "mode": "diag"}))
+    return ["benchmark", "--config", cfg, "--out", tmp_path / "r.csv"]
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli_failures")
+    run(["generate", "--example", 1, "--m", 20, "--seed", 0, "--out", tmp / "d.csv"])
+    run(["train", "--data", tmp / "d.csv", "--method", "lsqtsvm",
+         "--model-out", tmp / "model.json"])
+    return tmp
+
+
+@pytest.mark.parametrize("argv, code", [
+    (_unlabeled_with_header, 0),
+    (lambda tmp, model: ["predict", "--model", tmp / "missing.json",
+                         "--data", tmp / "d.csv", "--out", tmp / "p.csv"], 1),
+    (_predict_with_model(lambda doc: doc.update(mode="diag")), 1),
+    (_predict_with_model(lambda doc: doc["surface_pos"].update(b=3.0)), 1),
+    (_predict_with_model(lambda doc: doc["scaler"].update(
+        min=[v + 10.0 for v in doc["scaler"]["max"]])), 1),
+    (_bench_config_mode, 2),
+], ids=["unlabeled-header", "missing-model", "model-mode", "model-b", "model-scaler",
+        "config-mode"])
+def test_cli_failures_are_clean(trained, argv, code):
+    # Each input once ended in a traceback or the wrong exit code.
+    src = str(Path(qtsvm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    args = [str(a) for a in argv(trained, trained / "model.json")]
+    proc = subprocess.run([sys.executable, "-m", "qtsvm.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert proc.returncode == code, proc.stderr
+    assert len(errors) == (1 if code else 0), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert len((trained / "p.csv").read_text().splitlines()) == 41

@@ -22,6 +22,7 @@ from qtsvm.evaluation import (
     _stratified_folds,
     accuracy,
     counts_from_predictions,
+    counts_stack,
     cross_validate,
     default_grid,
     f1,
@@ -41,6 +42,15 @@ def test_counts_from_predictions():
     c = counts_from_predictions(y, p)
     assert (c.tp, c.tn, c.fp, c.fn) == (2, 1, 1, 1)
     assert c.total == 5
+
+
+def test_counts_stack_matches_row_by_row():
+    rng = np.random.default_rng(0)
+    for G, rows in ((1, 1), (3, 17), (121, 80)):
+        y = rng.choice([-1.0, 1.0], rows)
+        labels = rng.choice([-1, 1], (G, rows))
+        assert counts_stack(y, labels) == [counts_from_predictions(y, row)
+                                           for row in labels]
 
 
 def test_accuracy_and_f1():

@@ -77,7 +77,10 @@ def test_stacked_irls_matches_serial_loop(split, side):
     Z_own, Z_other, sign = (Zp, Zm, -1.0) if side == "pos" else (Zm, Zp, 1.0)
     c1 = np.array([cfg.c1 for cfg in GRID])
     c2 = np.array([cfg.c2 for cfg in GRID])
-    W, reports = _irls(Z_own, Z_other, sign, c1, c2, SolverConfig(), "direct")
+    # The stacked loop solves the positive form; the negative surface is
+    # minus that solve on swapped classes.
+    W, reports = _irls(Z_own, Z_other, c1, c2, SolverConfig(), "direct")
+    W = -sign * W
     both_converged = 0
     for g, cfg in enumerate(GRID):
         w_ref, iters_ref, conv_ref = serial_subproblem(Z_own, Z_other, sign, cfg)
@@ -177,7 +180,7 @@ def test_fallback_counted_on_its_lane_only():
     Q[1, 0] = -1e6
     U = np.ones((3, 12))
     c = np.array([0.1, 0.1, 0.1])
-    W, fell = _solve_lanes(Z_own, Z_other, Q, U, c, c, -1.0, "direct")
+    W, fell = _solve_lanes(Z_own, Z_other, Q, U, c, c, "direct")
     np.testing.assert_array_equal(fell, [0, 1, 0])
     B = (Z_own * Q[1]) @ Z_own.T + 0.1 * (Z_other * U[1]) @ Z_other.T + 0.1 * np.eye(6)
     ref = -0.1 * np.linalg.lstsq(B, Z_other @ U[1], rcond=None)[0]

@@ -11,7 +11,6 @@ from qtsvm.lifting import (
     LiftingMode,
     dvec,
     hvec,
-    lift,
     lift_matrix,
     lifted_dim,
     lvec,
@@ -113,10 +112,10 @@ def test_contraction_identity_property(data):
 
 def test_lift_layout():
     x = np.array([1.0, 2.0])
-    s = lift(x, LiftingMode.FULL)
-    np.testing.assert_allclose(s.values, [0.5, 2.0, 2.0, 1.0, 2.0, 1.0])
-    s = lift(x, LiftingMode.REDUCED)
-    np.testing.assert_allclose(s.values, [0.5, 2.0, 1.0, 2.0, 1.0])
+    np.testing.assert_allclose(lift_matrix(x, LiftingMode.FULL)[0],
+                               [0.5, 2.0, 2.0, 1.0, 2.0, 1.0])
+    np.testing.assert_allclose(lift_matrix(x, LiftingMode.REDUCED)[0],
+                               [0.5, 2.0, 1.0, 2.0, 1.0])
 
 
 def test_lift_matrix_matches_lift_rowwise():
@@ -125,8 +124,9 @@ def test_lift_matrix_matches_lift_rowwise():
     for mode in LiftingMode:
         Z = lift_matrix(X, mode)
         assert Z.shape == (7, lifted_dim(4, mode))
+        head = lvec if mode is LiftingMode.FULL else qvec
         for i, row in enumerate(X):
-            np.testing.assert_allclose(Z[i], lift(row, mode).values)
+            np.testing.assert_allclose(Z[i], np.concatenate([head(row), row, [1.0]]))
 
 
 def test_lift_matrix_last_column_is_one():
@@ -167,4 +167,4 @@ def test_pack_evaluates_surface_via_lift():
     for _ in range(20):
         x = rng.standard_normal(3)
         expected = 0.5 * x @ W @ x + b @ x + c
-        assert w @ lift(x).values == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert w @ lift_matrix(x)[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)

@@ -12,14 +12,10 @@ from qtsvm.solver_cl1 import (
     ReweightState,
     SolverConfig,
     capped_loss_sum,
-    compute_weights_neg,
     compute_weights_pos,
     fit,
-    objective_neg,
     objective_plus,
-    stationarity_residual_neg,
     stationarity_residual_plus,
-    update_w_minus,
     update_w_plus,
 )
 
@@ -87,8 +83,10 @@ def test_weight_range_invariant():
     for _ in range(100):
         Zp, Zm = random_lifted_pair(rng)
         w = rng.standard_normal(Zp.shape[0]) * rng.choice([1e-14, 1.0, 1e3])
-        for fn in (compute_weights_pos, compute_weights_neg):
-            state = fn(w, Zp, Zm, cap_eps=0.7, weight_floor=1e-12)
+        # The negative surface's weights are the positive rule at -w with
+        # the classes swapped.
+        for state in (compute_weights_pos(w, Zp, Zm, cap_eps=0.7, weight_floor=1e-12),
+                      compute_weights_pos(-w, Zm, Zp, cap_eps=0.7, weight_floor=1e-12)):
             for arr in (state.q, state.u):
                 assert np.all(arr > 0)
                 assert np.all(arr <= max(1e12, 0.7))
@@ -144,6 +142,7 @@ def test_smw_branch_tolerates_zero_weights():
 
 
 def test_update_w_minus_matches_oracle():
+    # The negative surface is minus the positive update on swapped classes.
     rng = np.random.default_rng(4)
     for _ in range(20):
         Zp, Zm = random_lifted_pair(rng)
@@ -151,7 +150,7 @@ def test_update_w_minus_matches_oracle():
         u = rng.uniform(0.1, 10.0, Zp.shape[1])
         state = ReweightState(q=q, u=u)
         for branch in ("direct", "smw"):
-            wm = update_w_minus(Zp, Zm, state, SolverConfig(branch=branch))
+            wm = -update_w_plus(Zm, Zp, state, SolverConfig(branch=branch))
             ref = dense_oracle(Zm, Zp, q, u, 1.0, 1.0, +1.0)
             np.testing.assert_allclose(wm, ref, rtol=1e-8, atol=1e-10)
 
@@ -210,7 +209,7 @@ def test_final_state_stationarity():
     wm = pack_weights(model.surface_neg.W, model.surface_neg.b,
                       model.surface_neg.c, model.mode)
     rp = stationarity_residual_plus(wp, Zp, Zm, report.pos.final_state, cfg)
-    rm = stationarity_residual_neg(wm, Zp, Zm, report.neg.final_state, cfg)
+    rm = stationarity_residual_plus(-wm, Zm, Zp, report.neg.final_state, cfg)
     assert rp <= 1e-5 * (1.0 + np.linalg.norm(wp))
     assert rm <= 1e-5 * (1.0 + np.linalg.norm(wm))
 

@@ -1,11 +1,14 @@
 """Least-squares baseline: normal-equation oracle and optimizer cross-check."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from qtsvm import evaluation, solver_lsq
 from qtsvm.data import Dataset, fit_scaler, gen_example1, gen_example3, scale_dataset
-from qtsvm.errors import InvalidInputError
+from qtsvm.errors import InvalidInputError, NumericError
 from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights
 from qtsvm.model import predict_many
 from qtsvm.solver_lsq import fit_lsq
@@ -99,4 +102,20 @@ def test_input_validation():
     with pytest.raises(InvalidInputError):
         fit_lsq(d, C=1.0, ridge=-1e-3)
     with pytest.raises(InvalidInputError):
+        fit_lsq(d, C=1.0, ridge=0.0)
+    with pytest.raises(InvalidInputError):
         fit_lsq(Dataset(X_pos=np.zeros((0, 2)), X_neg=[[1.0, 2.0]]), C=1.0)
+
+
+def test_singular_system_raises_numeric_error(monkeypatch):
+    # Two samples per class span 4 of the 6 lifted dimensions, so with a
+    # negligible ridge both systems are singular in floating point.  The
+    # solve reports it rather than return a least-squares fallback.
+    rng = np.random.default_rng(0)
+    d = Dataset(X_pos=rng.standard_normal((2, 2)), X_neg=rng.standard_normal((2, 2)))
+    with pytest.raises(NumericError):
+        fit_lsq(d, C=1.0, ridge=1e-300)
+    monkeypatch.setattr(evaluation, "fit_lsq_grid",
+                        partial(solver_lsq.fit_lsq_grid, ridge=1e-300))
+    with pytest.raises(NumericError):
+        evaluation.LSQTrainer().evaluate(d, d, ({"C": 1.0},), LiftingMode.FULL, None)
