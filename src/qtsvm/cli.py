@@ -18,7 +18,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .data import GENERATORS, Dataset, inject_label_noise, load_csv, load_features
+from .data import (
+    GENERATORS,
+    Dataset,
+    _read_rows,
+    inject_label_noise,
+    load_csv,
+    load_features,
+)
 from .errors import DataFormatError, InvalidInputError, QtsvmError
 from .evaluation import (
     CL1Trainer,
@@ -146,11 +153,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    try:
-        with open(args.data, newline="") as fh:
-            width = len(next(csv.reader(fh), []))
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {args.data}: {exc}") from exc
+    width = len(_read_rows(args.data)[0])
     if width == model.n:
         X = load_features(args.data)
         y = None

@@ -41,26 +41,18 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
-def counts_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    return ConfusionCounts(
-        tp=int(np.sum((y_true == 1) & (y_pred == 1))),
-        tn=int(np.sum((y_true == -1) & (y_pred == -1))),
-        fp=int(np.sum((y_true == -1) & (y_pred == 1))),
-        fn=int(np.sum((y_true == 1) & (y_pred == -1))),
-    )
-
-
 def counts_stack(y_true: np.ndarray, labels: np.ndarray) -> list[ConfusionCounts]:
-    """Confusion counts of each row of a (G, rows) label stack, as
-    counts_from_predictions gives them row by row."""
+    """Confusion counts of each row of a (G, rows) label stack."""
     true_pos, true_neg = y_true == 1, y_true == -1
     pred_pos, pred_neg = labels == 1, labels == -1
     table = np.stack([(pred_pos & true_pos).sum(axis=1), (pred_neg & true_neg).sum(axis=1),
                       (pred_pos & true_neg).sum(axis=1), (pred_neg & true_pos).sum(axis=1)],
                      axis=1)
     return [ConfusionCounts(*row) for row in table.tolist()]
+
+
+def counts_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
+    return counts_stack(np.asarray(y_true), np.asarray(y_pred)[None])[0]
 
 
 def accuracy(counts: ConfusionCounts) -> float:

@@ -224,11 +224,13 @@ def _predict_with_model(mutate):
     return argv
 
 
-def _unlabeled_with_header(tmp_path, model):
-    X = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1)[:, :2]
-    bare = tmp_path / "bare.csv"
-    bare.write_text("x1,x2\n" + "".join(f"{a},{b}\n" for a, b in X.tolist()))
-    return ["predict", "--model", model, "--data", bare, "--out", tmp_path / "p.csv"]
+def _unlabeled(head):
+    def argv(tmp_path, model):
+        X = np.loadtxt(tmp_path / "d.csv", delimiter=",", skiprows=1)[:, :2]
+        bare = tmp_path / "bare.csv"
+        bare.write_text(head + "".join(f"{a},{b}\n" for a, b in X.tolist()))
+        return ["predict", "--model", model, "--data", bare, "--out", tmp_path / "p.csv"]
+    return argv
 
 
 def _bench_config_mode(tmp_path, model):
@@ -247,7 +249,8 @@ def trained(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (_unlabeled_with_header, 0),
+    (_unlabeled("x1,x2\n"), 0),
+    (_unlabeled("\nx1,x2\n"), 0),
     (lambda tmp, model: ["predict", "--model", tmp / "missing.json",
                          "--data", tmp / "d.csv", "--out", tmp / "p.csv"], 1),
     (_predict_with_model(lambda doc: doc.update(mode="diag")), 1),
@@ -255,7 +258,7 @@ def trained(tmp_path_factory):
     (_predict_with_model(lambda doc: doc["scaler"].update(
         min=[v + 10.0 for v in doc["scaler"]["max"]])), 1),
     (_bench_config_mode, 2),
-], ids=["unlabeled-header", "missing-model", "model-mode", "model-b", "model-scaler",
+], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
         "config-mode"])
 def test_cli_failures_are_clean(trained, argv, code):
     # Each input once ended in a traceback or the wrong exit code.

@@ -49,8 +49,12 @@ def test_counts_stack_matches_row_by_row():
     for G, rows in ((1, 1), (3, 17), (121, 80)):
         y = rng.choice([-1.0, 1.0], rows)
         labels = rng.choice([-1, 1], (G, rows))
-        assert counts_stack(y, labels) == [counts_from_predictions(y, row)
-                                           for row in labels]
+        expected = []
+        for row in labels:
+            pairs = list(zip(y.tolist(), row.tolist()))
+            expected.append(ConfusionCounts(*(pairs.count(pair) for pair in
+                                              ((1, 1), (-1, -1), (-1, 1), (1, -1)))))
+        assert counts_stack(y, labels) == expected
 
 
 def test_accuracy_and_f1():

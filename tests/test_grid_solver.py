@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from qtsvm import solver_cl1
-from qtsvm.data import fit_scaler, gen_example1, inject_label_noise, scale_dataset
+from qtsvm.data import Dataset, fit_scaler, gen_example1, inject_label_noise, scale_dataset
 from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights, unpack_weights
 from qtsvm.model import GRADIENT_NORM_FLOOR, predict_stack
 from qtsvm.solver_cl1 import (
@@ -185,6 +185,22 @@ def test_fallback_counted_on_its_lane_only():
     B = (Z_own * Q[1]) @ Z_own.T + 0.1 * (Z_other * U[1]) @ Z_other.T + 0.1 * np.eye(6)
     ref = -0.1 * np.linalg.lstsq(B, Z_other @ U[1], rcond=None)[0]
     np.testing.assert_allclose(W[1], ref, rtol=1e-9)
+
+
+def test_exactly_singular_lane_falls_back_alone():
+    # Two samples per class span 4 of the 6 lifted dimensions.  With
+    # c1 = 1e-300 this draw's positive system passes Cholesky on rounded
+    # tiny pivots but is exactly singular to LU; only that lane falls back.
+    rng = np.random.default_rng(5)
+    d = Dataset(X_pos=rng.standard_normal((2, 2)), X_neg=rng.standard_normal((2, 2)))
+    cfgs = [SolverConfig(c1=1e-300, c2=2.0, max_iter=1, branch="direct"),
+            SolverConfig(c1=1.0, c2=2.0, max_iter=1, branch="direct")]
+    grid = fit_grid(d, cfgs)
+    assert grid.reports[0].pos.lstsq_fallbacks > 0
+    assert grid.reports[1].pos.lstsq_fallbacks == 0
+    assert grid.reports[1].neg.lstsq_fallbacks == 0
+    _, report = fit(d, cfgs[0])
+    assert report.pos.lstsq_fallbacks > 0
 
 
 def test_report_counts_fallbacks_and_peak_weight():
