@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,11 +32,11 @@ from .evaluation import (
     LSQTrainer,
     accuracy,
     counts_from_predictions,
-    cross_validate,
     default_grid,
     f1,
-    nemenyi_cd,
     nemenyi_test,
+    sweep_results,
+    sweep_rows,
 )
 from .lifting import LiftingMode
 from .model import load_model, predict_many, save_model
@@ -183,127 +182,113 @@ def cmd_predict(args) -> int:
     return 0
 
 
+_TRAINERS = {"cl1qtsvm": CL1Trainer, "lsqtsvm": LSQTrainer}
+_GRID_KEYS = {"cl1qtsvm": {"c1", "c2"}, "lsqtsvm": {"C"}}
+
+
 def _config_error(msg: str):
     raise DataFormatError(f"benchmark config: {msg}")
 
 
-def _benchmark_datasets(cfg, seed):
-    datasets = {}
-    for entry in cfg.get("datasets", []):
-        name = entry.get("name")
-        if not name:
-            _config_error("every dataset needs a name")
-        if "example" in entry:
-            gen = GENERATORS.get(entry["example"])
-            if gen is None:
-                _config_error(f"unknown example {entry['example']!r}")
-            datasets[name] = gen(entry.get("m_per_class", 200), seed)
-        elif "path" in entry:
-            datasets[name] = load_csv(
-                entry["path"],
-                label_column=entry.get("label_column", -1),
-                positive_label=str(entry.get("positive_label", "1")),
-            )
-        else:
-            _config_error(f"dataset {name!r} needs 'example' or 'path'")
-    if not datasets:
-        _config_error("no datasets configured")
-    return datasets
+def _number(v) -> bool:
+    """A JSON number that converts to a finite float."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= 1e308
 
 
-def _make_trainer(method):
-    if method == "cl1qtsvm":
-        return CL1Trainer()
-    if method == "lsqtsvm":
-        return LSQTrainer()
-    _config_error(f"unknown method {method!r}")
+def _int_from(low):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low
 
 
-def cmd_benchmark(args) -> int:
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and bool(v) and all(ok(x) for x in v)
+
+
+def _grid_of(keys):
+    return _list_of(lambda p: isinstance(p, dict) and set(p) == keys
+                    and all(_number(x) and x > 0 for x in p.values()))
+
+
+def _get(doc, key, default, ok, what):
+    value = doc.get(key, default)
+    if not ok(value):
+        _config_error(f"{key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _benchmark_config(path):
+    """Read and check a benchmark config before any work starts; returns
+    (dataset entries by name, trainers, noise ratios, CvSpec, grids)."""
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read benchmark config: {exc}") from exc
     if not isinstance(cfg, dict):
         _config_error("expected a JSON object")
-    methods = cfg.get("methods", [])
-    if not methods:
-        _config_error("empty method list")
-    trainers = [_make_trainer(m) for m in methods]
-    seed = int(cfg.get("seed", 0))
-    datasets = _benchmark_datasets(cfg, seed)
-    noise_ratios = cfg.get("noise_ratios", [0.0])
-    try:
-        mode = LiftingMode(cfg.get("mode", "full"))
-    except ValueError:
-        _config_error(f"unknown mode {cfg['mode']!r}")
+    methods = _get(cfg, "methods", [], _list_of(lambda m: m in list(_TRAINERS)),
+                   f"a nonempty list of method names from {sorted(_TRAINERS)}")
+    entries = {}
+    for entry in _get(cfg, "datasets", [], _list_of(lambda e: isinstance(e, dict)),
+                      "a nonempty list of objects"):
+        name = _get(entry, "name", None, lambda v: isinstance(v, str) and v and v not in entries,
+                    "a nonempty string used once")
+        if "example" in entry:
+            _get(entry, "example", None, lambda v: _int_from(1)(v) and v in GENERATORS,
+                 f"one of {sorted(GENERATORS)}")
+            _get(entry, "m_per_class", 200, _int_from(1), "an integer >= 1")
+        elif "path" in entry:
+            _get(entry, "path", None, lambda v: isinstance(v, str), "a string")
+            _get(entry, "label_column", -1,
+                 lambda v: isinstance(v, (int, str)) and not isinstance(v, bool),
+                 "a column index or name")
+        else:
+            _config_error(f"dataset {name!r} needs 'example' or 'path'")
+        entries[name] = entry
+    ratios = _get(cfg, "noise_ratios", [0.0], _list_of(lambda r: _number(r) and 0 <= r < 1),
+                  "a nonempty list of numbers in [0, 1)")
+    grid_cfg = _get(cfg, "grid", {}, lambda v: isinstance(v, dict) and set(v) <= set(_TRAINERS),
+                    f"an object keyed by methods {sorted(_TRAINERS)}")
+    grids = {m: tuple(_get(grid_cfg, m, default_grid(m), _grid_of(_GRID_KEYS[m]),
+                           f"a nonempty grid of objects with exactly the keys "
+                           f"{sorted(_GRID_KEYS[m])}, each a positive number"))
+             for m in methods}
+    spec = CvSpec(folds=_get(cfg, "folds", 5, _int_from(2), "an integer >= 2"),
+                  repeats=_get(cfg, "repeats", 2, _int_from(1), "an integer >= 1"),
+                  seed=_get(cfg, "seed", 0, _int_from(0), "an integer >= 0"),
+                  grid=grids[methods[0]],
+                  mode=LiftingMode(_get(cfg, "mode", "full",
+                                        lambda v: v in [m.value for m in LiftingMode],
+                                        "'full' or 'reduced'")),
+                  selection=cfg.get("selection", "nested"),
+                  normalize=cfg.get("normalize", "full"))
+    return entries, [_TRAINERS[m]() for m in methods], ratios, spec, grids
 
-    def spec_for(trainer):
-        return CvSpec(
-            folds=int(cfg.get("folds", 5)),
-            repeats=int(cfg.get("repeats", 2)),
-            seed=seed,
-            grid=tuple(cfg.get("grid", {}).get(trainer.name,
-                                               default_grid(trainer.name))),
-            mode=mode,
-            selection=cfg.get("selection", "nested"),
-            normalize=cfg.get("normalize", "full"),
-        )
 
-    tasks = [
-        (ds_name, ratio, trainer)
-        for ds_name in sorted(datasets)
-        for ratio in noise_ratios
-        for trainer in trainers
-    ]
+def _benchmark_dataset(entry, seed):
+    if "example" in entry:
+        return GENERATORS[entry["example"]](entry.get("m_per_class", 200), seed)
+    return load_csv(entry["path"], label_column=entry.get("label_column", -1),
+                    positive_label=str(entry.get("positive_label", "1")))
 
-    def run(task):
-        ds_name, ratio, trainer = task
-        noisy = inject_label_noise(datasets[ds_name], ratio, seed=seed + 1)
-        result = cross_validate(noisy, trainer, spec_for(trainer))
-        return task, result
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
+def cmd_benchmark(args) -> int:
+    if args.jobs < 1:
+        raise InvalidInputError(f"--jobs must be >= 1, got {args.jobs}")
+    entries, trainers, ratios, spec, grids = _benchmark_config(args.config)
+    datasets = {name: _benchmark_dataset(entry, spec.seed) for name, entry in entries.items()}
+    results = sweep_results(datasets, trainers, ratios, spec, grids, jobs=args.jobs)
 
-    long_rows, summary_rows = [], []
-    for (ds_name, ratio, trainer), result in results:
-        for rec in result.folds:
-            long_rows.append([
-                ds_name, trainer.name, ratio, rec.fold, rec.repeat,
-                rec.params.get("c1", ""),
-                rec.params.get("c2", rec.params.get("C", "")),
-                accuracy(rec.counts), f1(rec.counts),
-            ])
-        summary_rows.append([
-            ds_name, trainer.name, ratio,
-            result.acc_mean, result.acc_std, result.f1_mean, result.f1_std,
-            json.dumps(result.best_params, sort_keys=True),
-        ])
-
-    _write_csv(
-        args.out,
-        ["dataset", "method", "noise_ratio", "fold", "repeat", "c1", "c2",
-         "acc", "f1"],
-        long_rows,
-    )
+    header = ["dataset", "method", "noise_ratio", "fold", "repeat", "c1", "c2", "acc", "f1"]
+    long_rows = [[row[key] for key in header] for row in sweep_rows(results)]
+    _write_csv(args.out, header, long_rows)
     summary_path = f"{args.out}.summary.csv"
-    _write_csv(
-        summary_path,
-        ["dataset", "method", "noise_ratio", "acc_mean", "acc_std",
-         "f1_mean", "f1_std", "best_params"],
-        summary_rows,
-    )
-    _write_manifest(
-        args.out,
-        "benchmark",
-        {"config": args.config, "out": args.out, "jobs": args.jobs},
-        [args.out, summary_path],
-    )
+    _write_csv(summary_path, ["dataset", "method", "noise_ratio", "acc_mean", "acc_std",
+                              "f1_mean", "f1_std", "best_params"],
+               ([ds_name, method, ratio, result.acc_mean, result.acc_std, result.f1_mean,
+                 result.f1_std, json.dumps(result.best_params, sort_keys=True)]
+                for (ds_name, ratio, method), result in results))
+    _write_manifest(args.out, "benchmark", {"config": args.config, "out": args.out,
+                                            "jobs": args.jobs}, [args.out, summary_path])
     print(f"wrote {len(long_rows)} result rows to {args.out}")
     return 0
 

@@ -68,6 +68,8 @@ class NormalizationParams:
     def __post_init__(self):
         object.__setattr__(self, "minimum", np.asarray(self.minimum, dtype=float))
         object.__setattr__(self, "maximum", np.asarray(self.maximum, dtype=float))
+        if not (np.isfinite(self.minimum).all() and np.isfinite(self.maximum).all()):
+            raise InvalidInputError("normalization bounds must be finite")
         if np.any(self.minimum > self.maximum):
             raise InvalidInputError("normalization minimum exceeds maximum")
 
@@ -199,7 +201,7 @@ def _read_rows(path) -> list:
     try:
         with open(path, newline="") as fh:
             raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not raw:
         raise DataFormatError(f"{path} is empty")

@@ -277,36 +277,48 @@ def _cross_validate_flat(dataset, trainer, spec, full_scaler):
     return per_grid[int(np.argmax(means))]
 
 
+def _sweep_cell(dataset, ratio, trainer, spec):
+    """One (dataset, noise ratio, trainer) cell of a sweep."""
+    return cross_validate(inject_label_noise(dataset, ratio, seed=spec.seed + 1), trainer, spec)
+
+
+def sweep_results(datasets: dict, trainers: list, noise_ratios, spec: CvSpec,
+                  grids: dict | None = None, jobs: int = 1) -> list[tuple]:
+    """Cross-validate every (dataset, noise ratio, trainer) cell, datasets in
+    name order; returns ((dataset, ratio, method), EvalResult) pairs in that
+    order.  ``grids`` optionally maps trainer name to its grid (default
+    spec.grid).  With jobs > 1 the cells run in up to ``jobs`` processes;
+    each cell is seeded on its own, so results do not depend on ``jobs``."""
+    keys = [(name, ratio, trainer) for name in sorted(datasets)
+            for ratio in noise_ratios for trainer in trainers]
+    cells = [(datasets[name], ratio, trainer,
+              replace(spec, grid=tuple((grids or {}).get(trainer.name, spec.grid))))
+             for name, ratio, trainer in keys]
+    if jobs > 1 and cells:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(min(jobs, len(cells))) as pool:
+            results = list(pool.map(_sweep_cell, *zip(*cells)))
+    else:
+        results = [_sweep_cell(*cell) for cell in cells]
+    return [((name, ratio, trainer.name), result)
+            for (name, ratio, trainer), result in zip(keys, results)]
+
+
+def sweep_rows(results) -> list[dict]:
+    """One row per outer fold of each cell of ``sweep_results``."""
+    return [dict(dataset=ds_name, method=method, noise_ratio=ratio, fold=rec.fold,
+                 repeat=rec.repeat, c1=rec.params.get("c1", ""),
+                 c2=rec.params.get("c2", rec.params.get("C", "")),
+                 acc=accuracy(rec.counts), f1=f1(rec.counts), seconds=rec.seconds)
+            for (ds_name, ratio, method), result in results for rec in result.folds]
+
+
 def robustness_sweep(datasets: dict, trainers: list, noise_ratios, spec: CvSpec,
                      grids: dict | None = None) -> list[dict]:
-    """Long-format table of (dataset, noise ratio, trainer) evaluations.
-
-    ``grids`` optionally maps trainer name to its grid; otherwise
-    spec.grid is used for every trainer.
-    """
-    rows = []
-    for ds_name, dataset in datasets.items():
-        for ratio in noise_ratios:
-            noisy = inject_label_noise(dataset, ratio, seed=spec.seed + 1)
-            for trainer in trainers:
-                grid = (grids or {}).get(trainer.name, spec.grid)
-                result = cross_validate(noisy, trainer,
-                                        replace(spec, grid=tuple(grid)))
-                for rec in result.folds:
-                    row = {
-                        "dataset": ds_name,
-                        "method": trainer.name,
-                        "noise_ratio": ratio,
-                        "fold": rec.fold,
-                        "repeat": rec.repeat,
-                        "c1": rec.params.get("c1", ""),
-                        "c2": rec.params.get("c2", rec.params.get("C", "")),
-                        "acc": accuracy(rec.counts),
-                        "f1": f1(rec.counts),
-                        "seconds": rec.seconds,
-                    }
-                    rows.append(row)
-    return rows
+    """Long-format table of (dataset, noise ratio, trainer) evaluations:
+    the rows of ``sweep_results`` run serially."""
+    return sweep_rows(sweep_results(datasets, trainers, noise_ratios, spec, grids))
 
 
 def nemenyi_cd(k: int, N: int, q_alpha: float | None = None) -> float:

@@ -135,6 +135,8 @@ def test_benchmark_parallel_matches_serial(tmp_path):
     assert run(["benchmark", "--config", cfg, "--out", parallel,
                 "--jobs", 4]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+    summary = Path(f"{serial}.summary.csv").read_bytes()
+    assert summary == Path(f"{parallel}.summary.csv").read_bytes()
 
 
 def test_nemenyi_raw_matrix(tmp_path, capsys):
@@ -233,10 +235,17 @@ def _unlabeled(head):
     return argv
 
 
-def _bench_config_mode(tmp_path, model):
-    cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps({**BENCH_CONFIG, "mode": "diag"}))
-    return ["benchmark", "--config", cfg, "--out", tmp_path / "r.csv"]
+def _bench(*flags, **changes):
+    """argv of a benchmark whose config is BENCH_CONFIG updated by changes."""
+    def argv(tmp_path, model):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({**BENCH_CONFIG, **changes}))
+        return ["benchmark", "--config", cfg, "--out", tmp_path / "r.csv", *flags]
+    return argv
+
+
+def _curves(m_per_class):
+    return [{"name": "curves", "example": 3, "m_per_class": m_per_class}]
 
 
 @pytest.fixture(scope="module")
@@ -257,9 +266,21 @@ def trained(tmp_path_factory):
     (_predict_with_model(lambda doc: doc["surface_pos"].update(b=3.0)), 1),
     (_predict_with_model(lambda doc: doc["scaler"].update(
         min=[v + 10.0 for v in doc["scaler"]["max"]])), 1),
-    (_bench_config_mode, 2),
+    (_bench(mode="diag"), 2),
+    (_bench(folds="abc"), 2),
+    (_bench(seed="x"), 2),
+    (_bench(noise_ratios="ab"), 2),
+    (_bench(datasets=_curves("x")), 2),
+    (_bench(grid={**BENCH_CONFIG["grid"], "lsqtsvm": [{"D": 1.0}]}), 2),
+    (_bench(datasets=["a"]), 2),
+    (_bench(methods="lsqtsvm"), 2),
+    (_bench("--jobs", 0), 2),
+    (_bench("--jobs", -3), 2),
+    (_bench("--jobs", 2, datasets=_curves(2)), 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
-        "config-mode"])
+        "config-mode", "config-folds", "config-seed", "config-noise-ratios", "config-m-per-class",
+        "config-grid-key", "config-dataset-entry", "config-methods-string", "jobs-zero",
+        "jobs-negative", "jobs-2-cell-error"])
 def test_cli_failures_are_clean(trained, argv, code):
     # Each input once ended in a traceback or the wrong exit code.
     src = str(Path(qtsvm.__file__).resolve().parents[1])

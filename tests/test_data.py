@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qtsvm.data import (
     Dataset,
+    NormalizationParams,
     apply_scaler,
     fit_scaler,
     gen_example1,
@@ -110,6 +111,15 @@ def test_scaler_constant_feature_maps_to_zero():
 def test_scaler_applies_to_unseen_points():
     params = fit_scaler(Dataset(X_pos=[[0.0], [10.0]], X_neg=[[5.0]]))
     np.testing.assert_allclose(apply_scaler(params, np.array([[20.0]])), [[3.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scaler_rejects_non_finite_bounds(bad):
+    # A model file's null bound reads as NaN, which no min > max check sees.
+    with pytest.raises(InvalidInputError, match="finite"):
+        NormalizationParams(minimum=[0.0, bad], maximum=[1.0, 1.0])
+    with pytest.raises(InvalidInputError, match="finite"):
+        NormalizationParams(minimum=[0.0, 0.0], maximum=[1.0, bad])
 
 
 @settings(max_examples=50, deadline=None)

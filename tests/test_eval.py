@@ -1,5 +1,6 @@
 """Metrics, cross-validation machinery, robustness sweeps, Nemenyi test."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from qtsvm.evaluation import (
     nemenyi_cd,
     nemenyi_test,
     robustness_sweep,
+    sweep_results,
 )
 
 FAST_GRID = ({"c1": 0.01, "c2": 0.01}, {"c1": 1.0, "c2": 0.01})
@@ -211,6 +213,39 @@ def test_robustness_sweep_layout():
     for r in rows:
         assert 0.0 <= r["acc"] <= 1.0
         assert r["seconds"] >= 0.0
+
+
+def test_sweep_caps_processes_at_cell_count(monkeypatch):
+    # A stand-in pool that records its size and runs in this process, so a
+    # large jobs value starts nothing.
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    datasets = {"b": gen_example1(12, seed=6), "a": gen_example1(12, seed=7)}
+    spec = CvSpec(folds=3, repeats=1, seed=0, grid=FAST_GRID, selection="flat")
+    serial = sweep_results(datasets, [CL1Trainer(), LSQTrainer()], [0.0, 0.1], spec,
+                           grids={"lsqtsvm": LSQ_GRID})
+    pooled = sweep_results(datasets, [CL1Trainer(), LSQTrainer()], [0.0, 0.1], spec,
+                           grids={"lsqtsvm": LSQ_GRID}, jobs=1000)
+    assert sizes == [8]
+    keys = [key for key, _ in serial]
+    assert keys == [(ds, ratio, method) for ds in "ab" for ratio in (0.0, 0.1)
+                    for method in ("cl1qtsvm", "lsqtsvm")]
+    assert keys == [key for key, _ in pooled]
+    for (_, a), (_, b) in zip(serial, pooled):
+        assert (a.acc_mean, a.f1_mean, a.best_params) == (b.acc_mean, b.f1_mean, b.best_params)
 
 
 def test_nemenyi_cd_reference_value():
