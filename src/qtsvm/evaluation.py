@@ -158,7 +158,7 @@ class EvalResult:
     f1_mean: float
     f1_std: float
     best_params: dict
-    wall_time: float
+    wall_time: float  # seconds spent fitting and testing, summed over folds
     folds: tuple  # of FoldRecord
 
 
@@ -211,19 +211,54 @@ def cross_validate(dataset: Dataset, trainer, spec: CvSpec) -> EvalResult:
     spec.seed, so reruns (and any parallel evaluation order) reproduce
     the same result exactly.
     """
+    return _eval_result(spec.selection, [_fold_records(*fold)
+                                         for fold in _outer_folds(dataset, trainer, spec)])
+
+
+def _outer_folds(dataset, trainer, spec):
+    """The outer folds of cross_validate in (repeat, fold) order, each as the
+    arguments of _fold_records."""
     if dataset.m_pos < spec.folds or dataset.m_neg < spec.folds:
         raise InvalidInputError(
             f"each class needs at least {spec.folds} samples for "
             f"{spec.folds}-fold CV; use a smaller k"
         )
-    t0 = time.perf_counter()
     full_scaler = fit_scaler(dataset) if spec.normalize == "full" else None
+    folds = []
+    for rep in range(spec.repeats):
+        assign = _stratified_folds(dataset.m_pos, dataset.m_neg, spec.folds,
+                                   [spec.seed, rep])
+        folds += [(dataset, trainer, spec, full_scaler, assign, rep, fold)
+                  for fold in range(spec.folds)]
+    return folds
 
+
+def _fold_records(dataset, trainer, spec, full_scaler, assign, rep, fold):
+    """Records of one outer fold: with nested selection one, for the grid
+    point its inner CV picks; with flat selection one per grid point."""
+    t0 = time.perf_counter()
+    train, test = _split(dataset, assign, fold)
     if spec.selection == "flat":
-        records = _cross_validate_flat(dataset, trainer, spec, full_scaler)
-    else:
-        records = _cross_validate_nested(dataset, trainer, spec, full_scaler)
+        counts = trainer.evaluate(train, test, spec.grid, spec.mode, full_scaler)
+        # The grid is fit in one go; its time is shared out evenly.
+        seconds = (time.perf_counter() - t0) / len(spec.grid)
+        return [FoldRecord(repeat=rep, fold=fold, params=params, counts=c, seconds=seconds)
+                for params, c in zip(spec.grid, counts)]
+    params = _inner_select(trainer, train, spec, full_scaler, [spec.seed, rep, fold, 1])
+    [counts] = trainer.evaluate(train, test, (params,), spec.mode, full_scaler)
+    return [FoldRecord(repeat=rep, fold=fold, params=params, counts=counts,
+                       seconds=time.perf_counter() - t0)]
 
+
+def _eval_result(selection, per_fold) -> EvalResult:
+    """Summarise the outer folds' records, given in (repeat, fold) order."""
+    if selection == "flat":
+        # One grid point for the whole run, chosen by mean CV accuracy.
+        per_grid = list(zip(*per_fold))
+        means = [float(np.mean([accuracy(r.counts) for r in recs])) for recs in per_grid]
+        records = per_grid[int(np.argmax(means))]
+    else:
+        records = [rec for [rec] in per_fold]
     accs = [accuracy(r.counts) for r in records]
     f1s = [f1(r.counts) for r in records]
     # Ties go to the grid point that occurs first in record order, so the
@@ -236,50 +271,9 @@ def cross_validate(dataset: Dataset, trainer, spec: CvSpec) -> EvalResult:
         f1_mean=float(np.mean(f1s)),
         f1_std=float(np.std(f1s)),
         best_params=dict(winner),
-        wall_time=time.perf_counter() - t0,
+        wall_time=sum(r.seconds for fold in per_fold for r in fold),
         folds=tuple(records),
     )
-
-
-def _cross_validate_nested(dataset, trainer, spec, full_scaler):
-    records = []
-    for rep in range(spec.repeats):
-        assign = _stratified_folds(dataset.m_pos, dataset.m_neg, spec.folds,
-                                   [spec.seed, rep])
-        for fold in range(spec.folds):
-            t0 = time.perf_counter()
-            train, test = _split(dataset, assign, fold)
-            params = _inner_select(trainer, train, spec, full_scaler,
-                                   [spec.seed, rep, fold, 1])
-            [counts] = trainer.evaluate(train, test, (params,), spec.mode, full_scaler)
-            records.append(FoldRecord(repeat=rep, fold=fold, params=params,
-                                      counts=counts,
-                                      seconds=time.perf_counter() - t0))
-    return records
-
-
-def _cross_validate_flat(dataset, trainer, spec, full_scaler):
-    # One grid point for the whole run, chosen by mean CV accuracy.
-    per_grid: list[list] = [[] for _ in spec.grid]
-    for rep in range(spec.repeats):
-        assign = _stratified_folds(dataset.m_pos, dataset.m_neg, spec.folds,
-                                   [spec.seed, rep])
-        for fold in range(spec.folds):
-            train, test = _split(dataset, assign, fold)
-            t0 = time.perf_counter()
-            counts = trainer.evaluate(train, test, spec.grid, spec.mode, full_scaler)
-            # The grid is fit in one go; its time is shared out evenly.
-            seconds = (time.perf_counter() - t0) / len(spec.grid)
-            for gi, params in enumerate(spec.grid):
-                per_grid[gi].append(FoldRecord(repeat=rep, fold=fold, params=params,
-                                               counts=counts[gi], seconds=seconds))
-    means = [float(np.mean([accuracy(r.counts) for r in recs])) for recs in per_grid]
-    return per_grid[int(np.argmax(means))]
-
-
-def _sweep_cell(dataset, ratio, trainer, spec):
-    """One (dataset, noise ratio, trainer) cell of a sweep."""
-    return cross_validate(inject_label_noise(dataset, ratio, seed=spec.seed + 1), trainer, spec)
 
 
 def sweep_results(datasets: dict, trainers: list, noise_ratios, spec: CvSpec,
@@ -287,22 +281,27 @@ def sweep_results(datasets: dict, trainers: list, noise_ratios, spec: CvSpec,
     """Cross-validate every (dataset, noise ratio, trainer) cell, datasets in
     name order; returns ((dataset, ratio, method), EvalResult) pairs in that
     order.  ``grids`` optionally maps trainer name to its grid (default
-    spec.grid).  With jobs > 1 the cells run in up to ``jobs`` processes;
-    each cell is seeded on its own, so results do not depend on ``jobs``."""
+    spec.grid).  With jobs > 1 the cells' outer folds run in up to ``jobs``
+    processes, handed out one at a time so that a worker slowed by other
+    load holds up the sweep by at most one fold; each fold is seeded on its
+    own, so results do not depend on ``jobs``."""
     keys = [(name, ratio, trainer) for name in sorted(datasets)
             for ratio in noise_ratios for trainer in trainers]
-    cells = [(datasets[name], ratio, trainer,
-              replace(spec, grid=tuple((grids or {}).get(trainer.name, spec.grid))))
+    cells = [_outer_folds(inject_label_noise(datasets[name], ratio, seed=spec.seed + 1),
+                          trainer,
+                          replace(spec, grid=tuple((grids or {}).get(trainer.name, spec.grid))))
              for name, ratio, trainer in keys]
+    folds = [fold for cell in cells for fold in cell]
     if jobs > 1 and cells:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(min(jobs, len(cells))) as pool:
-            results = list(pool.map(_sweep_cell, *zip(*cells)))
+            records = iter(list(pool.map(_fold_records, *zip(*folds))))
     else:
-        results = [_sweep_cell(*cell) for cell in cells]
-    return [((name, ratio, trainer.name), result)
-            for (name, ratio, trainer), result in zip(keys, results)]
+        records = (_fold_records(*fold) for fold in folds)
+    return [((name, ratio, trainer.name),
+             _eval_result(spec.selection, [next(records) for _ in cell]))
+            for (name, ratio, trainer), cell in zip(keys, cells)]
 
 
 def sweep_rows(results) -> list[dict]:

@@ -276,7 +276,9 @@ def trained(tmp_path_factory):
     (_bench(methods="lsqtsvm"), 2),
     (_bench("--jobs", 0), 2),
     (_bench("--jobs", -3), 2),
-    (_bench("--jobs", 2, datasets=_curves(2)), 2),
+    # Two samples per class pass the 2-fold size check, so the inner-CV
+    # error is raised inside a worker.
+    (_bench("--jobs", 2, datasets=_curves(2), folds=2, selection="nested"), 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
         "config-mode", "config-folds", "config-seed", "config-noise-ratios", "config-m-per-class",
         "config-grid-key", "config-dataset-entry", "config-methods-string", "jobs-zero",
