@@ -19,8 +19,7 @@ import numpy as np
 from . import __version__
 from .data import (
     GENERATORS,
-    Dataset,
-    _read_rows,
+    first_row_width,
     inject_label_noise,
     load_csv,
     load_features,
@@ -47,24 +46,42 @@ USAGE_EXIT = 2
 RUNTIME_EXIT = 1
 
 
-def _fmt(value) -> str:
-    """Deterministic cell formatting: shortest round-trip floats."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
-
-
 def _write_csv(path, header, rows):
+    """Write rows of Python scalars; the csv module writes a float as its
+    shortest round-trip ``repr``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
-def _write_manifest(out_path, command, flags, outputs):
+def _write_labelled_matrix(path, header, X, labels):
+    """Write a float matrix and an integer label column as ``_write_csv``
+    would.  Numbers never need quoting, so each column is formatted at once
+    and the rows are joined without the csv module."""
+    cols = [map(repr, col) for col in X.T.tolist()]
+    cols.append(map(str, labels.astype(int).tolist()))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+
+
+def _sha256(path) -> str:
+    import hashlib
+
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    return digest.hexdigest()
+
+
+def _write_manifest(out_path, command, flags, outputs, inputs=()):
+    """Record the command, its flags, its outputs and the sha256 of each
+    input file, so that ``replay`` can refuse inputs that changed."""
     doc = {
         "command": command,
         "flags": flags,
@@ -72,6 +89,7 @@ def _write_manifest(out_path, command, flags, outputs):
         "version": __version__,
         "wall_clock": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "outputs": outputs,
+        "inputs": {str(path): _sha256(path) for path in inputs},
     }
     path = f"{out_path}.manifest.json"
     with open(path, "w") as fh:
@@ -80,18 +98,12 @@ def _write_manifest(out_path, command, flags, outputs):
     return path
 
 
-def _dataset_rows(d: Dataset):
-    X, y = d.stacked()
-    for row, label in zip(X, y):
-        yield list(row) + [int(label)]
-
-
 def cmd_generate(args) -> int:
     d = GENERATORS[args.example](args.m, args.seed)
     if args.noise_ratio > 0:
         d = inject_label_noise(d, args.noise_ratio, seed=args.seed + 1)
     header = [f"x{i + 1}" for i in range(d.n)] + ["label"]
-    _write_csv(args.out, header, _dataset_rows(d))
+    _write_labelled_matrix(args.out, header, *d.stacked())
     _write_manifest(
         args.out,
         "generate",
@@ -145,6 +157,7 @@ def cmd_train(args) -> int:
          "eps": args.eps, "max_iter": args.max_iter, "mode": args.mode,
          "model_out": args.model_out, "seed": None},
         [args.model_out, report_path],
+        [args.data],
     )
     print(f"trained {args.method}; training accuracy {report['train_accuracy']:.4f}")
     return 0
@@ -152,7 +165,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    width = len(_read_rows(args.data)[0])
+    width = first_row_width(args.data)
     if width == model.n:
         X = load_features(args.data)
         y = None
@@ -165,14 +178,14 @@ def cmd_predict(args) -> int:
             f"features (plus an optional label column)"
         )
     preds = predict_many(model, X)
-    rows = ([list(x) + [int(p)] for x, p in zip(X, preds)])
     header = [f"x{i + 1}" for i in range(model.n)] + ["prediction"]
-    _write_csv(args.out, header, rows)
+    _write_labelled_matrix(args.out, header, X, preds)
     _write_manifest(
         args.out,
         "predict",
         {"model": args.model, "data": args.data, "out": args.out, "seed": None},
         [args.out],
+        [args.model, args.data],
     )
     if y is not None:
         counts = counts_from_predictions(y, preds)
@@ -288,7 +301,8 @@ def cmd_benchmark(args) -> int:
                  result.f1_std, json.dumps(result.best_params, sort_keys=True)]
                 for (ds_name, ratio, method), result in results))
     _write_manifest(args.out, "benchmark", {"config": args.config, "out": args.out,
-                                            "jobs": args.jobs}, [args.out, summary_path])
+                                            "jobs": args.jobs}, [args.out, summary_path],
+                    [args.config] + [e["path"] for e in entries.values() if "path" in e])
     print(f"wrote {len(long_rows)} result rows to {args.out}")
     return 0
 
@@ -376,7 +390,13 @@ def cmd_replay(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"cannot read manifest: {exc}") from exc
+    if not (isinstance(doc, dict) and isinstance(doc.get("flags", {}), dict)
+            and isinstance(doc.get("inputs", {}), dict)):
+        raise DataFormatError(f"{args.manifest} is not a qtsvm manifest")
     command, flags = doc.get("command"), doc.get("flags", {})
+    for path, recorded in doc.get("inputs", {}).items():
+        if _sha256(path) != recorded:
+            raise DataFormatError(f"input {path} changed since {args.manifest} was written")
     argv = [command]
     for key, value in flags.items():
         if value is None:

@@ -196,16 +196,83 @@ def _is_numeric(cell: str) -> bool:
         return False
 
 
-def _read_rows(path) -> list:
-    """The nonblank rows of a CSV file."""
+def _nonblank_rows(path, take):
+    """``take`` applied to an iterator over the nonblank rows of a CSV file."""
     try:
         with open(path, newline="") as fh:
-            raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+            raw = take(row for row in csv.reader(fh) if "".join(row).strip())
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     if not raw:
         raise DataFormatError(f"{path} is empty")
     return raw
+
+
+def _read_rows(path) -> list:
+    """The nonblank rows of a CSV file."""
+    return _nonblank_rows(path, list)
+
+
+def first_row_width(path) -> int:
+    """The number of fields in the first nonblank row of a CSV file; the
+    rest of the file is not parsed."""
+    return len(_nonblank_rows(path, lambda rows: next(rows, None)))
+
+
+def _first_fault(rows, first, width, label_idx=None, positive_label=None):
+    """Raise the DataFormatError for the first fault in file order: a ragged
+    row, a non-numeric feature cell or a third label value.  ``first`` is
+    the number of the first row."""
+    other_label = None
+    for r, row in enumerate(rows, start=first):
+        if len(row) != width:
+            raise DataFormatError(
+                f"row {r}: expected {width} fields, got {len(row)} (ragged file)"
+            )
+        for ci, cell in enumerate(row):
+            if ci != label_idx and not _is_numeric(cell):
+                raise DataFormatError(
+                    f"row {r}, column {ci + 1}: non-numeric cell {cell.strip()!r}"
+                )
+        if label_idx is None:
+            continue
+        label = row[label_idx].strip()
+        if label == positive_label:
+            continue
+        if other_label is None:
+            other_label = label
+        elif label != other_label:
+            raise DataFormatError(
+                f"row {r}: unknown label value {label!r} "
+                f"(expected {positive_label!r} or {other_label!r})"
+            )
+
+
+def _table(rows, first, width, label_idx=None, positive_label=None):
+    """The (m, n) feature matrix of a CSV table and, with a label column, the
+    mask of its positive rows.
+
+    Cells are converted a whole column at a time (numpy accepts exactly the
+    strings ``float`` accepts).  When that fails, or a third label value
+    turns up, the rows are checked one by one so that the error names the
+    first fault in file order.
+    """
+    if all(len(row) == width for row in rows):
+        cols = list(zip(*rows)) if rows else [()] * width
+        labels = None if label_idx is None else cols.pop(label_idx)
+        try:
+            X = np.array(cols, dtype=float).reshape(len(cols), len(rows)).T
+        except ValueError:
+            pass
+        else:
+            if labels is None:
+                return np.ascontiguousarray(X), None
+            labels = np.array([label.strip() for label in labels], dtype=object)
+            pos = labels == positive_label
+            if len(set(labels[~pos])) <= 1:
+                return X, pos
+    _first_fault(rows, first, width, label_idx, positive_label)
+    raise AssertionError("unreachable: the row-by-row check found no fault")
 
 
 def load_features(path) -> np.ndarray:
@@ -214,12 +281,10 @@ def load_features(path) -> np.ndarray:
     A header row is auto-detected when the first row has a non-numeric cell.
     """
     raw = _read_rows(path)
+    first = 1
     if len(raw) > 1 and not all(_is_numeric(c) for c in raw[0]):
-        raw = raw[1:]
-    try:
-        return np.array(raw, dtype=float)
-    except ValueError as exc:
-        raise DataFormatError(f"{path} is not a rectangular numeric table: {exc}") from exc
+        raw, first = raw[1:], 2
+    return _table(raw, first, len(raw[0]))[0]
 
 
 def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
@@ -251,38 +316,5 @@ def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
             header = [c.strip() for c in raw[0]]
             raw = raw[1:]
 
-    pos_rows, other_rows, other_label = [], [], None
-    for r, row in enumerate(raw, start=2 if header else 1):
-        if len(row) != width:
-            raise DataFormatError(
-                f"row {r}: expected {width} fields, got {len(row)} (ragged file)"
-            )
-        feats = []
-        for ci, cell in enumerate(row):
-            if ci == label_idx:
-                continue
-            cell = cell.strip()
-            if not _is_numeric(cell):
-                raise DataFormatError(
-                    f"row {r}, column {ci + 1}: non-numeric cell {cell!r}"
-                )
-            feats.append(float(cell))
-        label = row[label_idx].strip()
-        if label == positive_label:
-            pos_rows.append(feats)
-        else:
-            if other_label is None:
-                other_label = label
-            elif label != other_label:
-                raise DataFormatError(
-                    f"row {r}: unknown label value {label!r} "
-                    f"(expected {positive_label!r} or {other_label!r})"
-                )
-            other_rows.append(feats)
-
-    n = width - 1
-    return Dataset(
-        X_pos=np.array(pos_rows, dtype=float).reshape(len(pos_rows), n),
-        X_neg=np.array(other_rows, dtype=float).reshape(len(other_rows), n),
-        provenance=str(path),
-    )
+    X, pos = _table(raw, 2 if header else 1, width, label_idx, positive_label)
+    return Dataset(X_pos=X[pos], X_neg=X[~pos], provenance=str(path))

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifact round-trips, replay."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -173,6 +174,74 @@ def test_replay_benchmark_byte_identical(tmp_path):
     assert run(["replay", tmp_path / "results.csv.manifest.json"]) == 0
     assert out.read_bytes() == first
     assert (tmp_path / "results.csv.summary.csv").read_bytes() == first_summary
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def predicted(tmp_path):
+    """A trained model, its data and the manifest of a predict over them."""
+    data, model = tmp_path / "d.csv", tmp_path / "model.json"
+    run(["generate", "--example", 1, "--m", 20, "--seed", 0, "--out", data])
+    run(["train", "--data", data, "--method", "lsqtsvm", "--model-out", model])
+    assert run(["predict", "--model", model, "--data", data,
+                "--out", tmp_path / "p.csv"]) == 0
+    return tmp_path
+
+
+def test_manifests_record_input_hashes(predicted):
+    data, model = str(predicted / "d.csv"), str(predicted / "model.json")
+    inputs = {name: json.loads((predicted / f"{name}.manifest.json").read_text())["inputs"]
+              for name in ("d.csv", "model.json", "p.csv")}
+    assert inputs["d.csv"] == {}
+    assert inputs["model.json"] == {data: _sha256(data)}
+    assert inputs["p.csv"] == {model: _sha256(model), data: _sha256(data)}
+
+
+def test_benchmark_manifest_hashes_config_and_dataset_files(predicted):
+    cfg = predicted / "bench.json"
+    data = str(predicted / "d.csv")
+    cfg.write_text(json.dumps({**BENCH_CONFIG, "datasets": [{"name": "d", "path": data}]}))
+    out = predicted / "results.csv"
+    assert run(["benchmark", "--config", cfg, "--out", out]) == 0
+    manifest = json.loads((predicted / "results.csv.manifest.json").read_text())
+    assert manifest["inputs"] == {str(cfg): _sha256(cfg), data: _sha256(data)}
+    first = out.read_bytes()
+    assert run(["replay", predicted / "results.csv.manifest.json"]) == 0
+    assert out.read_bytes() == first
+    with open(data, "a") as fh:
+        fh.write("0.5,0.5,1\n")
+    assert run(["replay", predicted / "results.csv.manifest.json"]) == 2
+
+
+def test_replay_predict_byte_identical(predicted):
+    first = (predicted / "p.csv").read_bytes()
+    (predicted / "p.csv").unlink()
+    assert run(["replay", predicted / "p.csv.manifest.json"]) == 0
+    assert (predicted / "p.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("changed", ["d.csv", "model.json"])
+def test_replay_refuses_a_changed_input(predicted, changed, capsys):
+    target = predicted / changed
+    target.write_bytes(target.read_bytes().replace(b"1", b"2", 1))
+    first = (predicted / "p.csv").read_bytes()
+    capsys.readouterr()
+    assert run(["replay", predicted / "p.csv.manifest.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: input {target} changed")
+    assert (predicted / "p.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("doc", [[], {"command": "generate", "flags": []},
+                                 {"command": "generate", "flags": {}, "inputs": ["d.csv"]}])
+def test_replay_rejects_a_document_that_is_not_a_manifest(tmp_path, doc, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    assert run(["replay", manifest]) == 2
+    assert capsys.readouterr().err == f"error: {manifest} is not a qtsvm manifest\n"
 
 
 def test_exit_code_usage_errors(tmp_path):

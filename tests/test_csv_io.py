@@ -1,0 +1,131 @@
+"""CSV reading and writing against per-cell references.
+
+``load_csv`` converts whole columns at once; the property test checks it
+against ``float()`` applied to each cell.  The writers hand Python scalars to
+the csv module or format whole columns; the contract tests check that every
+number comes out as its shortest round-trip ``repr``, as a per-cell ``repr``
+wrote it.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qtsvm.cli import _write_csv, _write_labelled_matrix, main
+from qtsvm.data import GENERATORS, inject_label_noise, load_csv
+from qtsvm.model import load_model, predict_many
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+FLOATS = st.floats(-1e300, 1e300, allow_nan=False)
+CELL = st.one_of(FLOATS.map(repr), FLOATS.map(lambda v: "%.3g" % v))
+PAD = st.sampled_from(["", " ", "  ", "\t"])
+LABEL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                min_size=1, max_size=5).map(str.strip).filter(bool)
+
+
+def _quoted(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+@st.composite
+def tables(draw):
+    """A well-formed labelled CSV: its text, the load_csv arguments, and the
+    cells and labels of its data rows."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 12))
+    label_idx = draw(st.integers(0, n))
+    pos_label, neg_label = draw(st.lists(LABEL, min_size=2, max_size=2, unique=True))
+    header = draw(st.booleans())
+    rows = []
+    for _ in range(m):
+        cells = [draw(PAD) + draw(CELL) + draw(PAD) for _ in range(n)]
+        cells.insert(label_idx, draw(PAD) + draw(st.sampled_from([pos_label, neg_label]))
+                     + draw(PAD))
+        rows.append(cells)
+    lines = []
+    if header:
+        names = [f"x{i + 1}" for i in range(n)]
+        names.insert(label_idx, "label")
+        lines.append(",".join(names))
+    for cells in rows:
+        lines.append(",".join(
+            _quoted(c) if i == label_idx or draw(st.booleans()) else c
+            for i, c in enumerate(cells)))
+    label_column = draw(st.sampled_from(
+        [label_idx, label_idx - (n + 1)] + (["label"] if header else [])))
+    return "\n".join(lines) + "\n", label_column, pos_label, rows, label_idx
+
+
+def _reference(rows, label_idx, pos_label):
+    """Per-cell float() of the feature cells, split by the stripped label."""
+    pos, neg = [], []
+    for cells in rows:
+        feats = [float(c) for i, c in enumerate(cells) if i != label_idx]
+        (pos if cells[label_idx].strip() == pos_label else neg).append(feats)
+    n = len(rows[0]) - 1
+    return (np.array(pos, dtype=float).reshape(len(pos), n),
+            np.array(neg, dtype=float).reshape(len(neg), n))
+
+
+def _bits(X):
+    return X.shape, X.tobytes()
+
+
+@PROPERTY
+@given(table=tables())
+def test_load_csv_matches_per_cell_float(tmp_path_factory, table):
+    text, label_column, pos_label, rows, label_idx = table
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    d = load_csv(path, label_column=label_column, positive_label=pos_label)
+    X_pos, X_neg = _reference(rows, label_idx, pos_label)
+    assert _bits(d.X_pos) == _bits(X_pos)
+    assert _bits(d.X_neg) == _bits(X_neg)
+
+
+EDGE_VALUES = [1e16, 9999999999999998.0, 1e-5, 5e-324, -0.0,
+               1.7976931348623157e308, 0.1, -2.5e-7, 3, -4, 0]
+
+
+def _per_cell_repr(rows):
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def test_write_csv_writes_per_cell_repr(tmp_path):
+    rows = [EDGE_VALUES, EDGE_VALUES[::-1],
+            np.random.default_rng(0).normal(size=len(EDGE_VALUES)).tolist()]
+    header = [f"c{i}" for i in range(len(EDGE_VALUES))]
+    _write_csv(tmp_path / "o.csv", header, rows)
+    assert (tmp_path / "o.csv").read_text() == ",".join(header) + "\n" + _per_cell_repr(rows)
+
+
+def test_labelled_matrix_writes_per_cell_repr(tmp_path):
+    floats = [v for v in EDGE_VALUES if isinstance(v, float)]
+    X = np.array([floats, floats[::-1], np.random.default_rng(1).normal(size=len(floats))])
+    labels = np.array([1.0, -1.0, 1.0])
+    header = [f"x{i + 1}" for i in range(X.shape[1])] + ["label"]
+    _write_labelled_matrix(tmp_path / "o.csv", header, X, labels)
+    expected = _per_cell_repr([[*map(float, x), int(v)] for x, v in zip(X, labels)])
+    assert (tmp_path / "o.csv").read_text() == ",".join(header) + "\n" + expected
+
+
+def _per_cell_rows(X, labels):
+    return [[*map(float, x), int(label)] for x, label in zip(X, labels)]
+
+
+def test_generate_and_predict_write_per_cell_repr(tmp_path):
+    data, model, pred = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "p.csv"
+    assert main(["generate", "--example", "3", "--m", "40", "--seed", "5",
+                 "--noise-ratio", "0.1", "--out", str(data)]) == 0
+    X, y = inject_label_noise(GENERATORS[3](40, 5), 0.1, seed=6).stacked()
+    assert data.read_text() == "x1,x2,label\n" + _per_cell_repr(_per_cell_rows(X, y))
+
+    assert main(["train", "--data", str(data), "--method", "cl1qtsvm", "--c1", "0.01",
+                 "--c2", "0.01", "--model-out", str(model)]) == 0
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--out", str(pred)]) == 0
+    X, _ = load_csv(data).stacked()
+    labels = predict_many(load_model(model), X)
+    assert pred.read_text() == "x1,x2,prediction\n" + _per_cell_repr(_per_cell_rows(X, labels))

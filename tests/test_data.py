@@ -15,6 +15,7 @@ from qtsvm.data import (
     gen_example3,
     inject_label_noise,
     load_csv,
+    load_features,
     scale_dataset,
 )
 from qtsvm.errors import DataFormatError, InvalidInputError
@@ -237,3 +238,36 @@ def test_load_csv_rejects_missing_and_empty(tmp_path):
     empty.write_text("")
     with pytest.raises(DataFormatError):
         load_csv(empty)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1,x2,label\n1,abc,1\n2,3,-1\n4,5\n", "row 2, column 2: non-numeric cell 'abc'"),
+    ("1,2,1\n1,2,-1\n1,2,7\n1,zz,1\n", "row 3: unknown label value '7' (expected '1' or '-1')"),
+], ids=["cell-before-ragged-row", "label-before-cell"])
+def test_load_csv_names_the_first_fault_in_file_order(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(DataFormatError) as exc:
+        load_csv(p)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n1,2\n3, abc\n", "row 3, column 2: non-numeric cell 'abc'"),
+    ("1,2\n3\n4,x\n", "row 2: expected 2 fields, got 1 (ragged file)"),
+    ("\n1,2\n\n3,4\n5,6,7\n", "row 3: expected 2 fields, got 3 (ragged file)"),
+], ids=["cell-after-header", "ragged-before-cell", "ragged-after-blank-lines"])
+def test_load_features_errors_name_row_and_column(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(DataFormatError) as exc:
+        load_features(p)
+    assert str(exc.value) == message
+
+
+def test_load_features_matches_per_cell_float(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text('x1,x2\n 1.5 ,"2e-3"\n1_0,-0.0\n\n5e-324,1.7976931348623157e308\n')
+    X = load_features(p)
+    expected = np.array([[1.5, 2e-3], [10.0, -0.0], [5e-324, 1.7976931348623157e308]])
+    assert X.flags["C_CONTIGUOUS"] and X.tobytes() == expected.tobytes()
