@@ -3,9 +3,9 @@
 Each of the two surfaces solves a nonsmooth capped-L1 problem through a
 reweighted sequence of ridge-regularized weighted least squares: weights
 are recomputed from the current residuals, then the weighted normal
-equations are solved in closed form, either directly in lifted space or
-through a Sherman-Morrison-Woodbury factorization of the two smaller
-sample-space systems, whichever side is smaller.
+equations are solved in closed form, either directly in lifted space or,
+through the push-through form of the Sherman-Morrison-Woodbury identity,
+as one system in sample space whose Gram matrix is formed once per fit.
 
 The iteration runs over a stack of lanes, one per (c1, c2) setting, on
 data scaled and lifted once: ``fit_grid`` fits a whole hyperparameter grid
@@ -168,7 +168,9 @@ def compute_weights_pos(w_plus, Zp, Zm, cap_eps, weight_floor=1e-12) -> Reweight
 def _pick_branch(m_l: int, m_other: int, requested: str) -> str:
     if requested != "auto":
         return requested
-    # Strictly greater: at equality the direct solve runs.
+    # SMW factors an (m_own + m_other)-sized system on a Gram formed once per
+    # fit, direct an l x l system formed each iteration.  Strictly greater:
+    # at equality the direct solve runs.
     return "smw" if m_l > m_other else "direct"
 
 
@@ -225,89 +227,82 @@ def _psd_solve_stack(B, rhs):
 def _gram_stack(Z, Q):
     """Stack of the weighted Gram matrices Z diag(q) Z', one per row q of Q."""
     l, m = Z.shape
-    if 8 * l * l * m <= LANE_CHUNK_BYTES:
+    if l <= STACKED_SOLVE_MAX_DIM and 8 * l * l * m <= LANE_CHUNK_BYTES:
         # One product with the pairwise row products of Z: far cheaper than
-        # a small product per lane when l is small.
+        # a small product per lane when l is small (and far dearer when not).
         P = (Z[:, None, :] * Z[None, :, :]).reshape(l * l, m)
         return (Q @ P.T).reshape(-1, l, l)
     return (Z * Q[:, None, :]) @ Z.T
 
 
-def _solve_direct(Z_own, Z_other, Q, U, c1, c2):
-    """Stacked direct solves of (Z_own Q Z_own' + c1 I + c2 Z_other U Z_other') x
-    = Z_other u, formed and solved in chunks of lanes."""
-    G, l = Q.shape[0], Z_own.shape[0]
-    per_lane = 8 * l * (l + max(Z_own.shape[1], Z_other.shape[1]))
+def _solve_chunked(G, per_lane, system):
+    """Solve the G lanes' systems (B, rhs) = system(sl) with _psd_solve_stack,
+    formed for chunks of lanes sl of at most LANE_CHUNK_BYTES."""
     chunk = max(1, LANE_CHUNK_BYTES // per_lane)
-    X = np.empty((G, l))
-    fell = np.zeros(G, dtype=int)
+    parts = [_psd_solve_stack(*system(slice(s, s + chunk))) for s in range(0, G, chunk)]
+    return np.concatenate([x for x, _ in parts]), np.concatenate([f for _, f in parts])
+
+
+def _solve_direct(Z_own, Z_other, Q, U, c1, c2):
+    """The stacked solves in lifted space: w = -c2 x for B x = Z_other u."""
+    l = Z_own.shape[0]
     diag = np.arange(l)
-    for s in range(0, G, chunk):
-        sl = slice(s, s + chunk)
+
+    def system(sl):
         B = _gram_stack(Z_own, Q[sl])
         B += c2[sl, None, None] * _gram_stack(Z_other, U[sl])
         B[:, diag, diag] += c1[sl, None]
-        X[sl], fell[sl] = _psd_solve_stack(B, U[sl] @ Z_other.T)
-    return X, fell
+        return B, U[sl] @ Z_other.T
+
+    X, fell = _solve_chunked(len(Q), 8 * l * (l + max(Z_own.shape[1], Z_other.shape[1])), system)
+    return -c2[:, None] * X, fell
 
 
-def _solve_smw(Z_own, Z_other, q, u, c1, c2):
-    """One lane of the same solve through Sherman-Morrison-Woodbury:
-    factor the two sample-space systems instead of the l x l one.
-    Returns the solution and the number of factorizations that fell back.
+def _solve_sample_space(Z_own, Z_other, Q, U, c1, c2, gram):
+    """Stacked SMW solves in sample space.  With Z = [Z_own, Z_other],
+    D = diag(q, c2 u) and gram = Z'Z, (c1 I + Z D Z')^{-1} Z D equals
+    Z (gram + c1 D^{-1})^{-1}, so w = -Z (gram + c1 D^{-1})^{-1} [0; 1].  A
+    zero weight drops its sample: identity row and column, zero right-hand side."""
+    a = Z_own.shape[1]
+    D = np.hstack([Q, c2[:, None] * U])
+    live = D != 0
+    idx = np.arange(D.shape[1])
+    ridge = np.divide(c1[:, None], D, out=np.ones_like(D), where=live)
 
-    Y = (c1 I + Z_own diag(q) Z_own')^{-1} is applied implicitly through an
-    (m_own x m_own) Cholesky factor.  Columns with zero weight contribute
-    nothing to either low-rank term and would break the diagonal inverses,
-    so they are dropped.
-    """
-    rhs = Z_other @ u
-    Z_own = Z_own[:, q > 0]
-    q = q[q > 0]
-    keep_other = u > 0
-    Z_other_k = Z_other[:, keep_other]
-    u_k = u[keep_other]
-    A = Z_own.T @ Z_own
-    A[np.diag_indices(A.shape[0])] += c1 / q
-    A_solve, fell = _psd_solver(A)
+    def system(sl):
+        B = np.where(live[sl, :, None] & live[sl, None, :], gram, 0.0)
+        B[:, idx, idx] += ridge[sl]
+        return B, (live[sl] & (idx >= a)).astype(float)
 
-    def apply_y(B):
-        if q.size == 0:
-            return B / c1
-        return (B - Z_own @ A_solve(Z_own.T @ B)) / c1
-
-    Yv = apply_y(rhs)
-    if u_k.size == 0:
-        return Yv, int(fell)
-    YZ = apply_y(Z_other_k)
-    K = Z_other_k.T @ YZ
-    K[np.diag_indices(K.shape[0])] += 1.0 / (c2 * u_k)
-    K_solve, fell_k = _psd_solver(K)
-    return Yv - YZ @ K_solve(Z_other_k.T @ Yv), int(fell) + int(fell_k)
+    A, fell = _solve_chunked(len(D), 8 * D.shape[1] ** 2, system)
+    return -(A[:, :a] @ Z_own.T + A[:, a:] @ Z_other.T), fell
 
 
-def _solve_lanes(Z_own, Z_other, Q, U, c1, c2, branch):
+def _sample_gram(Z_own, Z_other):
+    """Gram matrix of the samples [Z_own, Z_other], for the SMW branch."""
+    Z = np.hstack([Z_own, Z_other])
+    return Z.T @ Z
+
+
+def _solve_lanes(Z_own, Z_other, Q, U, c1, c2, branch, gram=None):
     """Solve (Z_own diag(q) Z_own' + c1 I + c2 Z_other diag(u) Z_other') w
     = -c2 * Z_other u for every lane g (rows of Q and U, entries of
-    c1 and c2) by the requested branch.
+    c1 and c2) by the requested branch (SMW takes ``gram`` from _sample_gram).
 
     Returns the solutions, shape (G, l), and each lane's count of
     factorizations that fell back to least squares.
     """
-    if branch == "direct":
-        X, fell = _solve_direct(Z_own, Z_other, Q, U, c1, c2)
-    else:
-        lanes = [_solve_smw(Z_own, Z_other, *lane) for lane in zip(Q, U, c1, c2)]
-        X = np.array([x for x, _ in lanes])
-        fell = np.array([f for _, f in lanes])
-    return -c2[:, None] * X, fell
+    if branch == "smw":
+        return _solve_sample_space(Z_own, Z_other, Q, U, c1, c2, gram)
+    return _solve_direct(Z_own, Z_other, Q, U, c1, c2)
 
 
 def update_w_plus(Zp, Zm, state: ReweightState, cfg: SolverConfig) -> np.ndarray:
     """One closed-form update of the positive-surface weight vector."""
     branch = _pick_branch(Zp.shape[0], Zm.shape[1], cfg.branch)
+    gram = _sample_gram(Zp, Zm) if branch == "smw" else None
     w, _ = _solve_lanes(Zp, Zm, state.q[None], state.u[None],
-                        np.array([cfg.c1]), np.array([cfg.c2]), branch)
+                        np.array([cfg.c1]), np.array([cfg.c2]), branch, gram)
     return w[0]
 
 
@@ -348,7 +343,7 @@ def stationarity_residual_plus(w_plus, Zp, Zm, state, cfg) -> float:
     return float(np.linalg.norm(grad))
 
 
-def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch):
+def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, gram=None):
     """The capped-L1 IRLS of the positive subproblem over a stack of lanes,
     lane g with penalties (c1[g], c2[g]) and the rest of cfg.
 
@@ -374,7 +369,7 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch):
             Q[lanes] = _capped_weights(R, cfg.cap_eps, cfg.weight_floor)
             U[lanes] = _capped_weights(S, cfg.cap_eps, cfg.weight_floor)
         Qa, Ua = Q[lanes], U[lanes]
-        W_new, fell = _solve_lanes(Z_own, Z_other, Qa, Ua, c1[lanes], c2[lanes], branch)
+        W_new, fell = _solve_lanes(Z_own, Z_other, Qa, Ua, c1[lanes], c2[lanes], branch, gram)
         if not np.isfinite(W_new).all():
             raise NumericError(f"non-finite iterate at iteration {t}")
         R, S = W_new @ Z_own, _slacks(W_new, Z_other)
@@ -432,12 +427,17 @@ def fit_grid(
     sides = {"pos": (Zp, Zm), "neg": (Zm, Zp)}
     w = {side: np.empty((len(cfgs), Zp.shape[0])) for side in sides}
     reps = {side: [None] * len(cfgs) for side in sides}
+    grams = {}
     for shared, idx in groups.items():
         c1 = np.array([cfgs[g].c1 for g in idx])
         c2 = np.array([cfgs[g].c2 for g in idx])
         for side, (Z_own, Z_other) in sides.items():
             branch = _pick_branch(Z_own.shape[0], Z_other.shape[1], shared.branch)
-            w[side][idx], lane_reps = _irls(Z_own, Z_other, c1, c2, shared, branch)
+            if branch == "smw" and not grams:
+                grams["pos"] = _sample_gram(Zp, Zm)
+                # Swapping the classes swaps the Gram's blocks.
+                grams["neg"] = np.roll(grams["pos"], (-Zp.shape[1],) * 2, axis=(0, 1))
+            w[side][idx], lane_reps = _irls(Z_own, Z_other, c1, c2, shared, branch, grams.get(side))
             for g, rep in zip(idx, lane_reps):
                 reps[side][g] = rep
     return GridFit(

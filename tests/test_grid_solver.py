@@ -14,6 +14,7 @@ from qtsvm.solver_cl1 import (
     _capped_weights,
     _irls,
     _psd_solve_stack,
+    _sample_gram,
     _solve_lanes,
     fit,
     fit_grid,
@@ -199,6 +200,70 @@ def test_exactly_singular_lane_falls_back_alone():
     assert grid.reports[0].pos.lstsq_fallbacks > 0
     assert grid.reports[1].pos.lstsq_fallbacks == 0
     assert grid.reports[1].neg.lstsq_fallbacks == 0
+    _, report = fit(d, cfgs[0])
+    assert report.pos.lstsq_fallbacks > 0
+
+
+SMW_CFGS = [SolverConfig(c1=a, c2=b) for a in (1e-2, 1.0, 1e2) for b in (1e-2, 1.0, 1e2)]
+SMW_CFGS.append(SolverConfig(c1=1.0, c2=0.1, cap_eps=0.5))
+
+
+def test_smw_stack_matches_single_fits(monkeypatch):
+    # Four samples per class against six lifted dimensions: the auto rule
+    # takes the SMW branch on both sides.  Every lane of the stack, and of
+    # a run with one lane per chunk, follows its own single fit.
+    d = gen_example1(4, seed=5)
+    grid = fit_grid(d, SMW_CFGS)
+    monkeypatch.setattr(solver_cl1, "LANE_CHUNK_BYTES", 1)
+    chunked = fit_grid(d, SMW_CFGS)
+    for g, cfg in enumerate(SMW_CFGS):
+        one = fit_grid(d, [cfg])
+        for fitted in (grid, chunked):
+            for side in ("pos", "neg"):
+                rep, ref = getattr(fitted.reports[g], side), getattr(one.reports[0], side)
+                assert rep.branch_used == ref.branch_used == "smw"
+                assert (rep.iterations_used, rep.converged) == (ref.iterations_used, ref.converged)
+                np.testing.assert_allclose(rep.objective_trace, ref.objective_trace, rtol=1e-9)
+                w, w_ref = lane_weights(getattr(fitted, side), g), lane_weights(getattr(one, side), 0)
+                assert np.linalg.norm(w - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
+    assert sum(r.pos.converged and r.neg.converged for r in grid.reports) >= 3
+
+
+def test_smw_stack_drops_zero_weight_columns():
+    # Each lane zeroes other columns.  A zero weight removes its sample from
+    # the sample-space system, as it does from the lifted one.
+    rng = np.random.default_rng(2)
+    Z_own = lift_matrix(rng.standard_normal((5, 2))).T
+    Z_other = lift_matrix(rng.standard_normal((5, 2))).T
+    Q = rng.uniform(0.5, 2.0, (4, 5))
+    U = rng.uniform(0.5, 2.0, (4, 5))
+    Q[1, [0, 3]] = 0.0
+    U[2, 4] = 0.0
+    Q[3] = 0.0
+    U[3, :2] = 0.0
+    c1 = np.array([0.1, 1.0, 0.01, 10.0])
+    c2 = np.array([1.0, 0.1, 2.0, 1.0])
+    W, fell = _solve_lanes(Z_own, Z_other, Q, U, c1, c2, "smw", _sample_gram(Z_own, Z_other))
+    np.testing.assert_array_equal(fell, 0)
+    for g in range(4):
+        B = (Z_own * Q[g]) @ Z_own.T + c2[g] * (Z_other * U[g]) @ Z_other.T + c1[g] * np.eye(6)
+        ref = -c2[g] * np.linalg.solve(B, Z_other @ U[g])
+        np.testing.assert_allclose(W[g], ref, rtol=1e-9, atol=1e-12)
+
+
+def test_singular_smw_lane_falls_back_alone():
+    # Five samples per class give a rank-6 sample Gram of size 10; with
+    # c1 = 1e-300 its system is singular and falls back, on its lane only.
+    rng = np.random.default_rng(1)
+    d = Dataset(X_pos=rng.standard_normal((5, 2)), X_neg=rng.standard_normal((5, 2)))
+    cfgs = [SolverConfig(c1=1e-300, c2=2.0, max_iter=1, branch="smw"),
+            SolverConfig(c1=1.0, c2=2.0, max_iter=1, branch="smw")]
+    grid = fit_grid(d, cfgs)
+    assert grid.reports[0].pos.lstsq_fallbacks > 0
+    assert grid.reports[0].neg.lstsq_fallbacks > 0
+    assert grid.reports[1].pos.lstsq_fallbacks == 0
+    assert grid.reports[1].neg.lstsq_fallbacks == 0
+    assert np.isfinite(grid.pos[0]).all() and np.isfinite(grid.neg[0]).all()
     _, report = fit(d, cfgs[0])
     assert report.pos.lstsq_fallbacks > 0
 
