@@ -14,8 +14,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .data import (
     GENERATORS,
@@ -23,6 +21,7 @@ from .data import (
     inject_label_noise,
     load_csv,
     load_features,
+    load_scores,
 )
 from .errors import DataFormatError, InvalidInputError, QtsvmError
 from .evaluation import (
@@ -115,12 +114,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_labeled(path):
-    return load_csv(path, label_column=-1, positive_label="1")
-
-
 def cmd_train(args) -> int:
-    dataset = _load_labeled(args.data)
+    dataset = load_csv(args.data)
     mode = LiftingMode(args.mode)
     report: dict = {"method": args.method, "mode": mode.value}
     if args.method == "cl1qtsvm":
@@ -170,7 +165,7 @@ def cmd_predict(args) -> int:
         X = load_features(args.data)
         y = None
     elif width == model.n + 1:
-        dataset = _load_labeled(args.data)
+        dataset = load_csv(args.data)
         X, y = dataset.stacked()
     else:
         raise InvalidInputError(
@@ -307,64 +302,12 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def _pivot_long_results(path):
-    """Mean accuracy per (dataset, noise ratio) x method from a benchmark
-    results table; returns (matrix rows, method names) or None when the
-    file is not in that long format."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        if not {"dataset", "method", "acc"} <= set(fields):
-            return None
-        cells = {}
-        for rec in reader:
-            key = (rec["dataset"], rec.get("noise_ratio", ""))
-            cells.setdefault(key, {}).setdefault(rec["method"], []).append(
-                float(rec["acc"])
-            )
-    names = sorted({m for per in cells.values() for m in per})
-    rows = []
-    for key in sorted(cells):
-        per = cells[key]
-        if set(per) != set(names):
-            raise DataFormatError(
-                f"dataset {key[0]!r} at noise {key[1]!r} lacks results "
-                f"for some methods"
-            )
-        rows.append([float(np.mean(per[m])) for m in names])
-    return rows, names
-
-
 def cmd_nemenyi(args) -> int:
-    pivoted = _pivot_long_results(args.results)
-    if pivoted is not None:
-        rows, names = pivoted
-    else:
-        rows = []
-        names = None
-        with open(args.results, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(c) for c in row])
-                except ValueError:
-                    if names is None and not rows:
-                        names = [c.strip() for c in row]
-                    else:
-                        # Leading non-numeric cell: dataset label column.
-                        rows.append([float(c) for c in row[1:]])
-    if not rows:
-        raise DataFormatError(f"{args.results}: no numeric score rows")
+    scores, names = load_scores(args.results)
     if args.q_alpha is None and args.alpha != 0.05:
         raise InvalidInputError(
             "only alpha=0.05 is tabulated; pass --q-alpha for other levels"
         )
-    scores = np.array(rows)
-    if names is not None and len(names) == scores.shape[1] + 1:
-        names = names[1:]
-    if names is None or len(names) != scores.shape[1]:
-        names = [f"method{i + 1}" for i in range(scores.shape[1])]
     ranks, cd, sig = nemenyi_test(scores, q_alpha=args.q_alpha)
     print(f"k={scores.shape[1]} N={scores.shape[0]} CD={cd:.4f}")
     for name, rank in sorted(zip(names, ranks), key=lambda p: p[1]):
@@ -384,29 +327,42 @@ def cmd_nemenyi(args) -> int:
     return 0
 
 
+class _ReplayParser(argparse.ArgumentParser):
+    """Parses a command line read from a manifest, which names every flag in
+    full; a bad one is a malformed input file, not a reason to exit."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise DataFormatError(f"replayed command line: {message}")
+
+
 def cmd_replay(args) -> int:
     try:
         with open(args.manifest) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read manifest: {exc}") from exc
-    if not (isinstance(doc, dict) and isinstance(doc.get("flags", {}), dict)
-            and isinstance(doc.get("inputs", {}), dict)):
+    flags = doc.get("flags", {}) if isinstance(doc, dict) else None
+    if not (isinstance(flags, dict) and isinstance(doc.get("command"), str)
+            and isinstance(doc.get("inputs", {}), dict)
+            and all(v is None or isinstance(v, (str, int, float)) for v in flags.values())):
         raise DataFormatError(f"{args.manifest} is not a qtsvm manifest")
-    command, flags = doc.get("command"), doc.get("flags", {})
     for path, recorded in doc.get("inputs", {}).items():
         if _sha256(path) != recorded:
             raise DataFormatError(f"input {path} changed since {args.manifest} was written")
-    argv = [command]
+    argv = [doc["command"]]
     for key, value in flags.items():
         if value is None:
             continue
         argv += [f"--{key.replace('_', '-')}", str(value)]
-    return main(argv)
+    replayed = build_parser(_ReplayParser).parse_args(argv)
+    return replayed.func(replayed)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="qtsvm",
         description="Kernel-free quadratic-surface twin SVM toolkit",
     )

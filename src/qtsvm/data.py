@@ -1,5 +1,5 @@
-"""Datasets: synthetic generators, label-noise injection, CSV loading,
-and min-max normalization to [-1, 1]."""
+"""Datasets: synthetic generators, label-noise injection, min-max
+normalization to [-1, 1], and the one reader behind every CSV input."""
 
 from __future__ import annotations
 
@@ -188,12 +188,11 @@ def inject_label_noise(d: Dataset, ratio: float, seed: int) -> Dataset:
     )
 
 
-def _is_numeric(cell: str) -> bool:
+def _float(cell: str) -> float | None:
     try:
-        float(cell)
-        return True
+        return float(cell)
     except ValueError:
-        return False
+        return None
 
 
 def _nonblank_rows(path, take):
@@ -219,21 +218,31 @@ def first_row_width(path) -> int:
     return len(_nonblank_rows(path, lambda rows: next(rows, None)))
 
 
-def _first_fault(rows, first, width, label_idx=None, positive_label=None):
+def _split_header(rows, skip=None):
+    """The header rule of every CSV input: the first row is a header when
+    more rows follow and it has a non-numeric cell outside column ``skip``
+    (a label or dataset-name column).  Returns the stripped header or None,
+    the data rows and the number of the first data row."""
+    if len(rows) > 1 and any(_float(c) is None for i, c in enumerate(rows[0]) if i != skip):
+        return [c.strip() for c in rows[0]], rows[1:], 2
+    return None, rows, 1
+
+
+def _first_fault(rows, first, width, numeric, label_idx=None, positive_label=None):
     """Raise the DataFormatError for the first fault in file order: a ragged
-    row, a non-numeric feature cell or a third label value.  ``first`` is
-    the number of the first row."""
+    row, a cell of a ``numeric`` column that is not a finite number, or a
+    third label value.  ``first`` is the number of the first row."""
     other_label = None
     for r, row in enumerate(rows, start=first):
         if len(row) != width:
             raise DataFormatError(
                 f"row {r}: expected {width} fields, got {len(row)} (ragged file)"
             )
-        for ci, cell in enumerate(row):
-            if ci != label_idx and not _is_numeric(cell):
-                raise DataFormatError(
-                    f"row {r}, column {ci + 1}: non-numeric cell {cell.strip()!r}"
-                )
+        for ci in numeric:
+            value = _float(row[ci])
+            if value is None or not math.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
+                raise DataFormatError(f"row {r}, column {ci + 1}: {kind} cell {row[ci].strip()!r}")
         if label_idx is None:
             continue
         label = row[label_idx].strip()
@@ -248,73 +257,102 @@ def _first_fault(rows, first, width, label_idx=None, positive_label=None):
             )
 
 
-def _table(rows, first, width, label_idx=None, positive_label=None):
-    """The (m, n) feature matrix of a CSV table and, with a label column, the
-    mask of its positive rows.
+def _table(rows, first, width, numeric, label_idx=None, positive_label=None):
+    """The ``numeric`` columns of a CSV table as an (m, len(numeric)) matrix
+    and, with a label column, the mask of its positive rows.
 
     Cells are converted a whole column at a time (numpy accepts exactly the
-    strings ``float`` accepts).  When that fails, or a third label value
-    turns up, the rows are checked one by one so that the error names the
-    first fault in file order.
+    strings ``float`` accepts) and must be finite.  When that fails, or a
+    third label value turns up, the rows are checked one by one so that the
+    error names the first fault in file order.
     """
     if all(len(row) == width for row in rows):
         cols = list(zip(*rows)) if rows else [()] * width
-        labels = None if label_idx is None else cols.pop(label_idx)
         try:
-            X = np.array(cols, dtype=float).reshape(len(cols), len(rows)).T
+            X = np.array([cols[i] for i in numeric], dtype=float)
         except ValueError:
             pass
         else:
-            if labels is None:
-                return np.ascontiguousarray(X), None
-            labels = np.array([label.strip() for label in labels], dtype=object)
-            pos = labels == positive_label
-            if len(set(labels[~pos])) <= 1:
-                return X, pos
-    _first_fault(rows, first, width, label_idx, positive_label)
+            X = X.reshape(len(numeric), len(rows)).T
+            if np.isfinite(X).all():
+                if label_idx is None:
+                    return np.ascontiguousarray(X), None
+                labels = np.array([label.strip() for label in cols[label_idx]], dtype=object)
+                pos = labels == positive_label
+                if len(set(labels[~pos])) <= 1:
+                    return X, pos
+    _first_fault(rows, first, width, numeric, label_idx, positive_label)
     raise AssertionError("unreachable: the row-by-row check found no fault")
 
 
 def load_features(path) -> np.ndarray:
-    """Load an unlabeled rectangular numeric CSV as an (m, n) matrix.
-
-    A header row is auto-detected when the first row has a non-numeric cell.
-    """
+    """Load an unlabeled rectangular CSV of finite numbers, with an optional
+    header row, as an (m, n) matrix."""
     raw = _read_rows(path)
-    first = 1
-    if len(raw) > 1 and not all(_is_numeric(c) for c in raw[0]):
-        raw, first = raw[1:], 2
-    return _table(raw, first, len(raw[0]))[0]
+    width = len(raw[0])
+    _, rows, first = _split_header(raw)
+    return _table(rows, first, width, range(width))[0]
 
 
 def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
-    """Load a rectangular numeric CSV with one label column.
+    """Load a rectangular CSV of finite numbers with one label column and an
+    optional header row.
 
     ``label_column`` selects the label field by integer index (negative
     allowed) or by header name.  Rows whose label equals ``positive_label``
     (string comparison after stripping) become the positive class; all other
     rows must share a single second label value.
-    A header row is auto-detected when the first row has a non-numeric cell
-    outside the label column.
     """
     raw = _read_rows(path)
-    header = None
     width = len(raw[0])
     if isinstance(label_column, str):
-        header = [c.strip() for c in raw[0]]
+        header, rows, first = [c.strip() for c in raw[0]], raw[1:], 2
         if label_column not in header:
             raise DataFormatError(f"label column {label_column!r} not found in header")
         label_idx = header.index(label_column)
-        raw = raw[1:]
     else:
         label_idx = label_column % width
-        # Header heuristic: a non-numeric cell outside the label column.
-        has_text = any(
-            not _is_numeric(c) for i, c in enumerate(raw[0]) if i != label_idx
-        )
-        if has_text and len(raw) > 1:
-            header = [c.strip() for c in raw[0]]
-            raw = raw[1:]
-
-    X, pos = _table(raw, 2 if header else 1, width, label_idx, positive_label)
+        _, rows, first = _split_header(raw, label_idx)
+    numeric = [i for i in range(width) if i != label_idx]
+    X, pos = _table(rows, first, width, numeric, label_idx, positive_label)
     return Dataset(X_pos=X[pos], X_neg=X[~pos], provenance=str(path))
+
+
+def load_scores(path):
+    """The scores of a Nemenyi comparison, one row per dataset and one column
+    per method, and the method names.
+
+    A benchmark results table (a header with ``dataset``, ``method`` and
+    ``acc``) gives the mean ``acc`` per (dataset, noise ratio) and method, in
+    sorted (dataset, noise ratio) order with the methods sorted by name.  Any
+    other file is a raw score matrix with an optional header of method names;
+    its first column holds dataset names when the last row's first cell is
+    not a number.
+    """
+    raw = _read_rows(path)
+    width = len(raw[0])
+    header = [c.strip() for c in raw[0]]
+    if {"dataset", "method", "acc"} <= set(header):
+        acc = _table(raw[1:], 2, width, [header.index("acc")])[0][:, 0]
+        ds, method = header.index("dataset"), header.index("method")
+        ratio = header.index("noise_ratio") if "noise_ratio" in header else None
+        cells = {}
+        for row, a in zip(raw[1:], acc.tolist()):
+            key = (row[ds], "" if ratio is None else row[ratio])
+            cells.setdefault(key, {}).setdefault(row[method], []).append(a)
+        if not cells:
+            raise DataFormatError(f"{path}: no score rows")
+        names = sorted({m for per in cells.values() for m in per})
+        keys = sorted(cells)
+        for key in keys:
+            if set(cells[key]) != set(names):
+                raise DataFormatError(f"dataset {key[0]!r} at noise {key[1]!r} "
+                                      f"lacks results for some methods")
+        return np.array([[np.mean(cells[key][m]) for m in names] for key in keys]), names
+    skip = 0 if _float(raw[-1][0]) is None else None
+    header, rows, first = _split_header(raw, skip)
+    numeric = [i for i in range(width) if i != skip]
+    scores = _table(rows, first, width, numeric)[0]
+    if header is None:
+        return scores, [f"method{j + 1}" for j in range(len(numeric))]
+    return scores, [header[i] for i in numeric]

@@ -14,6 +14,7 @@ that way and ``fit`` is its one-lane case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,8 +45,12 @@ class SolverConfig:
     branch: str = "auto"  # "auto" | "smw" | "direct"
 
     def __post_init__(self):
-        if min(self.c1, self.c2, self.cap_eps, self.conv_tol, self.weight_floor) <= 0:
+        # Written so that NaN, for which every comparison is False, fails.
+        if not all(v > 0 for v in (self.c1, self.c2, self.cap_eps, self.conv_tol,
+                                   self.weight_floor)):
             raise InvalidInputError("c1, c2, cap_eps, conv_tol, weight_floor must be > 0")
+        if math.inf in (self.c1, self.c2):
+            raise InvalidInputError("c1 and c2 must be finite")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
         if self.branch not in ("auto", "smw", "direct"):

@@ -10,6 +10,8 @@ fit as that one step of the capped-L1 solver.
 
 from __future__ import annotations
 
+import math
+
 from .data import Dataset, NormalizationParams
 from .errors import InvalidInputError, NumericError
 from .lifting import LiftingMode
@@ -32,10 +34,8 @@ def fit_lsq_grid(
     Raises NumericError when a system is not positive definite in floating
     point, rather than accept the capped-L1 solver's least-squares fallback.
     """
-    if min(Cs) <= 0:
-        raise InvalidInputError("C must be > 0")
-    if ridge <= 0:
-        raise InvalidInputError("ridge must be > 0")
+    if not all(0 < v < math.inf for v in (*Cs, ridge)):
+        raise InvalidInputError("C and ridge must be finite and > 0")
     cfgs = [SolverConfig(c1=ridge, c2=2.0 * C, max_iter=1, branch="direct") for C in Cs]
     grid = fit_grid(dataset, cfgs, mode, scaler)
     if any(rep.pos.lstsq_fallbacks or rep.neg.lstsq_fallbacks for rep in grid.reports):

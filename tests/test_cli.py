@@ -140,11 +140,33 @@ def test_benchmark_parallel_matches_serial(tmp_path):
     assert summary == Path(f"{parallel}.summary.csv").read_bytes()
 
 
-def test_nemenyi_raw_matrix(tmp_path, capsys):
+@pytest.mark.parametrize("header, names", [(True, False), (True, True), (False, False),
+                                           (False, True)],
+                         ids=["header", "header-names", "plain", "names"])
+def test_nemenyi_raw_matrix(tmp_path, capsys, header, names):
+    # Optional header of method names, optional leading dataset-name column.
+    lines = [["dataset"] * names + ["a", "b", "c"]] * header + [
+        [f"d{i}"] * names + row for i, row in enumerate(
+            [["0.9", "0.8", "0.7"], ["0.95", "0.85", "0.75"], ["0.9", "0.7", "0.6"]])]
     scores = tmp_path / "scores.csv"
-    scores.write_text("a,b,c\n0.9,0.8,0.7\n0.95,0.85,0.75\n0.9,0.7,0.6\n")
+    scores.write_text("".join(",".join(line) + "\n" for line in lines))
     assert run(["nemenyi", "--results", scores]) == 0
-    assert "CD=" in capsys.readouterr().out
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("k=3 N=3 CD=")
+    methods = ["a", "b", "c"] if header else ["method1", "method2", "method3"]
+    assert [line.split(":")[0].strip() for line in printed[1:4]] == methods
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n0.9,nan\n0.7,0.6\n", "row 2, column 2: non-finite cell 'nan'"),
+    ("d1,0.9,0.8\nd2,0.7,?\n", "row 2, column 3: non-numeric cell '?'"),
+    ("dataset,method,acc\nd,a,0.9\nd,b,zz\n", "row 3, column 3: non-numeric cell 'zz'"),
+], ids=["raw-nan", "raw-names-text", "results-text"])
+def test_nemenyi_names_the_faulty_cell(tmp_path, capsys, text, message):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(text)
+    assert run(["nemenyi", "--results", scores]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_nemenyi_rejects_other_alpha_without_override(tmp_path):
@@ -304,6 +326,27 @@ def _unlabeled(head):
     return argv
 
 
+def _written(name, content, command):
+    """argv of command run on a file written with content."""
+    def argv(tmp_path, model):
+        (tmp_path / name).write_bytes(content)
+        return [*command, tmp_path / name]
+    return argv
+
+
+def _nemenyi(content):
+    return _written("scores.csv", content, ["nemenyi", "--results"])
+
+
+def _replay(content):
+    return _written("r.json", content, ["replay"])
+
+
+def _train(method, *flags):
+    return lambda tmp, model: ["train", "--data", tmp / "d.csv", "--method", method,
+                               *flags, "--model-out", tmp / "t.json"]
+
+
 def _bench(*flags, **changes):
     """argv of a benchmark whose config is BENCH_CONFIG updated by changes."""
     def argv(tmp_path, model):
@@ -348,17 +391,40 @@ def trained(tmp_path_factory):
     # Two samples per class pass the 2-fold size check, so the inner-CV
     # error is raised inside a worker.
     (_bench("--jobs", 2, datasets=_curves(2), folds=2, selection="nested"), 2),
+    (_unlabeled("x1,x2\n0.5,nan\n"), 2),
+    (_unlabeled("x1,x2\n-inf,0.5\n"), 2),
+    (_nemenyi(b"a,b,c\n0.9,x,0.7\n0.95,0.85,0.75\n"), 2),
+    (_nemenyi(b"dataset,method,noise_ratio,acc\nd,a,0.0,0.9\nd,b,0.0,zz\n"), 2),
+    (_nemenyi(b"a,b,c\n0.9,0.8\n0.95,0.85,0.75\n"), 2),
+    (_nemenyi(b"dataset,method,noise_ratio,acc\nd,a,0.0,0.9\nd,b,0.0\n"), 2),
+    (_nemenyi(b"a,b\n0.9,\xff0.8\n0.7,0.6\n"), 2),
+    (lambda tmp, model: ["nemenyi", "--results", tmp / "missing.csv"], 2),
+    (lambda tmp, model: ["nemenyi", "--results", tmp], 2),
+    (_nemenyi(b"a,b\n0.9,nan\n0.7,0.6\n"), 2),
+    (_replay(b'{"command": "generate", "flags": {"out": "\xff"}}'), 2),
+    (_replay(b'{"command": 5}'), 2),
+    (_replay(b'{"command": "generate", "flags": {"example": 1, "m": 5, "out": ["a"]}}'), 2),
+    (_train("cl1qtsvm", "--c1", "nan"), 2),
+    (_train("cl1qtsvm", "--eps", "nan"), 2),
+    (_train("cl1qtsvm", "--c2", "inf"), 2),
+    (_train("lsqtsvm", "--c2", "nan"), 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
         "config-mode", "config-folds", "config-seed", "config-noise-ratios", "config-m-per-class",
         "config-grid-key", "config-dataset-entry", "config-methods-string", "jobs-zero",
-        "jobs-negative", "jobs-2-cell-error"])
+        "jobs-negative", "jobs-2-cell-error", "unlabeled-nan", "unlabeled-inf",
+        "nemenyi-raw-text", "nemenyi-results-text", "nemenyi-ragged", "nemenyi-results-no-acc",
+        "nemenyi-not-utf8", "nemenyi-missing", "nemenyi-directory", "nemenyi-nan",
+        "replay-not-utf8", "replay-command-number", "replay-flag-list", "train-c1-nan",
+        "train-eps-nan", "train-c2-inf", "lsq-c2-nan"])
 def test_cli_failures_are_clean(trained, argv, code):
     # Each input once ended in a traceback or the wrong exit code.
     src = str(Path(qtsvm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     args = [str(a) for a in argv(trained, trained / "model.json")]
-    proc = subprocess.run([sys.executable, "-m", "qtsvm.cli", *args], env=env,
+    # Every path is absolute; the working directory catches a file written
+    # under a relative name.
+    proc = subprocess.run([sys.executable, "-m", "qtsvm.cli", *args], env=env, cwd=trained,
                           capture_output=True, text=True, timeout=120)
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert proc.returncode == code, proc.stderr

@@ -1,5 +1,6 @@
-"""Property tests: malformed benchmark configs, model files and CSVs end in
-exit code 1 or 2 with exactly one ``error:`` line, never in a traceback.
+"""Property tests: malformed benchmark configs, model files, CSVs, score
+tables and manifests end in exit code 1 or 2 with exactly one ``error:``
+line, never in a traceback.
 
 Every mutation draws from non-numeric JSON values (strings that do not parse
 as numbers, null, lists and objects of those), so no mutated config can turn
@@ -29,6 +30,8 @@ def _numeric(text):
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).filter(
     lambda t: not _numeric(t))
 LEAF = st.none() | TEXT
+# A CSV cell that is not a finite number: text, or what float() reads as NaN or inf.
+CELL = TEXT | st.sampled_from(["nan", "inf", "-inf"])
 # The kind of value is drawn first and evenly, so null and flat lists come up
 # as often as nested ones.
 JUNK = st.sampled_from([
@@ -83,6 +86,12 @@ def files(tmp_path_factory):
                  "--out", str(tmp / "d.csv")]) == 0
     assert main(["train", "--data", str(tmp / "d.csv"), "--method", "lsqtsvm",
                  "--model-out", str(tmp / "model.json")]) == 0
+    # A predict manifest that no other property overwrites.
+    assert main(["predict", "--model", str(tmp / "model.json"), "--data", str(tmp / "d.csv"),
+                 "--out", str(tmp / "replayed.csv")]) == 0
+    (tmp / "bench.json").write_text(json.dumps(CONFIG))
+    assert main(["benchmark", "--config", str(tmp / "bench.json"),
+                 "--out", str(tmp / "results.csv")]) == 0
     return tmp
 
 
@@ -118,19 +127,39 @@ def test_mutated_model_fails_cleanly(files, data):
                  "--out", files / "p.csv"]) == 1
 
 
-@FUZZ
-@given(data=st.data(), train=st.booleans())
-def test_mutated_csv_fails_cleanly(files, data, train):
-    with open(files / "d.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _with_cell(data, rows, cols, path):
+    """Write rows to path with one cell below the first row, in one of cols,
+    replaced by a CELL."""
     row = data.draw(st.integers(1, len(rows) - 1))
-    col = data.draw(st.integers(0, len(rows[0]) - 1))
-    rows[row][col] = data.draw(TEXT)
-    bad = files / "bad.csv"
-    with open(bad, "w", newline="", encoding="utf-8") as fh:
+    rows[row][data.draw(st.sampled_from(cols))] = data.draw(CELL)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
+    return path
+
+
+def _with_stray_byte(data, source, path):
+    # A byte that never starts a UTF-8 sequence, anywhere in the file.
+    raw = source.read_bytes()
+    at = data.draw(st.integers(0, len(raw)))
+    byte = data.draw(st.sampled_from([b"\x80", b"\xbf", b"\xff"]))
+    path.write_bytes(raw[:at] + byte + raw[at:])
+    return path
+
+
+@FUZZ
+@given(data=st.data(), command=st.sampled_from(["train", "predict", "predict-bare"]))
+def test_mutated_csv_fails_cleanly(files, data, command):
+    rows = _rows(files / "d.csv")
+    if command == "predict-bare":
+        rows = [row[:-1] for row in rows]
+    bad = _with_cell(data, rows, range(len(rows[0])), files / "bad.csv")
     argv = (["train", "--data", bad, "--method", "lsqtsvm", "--model-out", files / "m2.json"]
-            if train else
+            if command == "train" else
             ["predict", "--model", files / "model.json", "--data", bad, "--out", files / "p.csv"])
     assert _run(argv) == 2
 
@@ -138,11 +167,42 @@ def test_mutated_csv_fails_cleanly(files, data, train):
 @FUZZ
 @given(data=st.data())
 def test_csv_with_a_stray_byte_fails_cleanly(files, data):
-    # A byte that never starts a UTF-8 sequence, anywhere in the file.
-    raw = (files / "d.csv").read_bytes()
-    at = data.draw(st.integers(0, len(raw)))
-    byte = data.draw(st.sampled_from([b"\x80", b"\xbf", b"\xff"]))
-    bad = files / "bad.csv"
-    bad.write_bytes(raw[:at] + byte + raw[at:])
+    bad = _with_stray_byte(data, files / "d.csv", files / "bad.csv")
     assert _run(["train", "--data", bad, "--method", "lsqtsvm",
                  "--model-out", files / "m2.json"]) == 2
+
+
+RAW_SCORES = [["dataset", "a", "b", "c"], ["d1", "0.9", "0.8", "0.7"],
+              ["d2", "0.95", "0.85", "0.75"], ["d3", "0.9", "0.7", "0.6"]]
+
+
+@FUZZ
+@given(data=st.data(), source=st.sampled_from(["results", "raw", "stray-byte"]))
+def test_mutated_scores_fail_cleanly(files, data, source):
+    # Every (dataset, noise ratio) of the results table has both methods, so
+    # a changed key, method name or accuracy is a fault; the other columns
+    # are not read.  The raw matrix keeps its header and dataset names.
+    bad = files / "scores.csv"
+    if source == "results":
+        rows = _rows(files / "results.csv")
+        cols = [rows[0].index(name) for name in ("dataset", "method", "noise_ratio", "acc")]
+        _with_cell(data, rows, cols, bad)
+    elif source == "raw":
+        _with_cell(data, [list(row) for row in RAW_SCORES], [1, 2, 3], bad)
+    else:
+        _with_stray_byte(data, files / "results.csv", bad)
+    assert _run(["nemenyi", "--results", bad]) == 2
+
+
+@FUZZ
+@given(data=st.data())
+def test_mutated_manifest_fails_cleanly(files, data):
+    # replay reads only the command, the flags and the input hashes.  Any
+    # output path and an absent seed flag are valid, and so is an empty
+    # input table, so none of those is mutated.
+    doc = json.loads((files / "replayed.csv.manifest.json").read_text())
+    paths = [p for p in _paths(doc, skip=("out", "seed", "version", "wall_clock", "outputs"))
+             if p != ("inputs",)]
+    bad = files / "bad.manifest.json"
+    bad.write_text(json.dumps(_replaced(doc, data.draw(st.sampled_from(paths)), data.draw(JUNK))))
+    _run(["replay", bad])

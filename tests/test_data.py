@@ -243,7 +243,8 @@ def test_load_csv_rejects_missing_and_empty(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("x1,x2,label\n1,abc,1\n2,3,-1\n4,5\n", "row 2, column 2: non-numeric cell 'abc'"),
     ("1,2,1\n1,2,-1\n1,2,7\n1,zz,1\n", "row 3: unknown label value '7' (expected '1' or '-1')"),
-], ids=["cell-before-ragged-row", "label-before-cell"])
+    ("x1,x2,label\n1,2,1\n2,inf,-1\n", "row 3, column 2: non-finite cell 'inf'"),
+], ids=["cell-before-ragged-row", "label-before-cell", "non-finite-cell"])
 def test_load_csv_names_the_first_fault_in_file_order(tmp_path, text, message):
     p = tmp_path / "bad.csv"
     p.write_text(text)
@@ -256,7 +257,8 @@ def test_load_csv_names_the_first_fault_in_file_order(tmp_path, text, message):
     ("a,b\n1,2\n3, abc\n", "row 3, column 2: non-numeric cell 'abc'"),
     ("1,2\n3\n4,x\n", "row 2: expected 2 fields, got 1 (ragged file)"),
     ("\n1,2\n\n3,4\n5,6,7\n", "row 3: expected 2 fields, got 3 (ragged file)"),
-], ids=["cell-after-header", "ragged-before-cell", "ragged-after-blank-lines"])
+    ("1,2\nnan,4\n", "row 2, column 1: non-finite cell 'nan'"),
+], ids=["cell-after-header", "ragged-before-cell", "ragged-after-blank-lines", "non-finite-cell"])
 def test_load_features_errors_name_row_and_column(tmp_path, text, message):
     p = tmp_path / "bad.csv"
     p.write_text(text)

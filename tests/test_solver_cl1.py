@@ -1,6 +1,8 @@
 """Reweighted capped-L1 trainer: weight rule, closed-form updates,
 branch equivalence, descent, stationarity, and fit-level invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,12 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(InvalidInputError):
         SolverConfig(branch="fancy")
+    # NaN compares False with everything; an infinite penalty diverges.
+    for bad in [dict(c1=math.nan), dict(c2=math.nan), dict(cap_eps=math.nan),
+                dict(conv_tol=math.nan), dict(weight_floor=math.nan), dict(c1=math.inf),
+                dict(c2=math.inf), dict(c2=-math.inf)]:
+        with pytest.raises(InvalidInputError):
+            SolverConfig(**bad)
 
 
 def test_weight_rule_cases():

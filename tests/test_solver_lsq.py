@@ -1,5 +1,6 @@
 """Least-squares baseline: normal-equation oracle and optimizer cross-check."""
 
+import math
 from functools import partial
 
 import numpy as np
@@ -103,6 +104,9 @@ def test_input_validation():
         fit_lsq(d, C=1.0, ridge=-1e-3)
     with pytest.raises(InvalidInputError):
         fit_lsq(d, C=1.0, ridge=0.0)
+    for C, ridge in [(math.nan, 1e-8), (math.inf, 1e-8), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(InvalidInputError):
+            fit_lsq(d, C=C, ridge=ridge)
     with pytest.raises(InvalidInputError):
         fit_lsq(Dataset(X_pos=np.zeros((0, 2)), X_neg=[[1.0, 2.0]]), C=1.0)
 
