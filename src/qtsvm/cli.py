@@ -99,8 +99,8 @@ def _write_manifest(out_path, command, flags, outputs, inputs=()):
 
 def cmd_generate(args) -> int:
     d = GENERATORS[args.example](args.m, args.seed)
-    if args.noise_ratio > 0:
-        d = inject_label_noise(d, args.noise_ratio, seed=args.seed + 1)
+    # A ratio of 0 returns the same samples; a bad one is rejected.
+    d = inject_label_noise(d, args.noise_ratio, seed=args.seed + 1)
     header = [f"x{i + 1}" for i in range(d.n)] + ["label"]
     _write_labelled_matrix(args.out, header, *d.stacked())
     _write_manifest(

@@ -3,6 +3,7 @@ Nemenyi critical-difference test."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -73,8 +74,9 @@ def f1(counts: ConfusionCounts) -> float:
 
 class _GridTrainer:
     """A grid-searchable trainer.  Subclasses define
-    fit_split(train, grid, mode, scaler), which fits a grid of parameter
-    dicts on the training split as one GridFit."""
+    fit_split(train, grid, mode, scaler, mask=None), which fits a grid of
+    parameter dicts on the training split as one GridFit, lane g on the
+    samples that mask[g] keeps (see fit_grid)."""
 
     def evaluate(self, train, test, grid, mode, scaler) -> list[ConfusionCounts]:
         """Fit one model per grid point on the training split, all in one
@@ -91,8 +93,8 @@ class CL1Trainer(_GridTrainer):
     name = "cl1qtsvm"
 
     @staticmethod
-    def fit_split(train, grid, mode, scaler):
-        return fit_grid(train, [SolverConfig(**params) for params in grid], mode, scaler)
+    def fit_split(train, grid, mode, scaler, mask=None):
+        return fit_grid(train, [SolverConfig(**params) for params in grid], mode, scaler, mask)
 
 
 class LSQTrainer(_GridTrainer):
@@ -101,9 +103,9 @@ class LSQTrainer(_GridTrainer):
     name = "lsqtsvm"
 
     @staticmethod
-    def fit_split(train, grid, mode, scaler):
+    def fit_split(train, grid, mode, scaler, mask=None):
         return fit_lsq_grid(train, [params["C"] for params in grid], mode=mode,
-                            scaler=scaler)
+                            scaler=scaler, mask=mask)
 
 
 def default_grid(method: str) -> list[dict]:
@@ -187,6 +189,30 @@ def _split(dataset: Dataset, assign: np.ndarray, fold: int):
     return train, test
 
 
+def _inner_counts(trainer, train, spec: CvSpec, scaler, assign, k):
+    """Confusion counts of every grid point on each of the k inner folds
+    that assign deals, one list per fold in grid order.
+
+    With a shared scaler (normalize="full") an inner fold's training
+    problem is the whole training split with its held-out samples masked
+    out, so all folds' grids are fit as one stack on the split scaled and
+    lifted once; with per-fold scaling each fold is fit on its own."""
+    if spec.normalize == "per-fold":
+        return [trainer.evaluate(*_split(train, assign, fold), spec.grid, spec.mode, scaler)
+                for fold in range(k)]
+    size = len(spec.grid)
+    held = assign == np.arange(k)[:, None]
+    fitted = trainer.fit_split(train, tuple(spec.grid) * k, spec.mode, scaler,
+                               mask=np.repeat(~held, size, axis=0))
+    X, y = train.stacked()
+    per_fold = []
+    for fold, rows in enumerate(held):
+        lanes = slice(fold * size, (fold + 1) * size)
+        pos, neg = (tuple(a[lanes] for a in stack) for stack in (fitted.pos, fitted.neg))
+        per_fold.append(counts_stack(y[rows], predict_stack(fitted.scaler, pos, neg, X[rows])))
+    return per_fold
+
+
 def _inner_select(trainer, train, spec: CvSpec, scaler, seed_key):
     """Pick the grid point with the best inner-CV mean accuracy."""
     k = min(spec.inner_folds, train.m_pos, train.m_neg)
@@ -195,11 +221,8 @@ def _inner_select(trainer, train, spec: CvSpec, scaler, seed_key):
             "training split too small for inner model selection; use fewer folds"
         )
     assign = _stratified_folds(train.m_pos, train.m_neg, k, seed_key)
-    per_fold = []
-    for fold in range(k):
-        tr, te = _split(train, assign, fold)
-        counts = trainer.evaluate(tr, te, spec.grid, spec.mode, scaler)
-        per_fold.append([accuracy(c) for c in counts])
+    per_fold = [[accuracy(c) for c in counts]
+                for counts in _inner_counts(trainer, train, spec, scaler, assign, k)]
     means = [float(np.mean(accs)) for accs in zip(*per_fold)]
     return spec.grid[int(np.argmax(means))]
 
@@ -326,6 +349,9 @@ def nemenyi_cd(k: int, N: int, q_alpha: float | None = None) -> float:
         raise InvalidInputError("need at least two methods")
     if N < 1:
         raise InvalidInputError("need at least one dataset")
+    # Written so that NaN fails too.
+    if q_alpha is not None and not 0 < q_alpha < math.inf:
+        raise InvalidInputError(f"q_alpha must be finite and > 0, got {q_alpha}")
     if q_alpha is None:
         if k not in Q_ALPHA_05:
             raise InvalidInputError(

@@ -9,7 +9,9 @@ as one system in sample space whose Gram matrix is formed once per fit.
 
 The iteration runs over a stack of lanes, one per (c1, c2) setting, on
 data scaled and lifted once: ``fit_grid`` fits a whole hyperparameter grid
-that way and ``fit`` is its one-lane case.
+that way and ``fit`` is its one-lane case.  A lane may also train on a
+subset of the samples, given as a mask, so that the folds of a
+cross-validation split are lanes of the same stack.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ class SolverConfig:
         if not all(v > 0 for v in (self.c1, self.c2, self.cap_eps, self.conv_tol,
                                    self.weight_floor)):
             raise InvalidInputError("c1, c2, cap_eps, conv_tol, weight_floor must be > 0")
-        if math.inf in (self.c1, self.c2):
-            raise InvalidInputError("c1 and c2 must be finite")
+        # An infinite cap makes the saturated loss inf - inf.
+        if math.inf in (self.c1, self.c2, self.cap_eps):
+            raise InvalidInputError("c1, c2 and cap_eps must be finite")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
         if self.branch not in ("auto", "smw", "direct"):
@@ -144,7 +147,11 @@ def _capped_weights(residuals: np.ndarray, cap_eps: float, floor: float) -> np.n
     weight on saturated residuals retains margin pressure from far-side
     points.  The floor guards the reciprocal against division by zero.
     """
-    a = np.abs(residuals)
+    return _weights_of_abs(np.abs(residuals), cap_eps, floor)
+
+
+def _weights_of_abs(a, cap_eps, floor):
+    """_capped_weights of residuals whose magnitudes are a."""
     return np.where(a <= cap_eps, 1.0 / np.maximum(a, floor), cap_eps)
 
 
@@ -311,14 +318,12 @@ def update_w_plus(Zp, Zm, state: ReweightState, cfg: SolverConfig) -> np.ndarray
     return w[0]
 
 
-def _mixed_loss_sum(values: np.ndarray, cap_eps: float):
-    """Sum (over the last axis) of the loss the reweighting scheme descends
-    on: |r| below the cap, (eps/2) r^2 + eps - eps^3/2 above it (continuous
-    at |r| = eps)."""
-    a = np.abs(values)
+def _mixed_loss_of_abs(a: np.ndarray, cap_eps: float) -> np.ndarray:
+    """The loss the reweighting scheme descends on, at residuals of
+    magnitude a: |r| below the cap, (eps/2) r^2 + eps - eps^3/2 above it
+    (continuous at |r| = eps)."""
     e = cap_eps
-    sat = 0.5 * e * a**2 + e - 0.5 * e**3
-    return np.where(a <= e, a, sat).sum(axis=-1)
+    return np.where(a <= e, a, 0.5 * e * a**2 + e - 0.5 * e**3)
 
 
 def capped_loss_sum(values: np.ndarray, cap_eps: float) -> float:
@@ -326,15 +331,21 @@ def capped_loss_sum(values: np.ndarray, cap_eps: float) -> float:
     return float(np.minimum(np.abs(values), cap_eps).sum())
 
 
-def _objective(w, residuals, slacks, c1, c2, cap_eps):
-    """Mixed-loss objective from an iterate's residuals and slacks."""
-    return (_mixed_loss_sum(residuals, cap_eps) + 0.5 * c1 * (w * w).sum(axis=-1)
-            + c2 * _mixed_loss_sum(slacks, cap_eps))
+def _objective(w, abs_residuals, abs_slacks, c1, c2, cap_eps, own=None, other=None):
+    """Mixed-loss objective from the magnitudes of an iterate's residuals and
+    slacks; own and other, when given, are 0/1 masks of the samples counted."""
+    loss_r = _mixed_loss_of_abs(abs_residuals, cap_eps)
+    loss_s = _mixed_loss_of_abs(abs_slacks, cap_eps)
+    if own is not None:
+        loss_r *= own
+        loss_s *= other
+    return (loss_r.sum(axis=-1) + 0.5 * c1 * (w * w).sum(axis=-1)
+            + c2 * loss_s.sum(axis=-1))
 
 
 def objective_plus(w_plus, Zp, Zm, cfg: SolverConfig) -> float:
     """Objective of the positive-surface subproblem (mixed-loss form)."""
-    return float(_objective(w_plus, w_plus @ Zp, _slacks(w_plus, Zm),
+    return float(_objective(w_plus, np.abs(w_plus @ Zp), np.abs(_slacks(w_plus, Zm)),
                             cfg.c1, cfg.c2, cfg.cap_eps))
 
 
@@ -348,48 +359,69 @@ def stationarity_residual_plus(w_plus, Zp, Zm, state, cfg) -> float:
     return float(np.linalg.norm(grad))
 
 
-def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, gram=None):
+def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, gram=None, own=None,
+          other=None):
     """The capped-L1 IRLS of the positive subproblem over a stack of lanes,
     lane g with penalties (c1[g], c2[g]) and the rest of cfg.
 
+    own and other, when given, are 0/1 masks of shapes (G, m_own) and
+    (G, m_other): lane g trains on the samples where its row is 1, and a 0
+    gives its sample no weight in any solve, no part in the objective and
+    weight 0 in the final state.
+
     Each lane keeps its own weights and stops on its own step rule; the
-    lanes still running are solved together.  Returns the weight vectors,
+    lanes still running are solved together, and only their arrays are
+    carried from one iteration to the next.  Returns the weight vectors,
     shape (G, l), and one SubproblemReport per lane.
     """
     G, l = c1.size, Z_own.shape[0]
-    W = np.zeros((G, l))
-    # The zero start carries no residual information (own-class
-    # reciprocals would all hit the division floor), so the first update
-    # is a plain unweighted least-squares step.
-    Q = np.ones((G, Z_own.shape[1]))
-    U = np.ones((G, Z_other.shape[1]))
+    e, floor = cfg.cap_eps, cfg.weight_floor
+    masked = own is not None
+    W = np.empty((G, l))
+    Q = np.empty((G, Z_own.shape[1]))
+    U = np.empty((G, Z_other.shape[1]))
     trace = np.empty((cfg.max_iter, G))
     iters = np.zeros(G, dtype=int)
     fallbacks = np.zeros(G, dtype=int)
     peak = np.zeros(G)
     converged = np.zeros(G, dtype=bool)
+    # The state of the lanes still running, row i belonging to lane lanes[i].
     lanes = np.arange(G)
+    W_old, fell_sum, peak_a = np.zeros((G, l)), np.zeros(G, dtype=int), np.zeros(G)
+    # The zero start carries no residual information (own-class
+    # reciprocals would all hit the division floor), so the first update
+    # is a plain unweighted least-squares step on each lane's samples.
+    Qa = own if masked else np.ones_like(Q)
+    Ua = other if masked else np.ones_like(U)
     for t in range(cfg.max_iter):
-        if t:
-            Q[lanes] = _capped_weights(R, cfg.cap_eps, cfg.weight_floor)
-            U[lanes] = _capped_weights(S, cfg.cap_eps, cfg.weight_floor)
-        Qa, Ua = Q[lanes], U[lanes]
-        W_new, fell = _solve_lanes(Z_own, Z_other, Qa, Ua, c1[lanes], c2[lanes], branch, gram)
+        W_new, fell = _solve_lanes(Z_own, Z_other, Qa, Ua, c1, c2, branch, gram)
         if not np.isfinite(W_new).all():
             raise NumericError(f"non-finite iterate at iteration {t}")
-        R, S = W_new @ Z_own, _slacks(W_new, Z_other)
-        trace[t, lanes] = _objective(W_new, R, S, c1[lanes], c2[lanes], cfg.cap_eps)
-        W_old = W[lanes]
+        # |r| serves both the objective here and the next weights.
+        R, S = np.abs(W_new @ Z_own), np.abs(_slacks(W_new, Z_other))
+        trace[t, lanes] = _objective(W_new, R, S, c1, c2, e, own, other)
         step = np.linalg.norm(W_new - W_old, axis=1)
         done = step <= cfg.conv_tol * (1.0 + np.linalg.norm(W_old, axis=1))
-        W[lanes] = W_new
-        iters[lanes] += 1
-        fallbacks[lanes] += fell
-        peak[lanes] = np.maximum(peak[lanes], np.maximum(Qa.max(axis=1), Ua.max(axis=1)))
-        converged[lanes] = done
-        lanes, R, S = lanes[~done], R[~done], S[~done]
-        if not lanes.size:
-            break
+        fell_sum += fell
+        peak_a = np.maximum(peak_a, np.maximum(Qa.max(axis=1), Ua.max(axis=1)))
+        stop = done if t + 1 < cfg.max_iter else np.ones_like(done)
+        if stop.any():
+            fin = lanes[stop]
+            W[fin], Q[fin], U[fin] = W_new[stop], Qa[stop], Ua[stop]
+            iters[fin], converged[fin] = t + 1, done[stop]
+            fallbacks[fin], peak[fin] = fell_sum[stop], peak_a[stop]
+            if stop.all():
+                break
+            run = ~stop
+            lanes, W_new, R, S = lanes[run], W_new[run], R[run], S[run]
+            c1, c2, fell_sum, peak_a = c1[run], c2[run], fell_sum[run], peak_a[run]
+            if masked:
+                own, other = own[run], other[run]
+        W_old = W_new
+        Qa, Ua = _weights_of_abs(R, e, floor), _weights_of_abs(S, e, floor)
+        if masked:
+            Qa *= own
+            Ua *= other
     reports = [
         SubproblemReport(
             objective_trace=trace[: iters[g], g].copy(),
@@ -410,6 +442,7 @@ def fit_grid(
     cfgs,
     mode: LiftingMode = LiftingMode.FULL,
     scaler: NormalizationParams | None = None,
+    mask=None,
 ) -> GridFit:
     """Train the capped-L1 twin classifier under each configuration of
     ``cfgs`` on one scaled and lifted copy of the dataset.
@@ -417,34 +450,56 @@ def fit_grid(
     Configurations that differ only in c1 and c2 share one stacked IRLS
     per subproblem, each starting cold from zero.  When ``scaler`` is None
     the [-1, 1] rescaling is fit on this dataset.
+
+    ``mask``, when given, has one row per configuration over the samples
+    in ``dataset.stacked()`` order (positives first): configuration g
+    trains on the samples where mask[g] is nonzero, as if fit on that
+    subset with the same scaler.  Each lane takes its solve branch from its
+    own training count of the other class.
     """
     if dataset.m_pos == 0 or dataset.m_neg == 0:
         raise InvalidInputError("both classes must be nonempty")
+    masks = None
+    if mask is not None:
+        mask = (np.asarray(mask) != 0).astype(float)
+        if mask.shape != (len(cfgs), dataset.m):
+            raise InvalidInputError(f"mask shape {mask.shape} is not "
+                                    f"({len(cfgs)}, {dataset.m})")
+        masks = {"pos": mask[:, : dataset.m_pos], "neg": mask[:, dataset.m_pos :]}
+        if not all(m.any(axis=1).all() for m in masks.values()):
+            raise InvalidInputError("every masked configuration needs samples of both classes")
     if scaler is None:
         scaler = fit_scaler(dataset)
     scaled = scale_dataset(dataset, scaler)
-    Zp = lift_matrix(scaled.X_pos, mode).T
-    Zm = lift_matrix(scaled.X_neg, mode).T
+    Z = {"pos": lift_matrix(scaled.X_pos, mode).T, "neg": lift_matrix(scaled.X_neg, mode).T}
+    l = Z["pos"].shape[0]
+    counts = {side: np.full(len(cfgs), Z[side].shape[1]) if masks is None
+              else masks[side].sum(axis=1) for side in Z}
 
     groups: dict = {}
     for g, cfg in enumerate(cfgs):
         groups.setdefault(replace(cfg, c1=1.0, c2=1.0), []).append(g)
-    sides = {"pos": (Zp, Zm), "neg": (Zm, Zp)}
-    w = {side: np.empty((len(cfgs), Zp.shape[0])) for side in sides}
-    reps = {side: [None] * len(cfgs) for side in sides}
+    w = {side: np.empty((len(cfgs), l)) for side in Z}
+    reps = {side: [None] * len(cfgs) for side in Z}
     grams = {}
     for shared, idx in groups.items():
+        idx = np.array(idx)
         c1 = np.array([cfgs[g].c1 for g in idx])
         c2 = np.array([cfgs[g].c2 for g in idx])
-        for side, (Z_own, Z_other) in sides.items():
-            branch = _pick_branch(Z_own.shape[0], Z_other.shape[1], shared.branch)
-            if branch == "smw" and not grams:
-                grams["pos"] = _sample_gram(Zp, Zm)
-                # Swapping the classes swaps the Gram's blocks.
-                grams["neg"] = np.roll(grams["pos"], (-Zp.shape[1],) * 2, axis=(0, 1))
-            w[side][idx], lane_reps = _irls(Z_own, Z_other, c1, c2, shared, branch, grams.get(side))
-            for g, rep in zip(idx, lane_reps):
-                reps[side][g] = rep
+        for own, other in (("pos", "neg"), ("neg", "pos")):
+            branches = [_pick_branch(l, int(m), shared.branch) for m in counts[other][idx]]
+            for branch in dict.fromkeys(branches):
+                sel = np.array(branches) == branch
+                lanes = idx[sel]
+                if branch == "smw" and not grams:
+                    grams["pos"] = _sample_gram(Z["pos"], Z["neg"])
+                    # Swapping the classes swaps the Gram's blocks.
+                    grams["neg"] = np.roll(grams["pos"], (-Z["pos"].shape[1],) * 2, axis=(0, 1))
+                lane_masks = () if masks is None else (masks[own][lanes], masks[other][lanes])
+                w[own][lanes], lane_reps = _irls(Z[own], Z[other], c1[sel], c2[sel], shared,
+                                                 branch, grams.get(own), *lane_masks)
+                for g, rep in zip(lanes, lane_reps):
+                    reps[own][g] = rep
     return GridFit(
         scaler=scaler,
         mode=mode,

@@ -27,9 +27,11 @@ def fit_lsq_grid(
     ridge: float = DEFAULT_RIDGE,
     mode: LiftingMode = LiftingMode.FULL,
     scaler: NormalizationParams | None = None,
+    mask=None,
 ) -> GridFit:
     """Train the least-squares twin classifier for each penalty C in ``Cs``
-    in one stacked solve.
+    in one stacked solve; ``mask`` restricts each lane's training samples
+    as in ``fit_grid``.
 
     Raises NumericError when a system is not positive definite in floating
     point, rather than accept the capped-L1 solver's least-squares fallback.
@@ -37,7 +39,7 @@ def fit_lsq_grid(
     if not all(0 < v < math.inf for v in (*Cs, ridge)):
         raise InvalidInputError("C and ridge must be finite and > 0")
     cfgs = [SolverConfig(c1=ridge, c2=2.0 * C, max_iter=1, branch="direct") for C in Cs]
-    grid = fit_grid(dataset, cfgs, mode, scaler)
+    grid = fit_grid(dataset, cfgs, mode, scaler, mask)
     if any(rep.pos.lstsq_fallbacks or rep.neg.lstsq_fallbacks for rep in grid.reports):
         raise NumericError("least-squares system factorization failed: "
                            "not positive definite")

@@ -356,6 +356,11 @@ def _bench(*flags, **changes):
     return argv
 
 
+def _generate(*flags):
+    return lambda tmp, model: ["generate", "--example", 1, "--m", 20, "--seed", 0, *flags,
+                               "--out", tmp / "g.csv"]
+
+
 def _curves(m_per_class):
     return [{"name": "curves", "example": 3, "m_per_class": m_per_class}]
 
@@ -408,6 +413,11 @@ def trained(tmp_path_factory):
     (_train("cl1qtsvm", "--eps", "nan"), 2),
     (_train("cl1qtsvm", "--c2", "inf"), 2),
     (_train("lsqtsvm", "--c2", "nan"), 2),
+    (_train("cl1qtsvm", "--eps", "inf"), 2),
+    (_written("scores.csv", b"a,b\n0.9,0.8\n0.7,0.6\n", ["nemenyi", "--q-alpha", "nan", "--results"]), 2),
+    (_written("scores.csv", b"a,b\n0.9,0.8\n0.7,0.6\n", ["nemenyi", "--q-alpha", "-1", "--results"]), 2),
+    (_generate("--noise-ratio", "nan"), 2),
+    (_generate("--noise-ratio", "-0.5"), 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
         "config-mode", "config-folds", "config-seed", "config-noise-ratios", "config-m-per-class",
         "config-grid-key", "config-dataset-entry", "config-methods-string", "jobs-zero",
@@ -415,7 +425,8 @@ def trained(tmp_path_factory):
         "nemenyi-raw-text", "nemenyi-results-text", "nemenyi-ragged", "nemenyi-results-no-acc",
         "nemenyi-not-utf8", "nemenyi-missing", "nemenyi-directory", "nemenyi-nan",
         "replay-not-utf8", "replay-command-number", "replay-flag-list", "train-c1-nan",
-        "train-eps-nan", "train-c2-inf", "lsq-c2-nan"])
+        "train-eps-nan", "train-c2-inf", "lsq-c2-nan", "train-eps-inf", "nemenyi-q-alpha-nan",
+        "nemenyi-q-alpha-negative", "generate-noise-nan", "generate-noise-negative"])
 def test_cli_failures_are_clean(trained, argv, code):
     # Each input once ended in a traceback or the wrong exit code.
     src = str(Path(qtsvm.__file__).resolve().parents[1])

@@ -261,6 +261,9 @@ def test_nemenyi_cd_tabulated_default():
         nemenyi_cd(1, 10)
     with pytest.raises(InvalidInputError):
         nemenyi_cd(3, 0)
+    for bad in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(InvalidInputError):
+            nemenyi_cd(3, 10, q_alpha=bad)
 
 
 def test_mean_ranks():

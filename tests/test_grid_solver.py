@@ -1,14 +1,32 @@
-"""The stacked grid IRLS against the serial loop it replaced, and its
-lane-by-lane least-squares fallback."""
+"""The stacked grid IRLS against the serial loop it replaced, its
+lane-by-lane least-squares fallback, and its training masks against fits
+on the masked subsets."""
 
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from qtsvm import solver_cl1
-from qtsvm.data import Dataset, fit_scaler, gen_example1, inject_label_noise, scale_dataset
+from qtsvm.data import (
+    Dataset,
+    apply_scaler,
+    fit_scaler,
+    gen_example1,
+    inject_label_noise,
+    scale_dataset,
+)
+from qtsvm.evaluation import (
+    CL1Trainer,
+    CvSpec,
+    LSQTrainer,
+    _inner_counts,
+    _inner_select,
+    _split,
+    _stratified_folds,
+    accuracy,
+)
 from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights, unpack_weights
-from qtsvm.model import GRADIENT_NORM_FLOOR, predict_stack
+from qtsvm.model import GRADIENT_NORM_FLOOR, _distances, predict_stack
 from qtsvm.solver_cl1 import (
     SolverConfig,
     _capped_weights,
@@ -276,3 +294,173 @@ def test_report_counts_fallbacks_and_peak_weight():
         state = rep.final_state
         assert rep.peak_weight >= max(state.q.max(), state.u.max())
         assert rep.peak_weight <= 1.0 / SolverConfig().weight_floor
+
+
+def assert_fits_identical(a, b):
+    """Two GridFits are bit-identical: surfaces, traces, states and counts."""
+    for side in ("pos", "neg"):
+        for x, y in zip(getattr(a, side), getattr(b, side)):
+            np.testing.assert_array_equal(x, y)
+    for ra, rb in zip(a.reports, b.reports):
+        for side in ("pos", "neg"):
+            p, q = getattr(ra, side), getattr(rb, side)
+            np.testing.assert_array_equal(p.objective_trace, q.objective_trace)
+            np.testing.assert_array_equal(p.final_state.q, q.final_state.q)
+            np.testing.assert_array_equal(p.final_state.u, q.final_state.u)
+            assert (p.iterations_used, p.converged, p.branch_used, p.lstsq_fallbacks,
+                    p.peak_weight) == (q.iterations_used, q.converged, q.branch_used,
+                                       q.lstsq_fallbacks, q.peak_weight)
+
+
+def subset(d, keep):
+    """The samples of d that the mask row keep (positives first) keeps."""
+    return Dataset(X_pos=d.X_pos[keep[: d.m_pos]], X_neg=d.X_neg[keep[d.m_pos :]])
+
+
+def fold_masks(d, k, seed):
+    """Training masks of k stratified folds of d, one row per fold."""
+    assign = _stratified_folds(d.m_pos, d.m_neg, k, seed)
+    return assign != np.arange(k)[:, None]
+
+
+# Per class 30 samples put every lane on the direct branch, 5 on the SMW one
+# (six lifted dimensions against at most five samples of the other class).
+BRANCH_SIZES = [(30, "direct"), (5, "smw")]
+# Below this weight norm a surface has collapsed to w ~ 0.
+COLLAPSED_NORM = 1e-6
+
+
+@pytest.mark.parametrize("m_per_class, branch", BRANCH_SIZES)
+def test_all_ones_mask_is_no_mask(m_per_class, branch):
+    d = gen_example1(m_per_class, seed=5)
+    plain = fit_grid(d, SMW_CFGS)
+    assert {r.pos.branch_used for r in plain.reports} == {branch}
+    assert_fits_identical(plain, fit_grid(d, SMW_CFGS, mask=np.ones((len(SMW_CFGS), d.m))))
+
+
+def assert_lane_matches_subset(fitted, lane, keep, ref, g):
+    """Lane ``lane`` of a masked fit against lane g of the fit on the subset
+    that keep selects: same branch, iterations and convergence, weights to
+    1e-10 where both converge, and no final weight on a sample left out.
+    Returns the number of surfaces that converged."""
+    m_pos = fitted.reports[lane].pos.final_state.q.size
+    converged = 0
+    for side, own, other in (("pos", keep[:m_pos], keep[m_pos:]),
+                             ("neg", keep[m_pos:], keep[:m_pos])):
+        rep, rep_ref = getattr(fitted.reports[lane], side), getattr(ref.reports[g], side)
+        assert rep.branch_used == rep_ref.branch_used
+        assert (rep.iterations_used, rep.converged) == (rep_ref.iterations_used, rep_ref.converged)
+        assert not rep.final_state.q[~own].any() and not rep.final_state.u[~other].any()
+        if rep.converged:
+            converged += 1
+            w = lane_weights(getattr(fitted, side), lane)
+            w_ref = lane_weights(getattr(ref, side), g)
+            # A surface that collapses to w ~ 0 is rounding noise to relative
+            # precision; it need only collapse in both fits.
+            if np.linalg.norm(w_ref) < COLLAPSED_NORM:
+                assert np.linalg.norm(w) < COLLAPSED_NORM, (lane, side)
+            else:
+                assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref), (lane, side)
+    return converged
+
+
+@pytest.mark.parametrize("m_per_class, branch", BRANCH_SIZES)
+def test_masked_lane_matches_subset_fit(m_per_class, branch):
+    # Each fold's lanes follow fit_grid on that fold's training samples,
+    # scaled alike.
+    d = inject_label_noise(gen_example1(m_per_class, seed=5), 0.1, seed=5)
+    scaler = fit_scaler(d)
+    keeps = fold_masks(d, 4, 2)
+    fitted = fit_grid(d, SMW_CFGS * len(keeps), scaler=scaler,
+                      mask=np.repeat(keeps, len(SMW_CFGS), axis=0))
+    assert {r.pos.branch_used for r in fitted.reports} == {branch}
+    converged = 0
+    for f, keep in enumerate(keeps):
+        ref = fit_grid(subset(d, keep), SMW_CFGS, scaler=scaler)
+        for g in range(len(SMW_CFGS)):
+            converged += assert_lane_matches_subset(fitted, f * len(SMW_CFGS) + g, keep, ref, g)
+    assert converged >= len(keeps) * len(SMW_CFGS)
+
+
+@pytest.mark.parametrize("m_per_class, branch", BRANCH_SIZES)
+def test_masked_out_values_leave_the_lane_unchanged(m_per_class, branch):
+    d = gen_example1(m_per_class, seed=6)
+    scaler = fit_scaler(d)
+    keep = fold_masks(d, 5, 1)[0]
+    mask = np.repeat(keep[None], len(SMW_CFGS), axis=0)
+    fitted = fit_grid(d, SMW_CFGS, scaler=scaler, mask=mask)
+    assert {r.neg.branch_used for r in fitted.reports} == {branch}
+    rng = np.random.default_rng(0)
+    moved = Dataset(X_pos=d.X_pos.copy(), X_neg=d.X_neg.copy())
+    moved.X_pos[~keep[: d.m_pos]] = rng.uniform(-3, 3, ((~keep[: d.m_pos]).sum(), d.n))
+    moved.X_neg[~keep[d.m_pos :]] = rng.uniform(-3, 3, ((~keep[d.m_pos :]).sum(), d.n))
+    assert_fits_identical(fitted, fit_grid(moved, SMW_CFGS, scaler=scaler, mask=mask))
+
+
+def test_lanes_take_their_own_folds_branch():
+    # Six lifted dimensions: a surface whose lane trains on five samples of
+    # the other class solves in sample space, one with eight directly.  The
+    # third fold keeps five positives and eight negatives, so its positive
+    # surface (other class: negatives) runs direct and its negative SMW.
+    d = gen_example1(8, seed=7)
+    scaler = fit_scaler(d)
+    cut = np.ones(d.m, dtype=bool)
+    cut[[0, 1, 2, d.m_pos, d.m_pos + 1, d.m_pos + 2]] = False
+    mixed = cut.copy()
+    mixed[d.m_pos :] = True
+    keeps = [cut, np.ones(d.m, dtype=bool), mixed]
+    expect = [("smw", "smw"), ("direct", "direct"), ("direct", "smw")]
+    fitted = fit_grid(d, SMW_CFGS * 3, scaler=scaler, mask=np.repeat(keeps, len(SMW_CFGS), axis=0))
+    for f, (keep, branches) in enumerate(zip(keeps, expect)):
+        ref = fit_grid(subset(d, keep), SMW_CFGS, scaler=scaler)
+        for g in range(len(SMW_CFGS)):
+            rep = fitted.reports[f * len(SMW_CFGS) + g]
+            assert (rep.pos.branch_used, rep.neg.branch_used) == branches
+            assert_lane_matches_subset(fitted, f * len(SMW_CFGS) + g, keep, ref, g)
+
+
+def fold_labels(fitted, lanes, X):
+    """Labels of the raw rows X under the given lanes of a GridFit, and the
+    larger of each row's two distances."""
+    Xs = apply_scaler(fitted.scaler, X)
+    d_pos, d_neg = (_distances(Xs, *(a[lanes] for a in stack))
+                    for stack in (fitted.pos, fitted.neg))
+    return np.where(d_pos <= d_neg, 1, -1), np.maximum(d_pos, d_neg)
+
+
+@pytest.mark.parametrize("trainer, grid", [
+    (CL1Trainer(), tuple({"c1": a, "c2": b} for a in POWERS for b in POWERS)),
+    (LSQTrainer(), tuple({"C": c} for c in POWERS)),
+])
+def test_stacked_inner_cv_matches_fold_loop(trainer, grid):
+    # One stack for all inner folds against one fit per inner fold: the
+    # same labels wherever they are not rounding-decided, hence the same
+    # counts on every lane with no rounding-decided row, and the same grid
+    # point picked.
+    d = inject_label_noise(gen_example1(40, seed=3), 0.1, seed=3)
+    spec = CvSpec(folds=5, grid=grid, inner_folds=4)
+    scaler = fit_scaler(d)
+    k, seed = 4, [0, 0, 2, 1]
+    assign = _stratified_folds(d.m_pos, d.m_neg, k, seed)
+    held = assign == np.arange(k)[:, None]
+    stacked = trainer.fit_split(d, grid * k, spec.mode, scaler,
+                                mask=np.repeat(~held, len(grid), axis=0))
+    counts = _inner_counts(trainer, d, spec, scaler, assign, k)
+    X, _ = d.stacked()
+    loop = []
+    compared = 0
+    for fold, rows in enumerate(held):
+        train, test = _split(d, assign, fold)
+        ref = trainer.fit_split(train, grid, spec.mode, scaler)
+        labels, far = fold_labels(stacked, slice(fold * len(grid), (fold + 1) * len(grid)),
+                                  X[rows])
+        labels_ref, far_ref = fold_labels(ref, slice(None), X[rows])
+        decided = np.maximum(far, far_ref) < FLOOR_DISTANCE
+        np.testing.assert_array_equal(labels[decided], labels_ref[decided])
+        loop.append(trainer.evaluate(train, test, grid, spec.mode, scaler))
+        for g in np.flatnonzero(decided.all(axis=1)):
+            assert counts[fold][g] == loop[fold][g], (fold, grid[g])
+            compared += 1
+    assert compared >= k * len(grid) // 2
+    means = [np.mean([accuracy(c) for c in per_point]) for per_point in zip(*loop)]
+    assert _inner_select(trainer, d, spec, scaler, seed) == grid[int(np.argmax(means))]

@@ -48,10 +48,11 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(InvalidInputError):
         SolverConfig(branch="fancy")
-    # NaN compares False with everything; an infinite penalty diverges.
+    # NaN compares False with everything; an infinite penalty diverges, and an
+    # infinite cap makes the saturated loss inf - inf.
     for bad in [dict(c1=math.nan), dict(c2=math.nan), dict(cap_eps=math.nan),
                 dict(conv_tol=math.nan), dict(weight_floor=math.nan), dict(c1=math.inf),
-                dict(c2=math.inf), dict(c2=-math.inf)]:
+                dict(c2=math.inf), dict(c2=-math.inf), dict(cap_eps=math.inf)]:
         with pytest.raises(InvalidInputError):
             SolverConfig(**bad)
 
