@@ -151,8 +151,12 @@ def _capped_weights(residuals: np.ndarray, cap_eps: float, floor: float) -> np.n
 
 
 def _weights_of_abs(a, cap_eps, floor):
-    """_capped_weights of residuals whose magnitudes are a."""
-    return np.where(a <= cap_eps, 1.0 / np.maximum(a, floor), cap_eps)
+    """_capped_weights of residuals whose magnitudes are a, written over a."""
+    saturated = ~(a <= cap_eps)
+    np.maximum(a, floor, out=a)
+    np.divide(1.0, a, out=a)
+    a[saturated] = cap_eps
+    return a
 
 
 # Every subproblem below is written for the positive surface, with Z_own
@@ -318,12 +322,18 @@ def update_w_plus(Zp, Zm, state: ReweightState, cfg: SolverConfig) -> np.ndarray
     return w[0]
 
 
-def _mixed_loss_of_abs(a: np.ndarray, cap_eps: float) -> np.ndarray:
-    """The loss the reweighting scheme descends on, at residuals of
-    magnitude a: |r| below the cap, (eps/2) r^2 + eps - eps^3/2 above it
-    (continuous at |r| = eps)."""
+def _mixed_loss_sum(a: np.ndarray, cap_eps: float, keep) -> np.ndarray:
+    """Sum over the samples that keep marks of the loss the reweighting
+    scheme descends on, at residuals of magnitude a: |r| below the cap,
+    (eps/2) r^2 + eps - eps^3/2 above it (continuous at |r| = eps)."""
     e = cap_eps
-    return np.where(a <= e, a, 0.5 * e * a**2 + e - 0.5 * e**3)
+    loss = np.square(a)
+    loss *= 0.5 * e
+    loss += e
+    loss -= 0.5 * e**3
+    np.copyto(loss, a, where=a <= e)
+    loss *= keep
+    return loss.sum(axis=-1)
 
 
 def capped_loss_sum(values: np.ndarray, cap_eps: float) -> float:
@@ -331,22 +341,17 @@ def capped_loss_sum(values: np.ndarray, cap_eps: float) -> float:
     return float(np.minimum(np.abs(values), cap_eps).sum())
 
 
-def _objective(w, abs_residuals, abs_slacks, c1, c2, cap_eps, own=None, other=None):
+def _objective(w, abs_residuals, abs_slacks, c1, c2, cap_eps, own, other):
     """Mixed-loss objective from the magnitudes of an iterate's residuals and
-    slacks; own and other, when given, are 0/1 masks of the samples counted."""
-    loss_r = _mixed_loss_of_abs(abs_residuals, cap_eps)
-    loss_s = _mixed_loss_of_abs(abs_slacks, cap_eps)
-    if own is not None:
-        loss_r *= own
-        loss_s *= other
-    return (loss_r.sum(axis=-1) + 0.5 * c1 * (w * w).sum(axis=-1)
-            + c2 * loss_s.sum(axis=-1))
+    slacks, counting the samples that the masks own and other mark."""
+    return (_mixed_loss_sum(abs_residuals, cap_eps, own) + 0.5 * c1 * (w * w).sum(axis=-1)
+            + c2 * _mixed_loss_sum(abs_slacks, cap_eps, other))
 
 
 def objective_plus(w_plus, Zp, Zm, cfg: SolverConfig) -> float:
     """Objective of the positive-surface subproblem (mixed-loss form)."""
     return float(_objective(w_plus, np.abs(w_plus @ Zp), np.abs(_slacks(w_plus, Zm)),
-                            cfg.c1, cfg.c2, cfg.cap_eps))
+                            cfg.c1, cfg.c2, cfg.cap_eps, True, True))
 
 
 def stationarity_residual_plus(w_plus, Zp, Zm, state, cfg) -> float:
@@ -359,15 +364,14 @@ def stationarity_residual_plus(w_plus, Zp, Zm, state, cfg) -> float:
     return float(np.linalg.norm(grad))
 
 
-def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, gram=None, own=None,
-          other=None):
+def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=None):
     """The capped-L1 IRLS of the positive subproblem over a stack of lanes,
     lane g with penalties (c1[g], c2[g]) and the rest of cfg.
 
-    own and other, when given, are 0/1 masks of shapes (G, m_own) and
-    (G, m_other): lane g trains on the samples where its row is 1, and a 0
-    gives its sample no weight in any solve, no part in the objective and
-    weight 0 in the final state.
+    own and other are boolean masks of shapes (G, m_own) and (G, m_other):
+    lane g trains on the samples its rows mark, and an unmarked sample gets
+    no weight in any solve, no part in the objective and weight 0 in the
+    final state.
 
     Each lane keeps its own weights and stops on its own step rule; the
     lanes still running are solved together, and only their arrays are
@@ -376,10 +380,9 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, gram=None, own=None
     """
     G, l = c1.size, Z_own.shape[0]
     e, floor = cfg.cap_eps, cfg.weight_floor
-    masked = own is not None
     W = np.empty((G, l))
-    Q = np.empty((G, Z_own.shape[1]))
-    U = np.empty((G, Z_other.shape[1]))
+    Q = np.empty(own.shape)
+    U = np.empty(other.shape)
     trace = np.empty((cfg.max_iter, G))
     iters = np.zeros(G, dtype=int)
     fallbacks = np.zeros(G, dtype=int)
@@ -391,15 +394,11 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, gram=None, own=None
     # The zero start carries no residual information (own-class
     # reciprocals would all hit the division floor), so the first update
     # is a plain unweighted least-squares step on each lane's samples.
-    Qa = own if masked else np.ones_like(Q)
-    Ua = other if masked else np.ones_like(U)
+    Qa, Ua = own.astype(float), other.astype(float)
     for t in range(cfg.max_iter):
         W_new, fell = _solve_lanes(Z_own, Z_other, Qa, Ua, c1, c2, branch, gram)
         if not np.isfinite(W_new).all():
             raise NumericError(f"non-finite iterate at iteration {t}")
-        # |r| serves both the objective here and the next weights.
-        R, S = np.abs(W_new @ Z_own), np.abs(_slacks(W_new, Z_other))
-        trace[t, lanes] = _objective(W_new, R, S, c1, c2, e, own, other)
         step = np.linalg.norm(W_new - W_old, axis=1)
         done = step <= cfg.conv_tol * (1.0 + np.linalg.norm(W_old, axis=1))
         fell_sum += fell
@@ -410,18 +409,22 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, gram=None, own=None
             W[fin], Q[fin], U[fin] = W_new[stop], Qa[stop], Ua[stop]
             iters[fin], converged[fin] = t + 1, done[stop]
             fallbacks[fin], peak[fin] = fell_sum[stop], peak_a[stop]
-            if stop.all():
-                break
+        # The weights are recorded, so their buffers take |r|, which serves
+        # both the objective here and the next weights, written over it.
+        R = np.abs(np.matmul(W_new, Z_own, out=Qa), out=Qa)
+        S = np.abs(np.add(np.matmul(W_new, Z_other, out=Ua), 1.0, out=Ua), out=Ua)
+        trace[t, lanes] = _objective(W_new, R, S, c1, c2, e, own, other)
+        if stop.all():
+            break
+        if stop.any():
             run = ~stop
             lanes, W_new, R, S = lanes[run], W_new[run], R[run], S[run]
             c1, c2, fell_sum, peak_a = c1[run], c2[run], fell_sum[run], peak_a[run]
-            if masked:
-                own, other = own[run], other[run]
+            own, other = own[run], other[run]
         W_old = W_new
         Qa, Ua = _weights_of_abs(R, e, floor), _weights_of_abs(S, e, floor)
-        if masked:
-            Qa *= own
-            Ua *= other
+        Qa *= own
+        Ua *= other
     reports = [
         SubproblemReport(
             objective_trace=trace[: iters[g], g].copy(),
@@ -454,27 +457,28 @@ def fit_grid(
     ``mask``, when given, has one row per configuration over the samples
     in ``dataset.stacked()`` order (positives first): configuration g
     trains on the samples where mask[g] is nonzero, as if fit on that
-    subset with the same scaler.  Each lane takes its solve branch from its
-    own training count of the other class.
+    subset with the given ``scaler``, which a mask requires.  Each lane
+    takes its solve branch from its own training count of the other class.
     """
     if dataset.m_pos == 0 or dataset.m_neg == 0:
         raise InvalidInputError("both classes must be nonempty")
-    masks = None
-    if mask is not None:
-        mask = (np.asarray(mask) != 0).astype(float)
-        if mask.shape != (len(cfgs), dataset.m):
-            raise InvalidInputError(f"mask shape {mask.shape} is not "
-                                    f"({len(cfgs)}, {dataset.m})")
-        masks = {"pos": mask[:, : dataset.m_pos], "neg": mask[:, dataset.m_pos :]}
-        if not all(m.any(axis=1).all() for m in masks.values()):
-            raise InvalidInputError("every masked configuration needs samples of both classes")
+    if mask is None:
+        mask = np.ones((len(cfgs), dataset.m), dtype=bool)
+    elif scaler is None:
+        # A scaler fit here would also see the samples the mask leaves out.
+        raise InvalidInputError("a mask needs the scaler of the masked problem")
+    mask = np.asarray(mask) != 0
+    if mask.shape != (len(cfgs), dataset.m):
+        raise InvalidInputError(f"mask shape {mask.shape} is not ({len(cfgs)}, {dataset.m})")
+    masks = {"pos": mask[:, : dataset.m_pos], "neg": mask[:, dataset.m_pos :]}
+    if not all(m.any(axis=1).all() for m in masks.values()):
+        raise InvalidInputError("every masked configuration needs samples of both classes")
     if scaler is None:
         scaler = fit_scaler(dataset)
     scaled = scale_dataset(dataset, scaler)
     Z = {"pos": lift_matrix(scaled.X_pos, mode).T, "neg": lift_matrix(scaled.X_neg, mode).T}
     l = Z["pos"].shape[0]
-    counts = {side: np.full(len(cfgs), Z[side].shape[1]) if masks is None
-              else masks[side].sum(axis=1) for side in Z}
+    counts = {side: masks[side].sum(axis=1) for side in Z}
 
     groups: dict = {}
     for g, cfg in enumerate(cfgs):
@@ -495,9 +499,9 @@ def fit_grid(
                     grams["pos"] = _sample_gram(Z["pos"], Z["neg"])
                     # Swapping the classes swaps the Gram's blocks.
                     grams["neg"] = np.roll(grams["pos"], (-Z["pos"].shape[1],) * 2, axis=(0, 1))
-                lane_masks = () if masks is None else (masks[own][lanes], masks[other][lanes])
                 w[own][lanes], lane_reps = _irls(Z[own], Z[other], c1[sel], c2[sel], shared,
-                                                 branch, grams.get(own), *lane_masks)
+                                                 branch, masks[own][lanes], masks[other][lanes],
+                                                 grams.get(own))
                 for g, rep in zip(lanes, lane_reps):
                     reps[own][g] = rep
     return GridFit(

@@ -15,6 +15,7 @@ from qtsvm.data import (
     inject_label_noise,
     scale_dataset,
 )
+from qtsvm.errors import InvalidInputError
 from qtsvm.evaluation import (
     CL1Trainer,
     CvSpec,
@@ -98,7 +99,9 @@ def test_stacked_irls_matches_serial_loop(split, side):
     c2 = np.array([cfg.c2 for cfg in GRID])
     # The stacked loop solves the positive form; the negative surface is
     # minus that solve on swapped classes.
-    W, reports = _irls(Z_own, Z_other, c1, c2, SolverConfig(), "direct")
+    W, reports = _irls(Z_own, Z_other, c1, c2, SolverConfig(), "direct",
+                       np.ones((c1.size, Z_own.shape[1]), bool),
+                       np.ones((c1.size, Z_other.shape[1]), bool))
     W = -sign * W
     both_converged = 0
     for g, cfg in enumerate(GRID):
@@ -335,7 +338,23 @@ def test_all_ones_mask_is_no_mask(m_per_class, branch):
     d = gen_example1(m_per_class, seed=5)
     plain = fit_grid(d, SMW_CFGS)
     assert {r.pos.branch_used for r in plain.reports} == {branch}
-    assert_fits_identical(plain, fit_grid(d, SMW_CFGS, mask=np.ones((len(SMW_CFGS), d.m))))
+    assert_fits_identical(plain, fit_grid(d, SMW_CFGS, scaler=plain.scaler,
+                                          mask=np.ones((len(SMW_CFGS), d.m))))
+
+
+def test_bad_masks_are_rejected():
+    d = gen_example1(10, seed=5)
+    scaler = fit_scaler(d)
+    ones = np.ones((len(SMW_CFGS), d.m))
+    # Without a scaler, one fit here would see the masked-out samples.
+    with pytest.raises(InvalidInputError, match="scaler"):
+        fit_grid(d, SMW_CFGS, mask=ones)
+    with pytest.raises(InvalidInputError, match="shape"):
+        fit_grid(d, SMW_CFGS, scaler=scaler, mask=ones[:, 1:])
+    no_neg = ones.copy()
+    no_neg[3, d.m_pos :] = 0
+    with pytest.raises(InvalidInputError, match="both classes"):
+        fit_grid(d, SMW_CFGS, scaler=scaler, mask=no_neg)
 
 
 def assert_lane_matches_subset(fitted, lane, keep, ref, g):
