@@ -25,11 +25,9 @@ from .model import (
     QuadraticSurface,
     TrainedModel,
     load_model,
-    normalized_distance,
     predict,
     predict_many,
     save_model,
-    surface_value,
 )
 from .solver_cl1 import FitReport, ReweightState, SolverConfig, fit
 from .solver_lsq import fit_lsq

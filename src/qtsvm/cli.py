@@ -192,6 +192,10 @@ def cmd_predict(args) -> int:
 
 _TRAINERS = {"cl1qtsvm": CL1Trainer, "lsqtsvm": LSQTrainer}
 _GRID_KEYS = {"cl1qtsvm": {"c1", "c2"}, "lsqtsvm": {"C"}}
+_CONFIG_KEYS = {"seed", "folds", "repeats", "selection", "normalize", "mode", "methods",
+                "datasets", "noise_ratios", "grid"}
+_DATASET_KEYS = {"example": {"name", "example", "m_per_class"},
+                 "path": {"name", "path", "label_column", "positive_label"}}
 
 
 def _config_error(msg: str):
@@ -216,6 +220,13 @@ def _grid_of(keys):
                     and all(_number(x) and x > 0 for x in p.values()))
 
 
+def _known_keys(doc, allowed, where):
+    # A misspelt key would otherwise be ignored and its default used.
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        _config_error(f"unknown key {unknown[0]!r}{where} (allowed: {sorted(allowed)})")
+
+
 def _get(doc, key, default, ok, what):
     value = doc.get(key, default)
     if not ok(value):
@@ -233,6 +244,7 @@ def _benchmark_config(path):
         raise DataFormatError(f"cannot read benchmark config: {exc}") from exc
     if not isinstance(cfg, dict):
         _config_error("expected a JSON object")
+    _known_keys(cfg, _CONFIG_KEYS, "")
     methods = _get(cfg, "methods", [], _list_of(lambda m: m in list(_TRAINERS)),
                    f"a nonempty list of method names from {sorted(_TRAINERS)}")
     entries = {}
@@ -240,6 +252,9 @@ def _benchmark_config(path):
                       "a nonempty list of objects"):
         name = _get(entry, "name", None, lambda v: isinstance(v, str) and v and v not in entries,
                     "a nonempty string used once")
+        # An entry with both 'example' and 'path' fails here on 'path'.
+        _known_keys(entry, _DATASET_KEYS["example" if "example" in entry else "path"],
+                    f" in dataset {name!r}")
         if "example" in entry:
             _get(entry, "example", None, lambda v: _int_from(1)(v) and v in GENERATORS,
                  f"one of {sorted(GENERATORS)}")
@@ -249,6 +264,9 @@ def _benchmark_config(path):
             _get(entry, "label_column", -1,
                  lambda v: isinstance(v, (int, str)) and not isinstance(v, bool),
                  "a column index or name")
+            _get(entry, "positive_label", "1",
+                 lambda v: isinstance(v, (int, float, str)) and not isinstance(v, bool),
+                 "a label string or number")
         else:
             _config_error(f"dataset {name!r} needs 'example' or 'path'")
         entries[name] = entry

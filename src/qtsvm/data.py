@@ -99,22 +99,15 @@ def scale_dataset(d: Dataset, params: NormalizationParams) -> Dataset:
     )
 
 
-def _noise_std(default_std: float, std: float | None) -> float:
-    # Each generator carries a default standard deviation; callers can
-    # override it to study other noise levels.
-    return default_std if std is None else std
-
-
-def gen_example1(m_per_class: int, seed: int, noise_std: float | None = None) -> Dataset:
+def gen_example1(m_per_class: int, seed: int) -> Dataset:
     """Two opposing parabolas: x2 = +-0.2222 x1^2 + offset, x1 ~ U[-3,3]."""
     if m_per_class < 1:
         raise InvalidInputError("m_per_class must be >= 1")
     rng = np.random.default_rng(seed)
-    sigma = _noise_std(0.1, noise_std)
     x1p = rng.uniform(-3.0, 3.0, m_per_class)
-    x2p = 0.2222 * x1p**2 + 0.5 + rng.normal(0.0, sigma, m_per_class)
+    x2p = 0.2222 * x1p**2 + 0.5 + rng.normal(0.0, 0.1, m_per_class)
     x1n = rng.uniform(-3.0, 3.0, m_per_class)
-    x2n = -0.2222 * x1n**2 + 1.5 + rng.normal(0.0, sigma, m_per_class)
+    x2n = -0.2222 * x1n**2 + 1.5 + rng.normal(0.0, 0.1, m_per_class)
     return Dataset(
         X_pos=np.column_stack([x1p, x2p]),
         X_neg=np.column_stack([x1n, x2n]),
@@ -122,7 +115,7 @@ def gen_example1(m_per_class: int, seed: int, noise_std: float | None = None) ->
     )
 
 
-def gen_example2(m_per_class: int, seed: int, noise_std: float | None = None) -> Dataset:
+def gen_example2(m_per_class: int, seed: int) -> Dataset:
     """Two half circles of radius 3 with vertical noise on x2.
 
     Class +1 sits on the upper half (theta in [0, pi]), class -1 on the
@@ -132,30 +125,28 @@ def gen_example2(m_per_class: int, seed: int, noise_std: float | None = None) ->
     if m_per_class < 1:
         raise InvalidInputError("m_per_class must be >= 1")
     rng = np.random.default_rng(seed)
-    sigma = _noise_std(0.2, noise_std)
     tp = rng.uniform(0.0, math.pi, m_per_class)
     xp = np.column_stack(
-        [3.0 * np.cos(tp), 3.0 * np.sin(tp) + rng.normal(0.0, sigma, m_per_class)]
+        [3.0 * np.cos(tp), 3.0 * np.sin(tp) + rng.normal(0.0, 0.2, m_per_class)]
     )
     tn = rng.uniform(math.pi, 2.0 * math.pi, m_per_class)
     xn = np.column_stack(
-        [3.0 * np.cos(tn), 3.0 * np.sin(tn) + rng.normal(0.0, sigma, m_per_class)]
+        [3.0 * np.cos(tn), 3.0 * np.sin(tn) + rng.normal(0.0, 0.2, m_per_class)]
     )
     return Dataset(
         X_pos=xp, X_neg=xn, provenance=f"example2(m={m_per_class},seed={seed})"
     )
 
 
-def gen_example3(m_per_class: int, seed: int, noise_std: float | None = None) -> Dataset:
+def gen_example3(m_per_class: int, seed: int) -> Dataset:
     """Mirror-image parabolas 0.75 x1^2 +- 1.5 x1 + 0.75 on shifted supports."""
     if m_per_class < 1:
         raise InvalidInputError("m_per_class must be >= 1")
     rng = np.random.default_rng(seed)
-    sigma = _noise_std(0.1, noise_std)
     x1p = rng.uniform(-3.0, 1.0, m_per_class)
-    x2p = 0.75 * x1p**2 + 1.5 * x1p + 0.75 + rng.normal(0.0, sigma, m_per_class)
+    x2p = 0.75 * x1p**2 + 1.5 * x1p + 0.75 + rng.normal(0.0, 0.1, m_per_class)
     x1n = rng.uniform(-1.0, 3.0, m_per_class)
-    x2n = 0.75 * x1n**2 - 1.5 * x1n + 0.75 + rng.normal(0.0, sigma, m_per_class)
+    x2n = 0.75 * x1n**2 - 1.5 * x1n + 0.75 + rng.normal(0.0, 0.1, m_per_class)
     return Dataset(
         X_pos=np.column_stack([x1p, x2p]),
         X_neg=np.column_stack([x1n, x2n]),

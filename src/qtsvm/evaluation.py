@@ -336,13 +336,6 @@ def sweep_rows(results) -> list[dict]:
             for (ds_name, ratio, method), result in results for rec in result.folds]
 
 
-def robustness_sweep(datasets: dict, trainers: list, noise_ratios, spec: CvSpec,
-                     grids: dict | None = None) -> list[dict]:
-    """Long-format table of (dataset, noise ratio, trainer) evaluations:
-    the rows of ``sweep_results`` run serially."""
-    return sweep_rows(sweep_results(datasets, trainers, noise_ratios, spec, grids))
-
-
 def nemenyi_cd(k: int, N: int, q_alpha: float | None = None) -> float:
     """Critical difference q_alpha(k) * sqrt(k(k+1) / (6N))."""
     if k < 2:

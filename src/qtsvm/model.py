@@ -53,22 +53,6 @@ class QuadraticSurface:
         return self.b.size
 
 
-def surface_value(s: QuadraticSurface, x: np.ndarray) -> float:
-    """Evaluate 1/2 x'Wx + b'x + c at one point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (s.n,):
-        raise InvalidInputError(f"expected a vector of length {s.n}, got {x.shape}")
-    return float(0.5 * x @ s.W @ x + s.b @ x + s.c)
-
-
-def normalized_distance(s: QuadraticSurface, x: np.ndarray) -> float:
-    """|surface value| over the gradient norm, floored at 1e-12."""
-    x = np.asarray(x, dtype=float)
-    grad = s.W @ x + s.b
-    denom = max(float(np.linalg.norm(grad)), GRADIENT_NORM_FLOOR)
-    return abs(surface_value(s, x)) / denom
-
-
 @dataclass(frozen=True)
 class TrainedModel:
     """Pair of surfaces plus the preprocessing state needed to predict
@@ -121,20 +105,13 @@ def predict_stack(scaler: NormalizationParams, pos, neg, X: np.ndarray) -> np.nd
     return np.where(d[:G] <= d[G:], 1, -1)
 
 
-def _one_pair(m: TrainedModel):
-    """The model's two surfaces as the one-pair stacks predict_stack takes."""
-    return tuple(
-        (s.W[None], s.b[None], np.array([s.c])) for s in (m.surface_pos, m.surface_neg)
-    )
-
-
 def predict(m: TrainedModel, x: np.ndarray) -> int:
     """Label one raw sample: +1 if it is at least as close (in normalized
     distance) to the positive surface as to the negative one."""
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n,):
         raise InvalidInputError(f"expected a vector of length {m.n}, got {x.shape}")
-    return int(predict_stack(m.scaler, *_one_pair(m), x[None, :])[0, 0])
+    return int(predict_many(m, x[None, :])[0])
 
 
 def predict_many(m: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -142,7 +119,12 @@ def predict_many(m: TrainedModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != m.n:
         raise InvalidInputError(f"expected {m.n} features, got {X.shape[1]}")
-    return predict_stack(m.scaler, *_one_pair(m), X)[0]
+    # A NaN distance compares false, so such a row would be labelled -1.
+    if not np.isfinite(X).all():
+        row = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise InvalidInputError(f"row {row} has a NaN or infinite feature")
+    pos, neg = ((s.W[None], s.b[None], np.array([s.c])) for s in (m.surface_pos, m.surface_neg))
+    return predict_stack(m.scaler, pos, neg, X)[0]
 
 
 def _surface_doc(s: QuadraticSurface, mode: LiftingMode) -> dict:

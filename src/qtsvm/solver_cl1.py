@@ -28,32 +28,32 @@ from .lifting import LiftingMode, lift_matrix, unpack_weights
 from .model import QuadraticSurface, TrainedModel
 
 
+# The reciprocal weights take |r| no smaller than this, so none exceeds 1e12.
+WEIGHT_FLOOR = 1e-12
+# A lane has converged once its step is at most CONV_TOL (1 + |previous iterate|).
+CONV_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Hyperparameters of the capped-L1 trainer.
 
     c1 weighs the L2 regularization term, c2 the slack penalty on the
     opposite class, cap_eps is the saturation threshold of the capped-L1
-    loss.  weight_floor guards the reciprocal weights against division
-    by zero.
+    loss.
     """
 
     c1: float = 1.0
     c2: float = 1.0
     cap_eps: float = 1.0
-    conv_tol: float = 1e-8
     max_iter: int = 30
-    weight_floor: float = 1e-12
     branch: str = "auto"  # "auto" | "smw" | "direct"
 
     def __post_init__(self):
-        # Written so that NaN, for which every comparison is False, fails.
-        if not all(v > 0 for v in (self.c1, self.c2, self.cap_eps, self.conv_tol,
-                                   self.weight_floor)):
-            raise InvalidInputError("c1, c2, cap_eps, conv_tol, weight_floor must be > 0")
-        # An infinite cap makes the saturated loss inf - inf.
-        if math.inf in (self.c1, self.c2, self.cap_eps):
-            raise InvalidInputError("c1, c2 and cap_eps must be finite")
+        # Written so that NaN, for which every comparison is False, fails.  An
+        # infinite cap would make the saturated loss inf - inf.
+        if not all(0 < v < math.inf for v in (self.c1, self.c2, self.cap_eps)):
+            raise InvalidInputError("c1, c2 and cap_eps must be finite and > 0")
         if self.max_iter < 1:
             raise InvalidInputError("max_iter must be >= 1")
         if self.branch not in ("auto", "smw", "direct"):
@@ -137,23 +137,19 @@ LANE_CHUNK_BYTES = 64 * 2**20
 STACKED_SOLVE_MAX_DIM = 50
 
 
-def _capped_weights(residuals: np.ndarray, cap_eps: float, floor: float) -> np.ndarray:
-    """Reciprocal weight below the cap (boundary included), cap_eps above it.
+def _weights_of_abs(a, cap_eps):
+    """Weights of residuals whose magnitudes are a, written over a:
+    reciprocal below the cap (boundary included), cap_eps above it.
 
     This is the iteratively reweighted rule L'(r)/r for the mixed loss
     L(r) = |r| below the cap and (eps/2) r^2 + eps - eps^3/2 above it:
     L(sqrt(t)) is concave and continuous for eps <= 1, so each weighted
     solve majorizes-and-minimizes that loss.  Keeping a small positive
     weight on saturated residuals retains margin pressure from far-side
-    points.  The floor guards the reciprocal against division by zero.
+    points.  WEIGHT_FLOOR guards the reciprocal against division by zero.
     """
-    return _weights_of_abs(np.abs(residuals), cap_eps, floor)
-
-
-def _weights_of_abs(a, cap_eps, floor):
-    """_capped_weights of residuals whose magnitudes are a, written over a."""
     saturated = ~(a <= cap_eps)
-    np.maximum(a, floor, out=a)
+    np.maximum(a, WEIGHT_FLOOR, out=a)
     np.divide(1.0, a, out=a)
     a[saturated] = cap_eps
     return a
@@ -167,18 +163,14 @@ def _weights_of_abs(a, cap_eps, floor):
 # 1 - w.z into 1 + (-w).z.  w may be one weight vector or a stack of them.
 
 
-def _slacks(w, Z_other):
-    return 1.0 + w @ Z_other
-
-
-def compute_weights_pos(w_plus, Zp, Zm, cap_eps, weight_floor=1e-12) -> ReweightState:
+def compute_weights_pos(w_plus, Zp, Zm, cap_eps) -> ReweightState:
     """Weights for the positive-surface subproblem at the current iterate.
 
     Own-class residuals are w.z_i over the positives; slacks are
     eta_j = 1 + w.z_j over the negatives.
     """
-    return ReweightState(q=_capped_weights(w_plus @ Zp, cap_eps, weight_floor),
-                         u=_capped_weights(_slacks(w_plus, Zm), cap_eps, weight_floor))
+    return ReweightState(q=_weights_of_abs(np.abs(w_plus @ Zp), cap_eps),
+                         u=_weights_of_abs(np.abs(1.0 + w_plus @ Zm), cap_eps))
 
 
 def _pick_branch(m_l: int, m_other: int, requested: str) -> str:
@@ -336,11 +328,6 @@ def _mixed_loss_sum(a: np.ndarray, cap_eps: float, keep) -> np.ndarray:
     return loss.sum(axis=-1)
 
 
-def capped_loss_sum(values: np.ndarray, cap_eps: float) -> float:
-    """Sum of the capped-L1 loss min(|r|, eps)."""
-    return float(np.minimum(np.abs(values), cap_eps).sum())
-
-
 def _objective(w, abs_residuals, abs_slacks, c1, c2, cap_eps, own, other):
     """Mixed-loss objective from the magnitudes of an iterate's residuals and
     slacks, counting the samples that the masks own and other mark."""
@@ -350,18 +337,8 @@ def _objective(w, abs_residuals, abs_slacks, c1, c2, cap_eps, own, other):
 
 def objective_plus(w_plus, Zp, Zm, cfg: SolverConfig) -> float:
     """Objective of the positive-surface subproblem (mixed-loss form)."""
-    return float(_objective(w_plus, np.abs(w_plus @ Zp), np.abs(_slacks(w_plus, Zm)),
+    return float(_objective(w_plus, np.abs(w_plus @ Zp), np.abs(1.0 + w_plus @ Zm),
                             cfg.c1, cfg.c2, cfg.cap_eps, True, True))
-
-
-def stationarity_residual_plus(w_plus, Zp, Zm, state, cfg) -> float:
-    """Norm of the weighted normal-equation gradient at w_plus."""
-    grad = (
-        Zp @ (state.q * (w_plus @ Zp))
-        + cfg.c1 * w_plus
-        + cfg.c2 * (Zm @ (state.u * _slacks(w_plus, Zm)))
-    )
-    return float(np.linalg.norm(grad))
 
 
 def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=None):
@@ -379,7 +356,6 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=No
     shape (G, l), and one SubproblemReport per lane.
     """
     G, l = c1.size, Z_own.shape[0]
-    e, floor = cfg.cap_eps, cfg.weight_floor
     W = np.empty((G, l))
     Q = np.empty(own.shape)
     U = np.empty(other.shape)
@@ -400,7 +376,7 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=No
         if not np.isfinite(W_new).all():
             raise NumericError(f"non-finite iterate at iteration {t}")
         step = np.linalg.norm(W_new - W_old, axis=1)
-        done = step <= cfg.conv_tol * (1.0 + np.linalg.norm(W_old, axis=1))
+        done = step <= CONV_TOL * (1.0 + np.linalg.norm(W_old, axis=1))
         fell_sum += fell
         peak_a = np.maximum(peak_a, np.maximum(Qa.max(axis=1), Ua.max(axis=1)))
         stop = done if t + 1 < cfg.max_iter else np.ones_like(done)
@@ -413,7 +389,7 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=No
         # both the objective here and the next weights, written over it.
         R = np.abs(np.matmul(W_new, Z_own, out=Qa), out=Qa)
         S = np.abs(np.add(np.matmul(W_new, Z_other, out=Ua), 1.0, out=Ua), out=Ua)
-        trace[t, lanes] = _objective(W_new, R, S, c1, c2, e, own, other)
+        trace[t, lanes] = _objective(W_new, R, S, c1, c2, cfg.cap_eps, own, other)
         if stop.all():
             break
         if stop.any():
@@ -422,7 +398,7 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=No
             c1, c2, fell_sum, peak_a = c1[run], c2[run], fell_sum[run], peak_a[run]
             own, other = own[run], other[run]
         W_old = W_new
-        Qa, Ua = _weights_of_abs(R, e, floor), _weights_of_abs(S, e, floor)
+        Qa, Ua = _weights_of_abs(R, cfg.cap_eps), _weights_of_abs(S, cfg.cap_eps)
         Qa *= own
         Ua *= other
     reports = [
@@ -514,16 +490,8 @@ def fit_grid(
     )
 
 
-def fit(
-    dataset: Dataset,
-    cfg: SolverConfig,
-    mode: LiftingMode = LiftingMode.FULL,
-    scaler: NormalizationParams | None = None,
-):
-    """Train the capped-L1 twin classifier; returns (TrainedModel, FitReport).
-
-    When ``scaler`` is None the [-1, 1] rescaling is fit on this dataset;
-    passing one in lets callers normalize on a larger split beforehand.
-    """
-    grid = fit_grid(dataset, [cfg], mode, scaler)
+def fit(dataset: Dataset, cfg: SolverConfig, mode: LiftingMode = LiftingMode.FULL):
+    """Train the capped-L1 twin classifier, with the [-1, 1] rescaling fit on
+    this dataset; returns (TrainedModel, FitReport)."""
+    grid = fit_grid(dataset, [cfg], mode)
     return grid.model(0), grid.reports[0]

@@ -51,7 +51,7 @@ def fit_lsq(
     C: float,
     ridge: float = DEFAULT_RIDGE,
     mode: LiftingMode = LiftingMode.FULL,
-    scaler: NormalizationParams | None = None,
 ) -> TrainedModel:
-    """Train the least-squares twin classifier in closed form."""
-    return fit_lsq_grid(dataset, [C], ridge, mode, scaler).model(0)
+    """Train the least-squares twin classifier in closed form, with the
+    [-1, 1] rescaling fit on this dataset."""
+    return fit_lsq_grid(dataset, [C], ridge, mode).model(0)

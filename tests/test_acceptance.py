@@ -29,13 +29,9 @@ from qtsvm.evaluation import (
     nemenyi_cd,
 )
 from qtsvm.lifting import LiftingMode, dvec, hvec, lift_matrix, lvec, pack_weights, qvec
-from qtsvm.solver_cl1 import (
-    ReweightState,
-    SolverConfig,
-    fit,
-    stationarity_residual_plus,
-    update_w_plus,
-)
+from qtsvm.solver_cl1 import ReweightState, SolverConfig, fit, update_w_plus
+
+from oracles import stationarity_residual_plus
 
 
 def report(criterion: str, passed: bool, detail: str):

@@ -1,0 +1,44 @@
+"""What the benchmark harness under bench/ reads from the package.
+
+bench/tracing.py computes its per-layer metrics from the calls of named
+public functions, and bench/workloads.py checks a fit's final reweighting
+state.  A name that goes missing makes a traced run report its metrics as
+absent, and the run still exits 0; these tests fail instead.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    return tracing
+
+
+def test_tracer_finds_every_function_its_metrics_need(tracing):
+    import qtsvm.cli  # noqa: F401  (imports every layer the tracer wraps)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert tracer.metrics(1)[1] == []
+
+
+def test_fit_report_keeps_the_final_weights_of_each_side():
+    from qtsvm.data import Dataset, gen_example1
+    from qtsvm.solver_cl1 import SolverConfig, fit
+
+    d = gen_example1(7, seed=0)
+    _, report = fit(Dataset(X_pos=d.X_pos, X_neg=d.X_neg[:5]), SolverConfig(c1=0.01, c2=0.01))
+    assert report.pos.final_state.q.shape == (7,)
+    assert report.pos.final_state.u.shape == (5,)
+    assert report.neg.final_state.q.shape == (5,)
+    assert report.neg.final_state.u.shape == (7,)
+    assert np.isfinite(report.pos.final_state.q).all()

@@ -177,6 +177,24 @@ def test_nemenyi_rejects_other_alpha_without_override(tmp_path):
                 "--q-alpha", 2.5]) == 0
 
 
+@pytest.mark.parametrize("changes, key", [
+    ({"noise_ratio": [0.1]}, "'noise_ratio'"),
+    ({"grids": {}}, "'grids'"),
+    ({"inner_folds": 2}, "'inner_folds'"),
+    ({"datasets": [{"name": "curves", "example": 3, "m_per_clas": 30}]},
+     "'m_per_clas' in dataset 'curves'"),
+], ids=["noise_ratio", "grids", "inner_folds", "m_per_clas"])
+def test_benchmark_config_names_an_unknown_key(tmp_path, capsys, changes, key):
+    # Each key was once ignored, and the sweep ran on the defaults.
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({**BENCH_CONFIG, **changes}))
+    assert run(["benchmark", "--config", cfg, "--out", tmp_path / "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: benchmark config: unknown key {key} (allowed: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_replay_generate_byte_identical(tmp_path):
     out = tmp_path / "d.csv"
     run(["generate", "--example", 3, "--m", 25, "--seed", 7, "--out", out])
@@ -391,6 +409,11 @@ def trained(tmp_path_factory):
     (_bench(grid={**BENCH_CONFIG["grid"], "lsqtsvm": [{"D": 1.0}]}), 2),
     (_bench(datasets=["a"]), 2),
     (_bench(methods="lsqtsvm"), 2),
+    (_bench(noise_ratio=[0.1]), 2),
+    (_bench(datasets=[{"name": "curves", "example": 3, "m_per_clas": 30}]), 2),
+    (_bench(datasets=[{"name": "curves", "path": "d.csv", "m_per_class": 30}]), 2),
+    (_bench(datasets=[{"name": "curves", "example": 3, "path": "d.csv"}]), 2),
+    (_bench(datasets=[{"name": "curves", "path": "d.csv", "positive_label": None}]), 2),
     (_bench("--jobs", 0), 2),
     (_bench("--jobs", -3), 2),
     # Two samples per class pass the 2-fold size check, so the inner-CV
@@ -420,7 +443,9 @@ def trained(tmp_path_factory):
     (_generate("--noise-ratio", "-0.5"), 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
         "config-mode", "config-folds", "config-seed", "config-noise-ratios", "config-m-per-class",
-        "config-grid-key", "config-dataset-entry", "config-methods-string", "jobs-zero",
+        "config-grid-key", "config-dataset-entry", "config-methods-string", "config-unknown-key",
+        "config-unknown-example-key", "config-unknown-path-key", "config-example-and-path",
+        "config-positive-label-null", "jobs-zero",
         "jobs-negative", "jobs-2-cell-error", "unlabeled-nan", "unlabeled-inf",
         "nemenyi-raw-text", "nemenyi-results-text", "nemenyi-ragged", "nemenyi-results-no-acc",
         "nemenyi-not-utf8", "nemenyi-missing", "nemenyi-directory", "nemenyi-nan",

@@ -13,7 +13,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from qtsvm.cli import main
@@ -69,14 +69,19 @@ def _replaced(doc, path, value):
     return doc
 
 
-def _run(argv):
+def _fail(argv):
+    """Run argv, which must fail cleanly; return its exit code and error line."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
     assert code in (1, 2), err.getvalue()
     assert len(errors) == 1, err.getvalue()
-    return code
+    return code, errors[0]
+
+
+def _run(argv):
+    return _fail(argv)[0]
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +118,23 @@ def test_mutated_config_fails_cleanly(files, path, value):
     cfg = files / "bench.json"
     cfg.write_text(json.dumps(_replaced(CONFIG, path, value)))
     assert _run(["benchmark", "--config", cfg, "--out", files / "r.csv", "--jobs", 1]) == 2
+
+
+@FUZZ
+@given(path=st.sampled_from([(), ("datasets", 0)]), key=TEXT, value=JUNK)
+def test_config_with_an_unknown_key_fails_cleanly(files, path, key, value):
+    # Inserted at the top level or into the dataset entry, a key the config
+    # does not know is named in the error, whatever its value.  (A dataset
+    # entry with both 'example' and 'path' fails with its own message.)
+    doc = json.loads(json.dumps(CONFIG))
+    target = doc if not path else doc[path[0]][path[1]]
+    assume(key not in target and key not in ("example", "path"))
+    target[key] = value
+    cfg = files / "bench.json"
+    cfg.write_text(json.dumps(doc))
+    code, error = _fail(["benchmark", "--config", cfg, "--out", files / "r.csv", "--jobs", 1])
+    assert code == 2
+    assert f"unknown key {key!r}" in error
 
 
 @FUZZ

@@ -85,12 +85,6 @@ def test_example3_curves_and_supports():
     assert resid.std() == pytest.approx(0.1, rel=0.05)
 
 
-def test_noise_std_override():
-    quiet = gen_example1(5000, seed=3, noise_std=0.01)
-    resid = quiet.X_pos[:, 1] - (0.2222 * quiet.X_pos[:, 0] ** 2 + 0.5)
-    assert resid.std() == pytest.approx(0.01, rel=0.1)
-
-
 def test_scaler_maps_to_unit_box():
     rng = np.random.default_rng(0)
     d = Dataset(X_pos=rng.uniform(-5, 9, (30, 3)), X_neg=rng.uniform(-5, 9, (20, 3)))

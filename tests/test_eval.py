@@ -30,8 +30,8 @@ from qtsvm.evaluation import (
     mean_ranks,
     nemenyi_cd,
     nemenyi_test,
-    robustness_sweep,
     sweep_results,
+    sweep_rows,
 )
 
 FAST_GRID = ({"c1": 0.01, "c2": 0.01}, {"c1": 1.0, "c2": 0.01})
@@ -204,8 +204,8 @@ def test_trainers_evaluate_grid_point_by_point():
 def test_robustness_sweep_layout():
     datasets = {"a": gen_example1(30, seed=6)}
     spec = CvSpec(folds=3, repeats=1, seed=0, grid=FAST_GRID, selection="flat")
-    rows = robustness_sweep(datasets, [CL1Trainer(), LSQTrainer()], [0.0, 0.1],
-                            spec, grids={"lsqtsvm": LSQ_GRID})
+    rows = sweep_rows(sweep_results(datasets, [CL1Trainer(), LSQTrainer()], [0.0, 0.1],
+                                    spec, grids={"lsqtsvm": LSQ_GRID}))
     # 1 dataset x 2 ratios x 2 methods x 3 folds.
     assert len(rows) == 12
     assert {r["method"] for r in rows} == {"cl1qtsvm", "lsqtsvm"}

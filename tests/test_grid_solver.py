@@ -29,12 +29,14 @@ from qtsvm.evaluation import (
 from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights, unpack_weights
 from qtsvm.model import GRADIENT_NORM_FLOOR, _distances, predict_stack
 from qtsvm.solver_cl1 import (
+    CONV_TOL,
+    WEIGHT_FLOOR,
     SolverConfig,
-    _capped_weights,
     _irls,
     _psd_solve_stack,
     _sample_gram,
     _solve_lanes,
+    _weights_of_abs,
     fit,
     fit_grid,
 )
@@ -56,9 +58,8 @@ def serial_subproblem(Z_own, Z_other, sign, cfg):
         if t == 0:
             q, u = np.ones(Z_own.shape[1]), np.ones(Z_other.shape[1])
         else:
-            q = _capped_weights(Z_own.T @ w, cfg.cap_eps, cfg.weight_floor)
-            u = _capped_weights(1.0 - sign * (Z_other.T @ w), cfg.cap_eps,
-                                cfg.weight_floor)
+            q = _weights_of_abs(np.abs(Z_own.T @ w), cfg.cap_eps)
+            u = _weights_of_abs(np.abs(1.0 - sign * (Z_other.T @ w)), cfg.cap_eps)
         B = (Z_own * q) @ Z_own.T + cfg.c2 * (Z_other * u) @ Z_other.T
         B[np.diag_indices(l)] += cfg.c1
         rhs = Z_other @ u
@@ -68,7 +69,7 @@ def serial_subproblem(Z_own, Z_other, sign, cfg):
             x = np.linalg.lstsq(B, rhs, rcond=None)[0]
         w_new = sign * cfg.c2 * x
         step = float(np.linalg.norm(w_new - w))
-        converged = step <= cfg.conv_tol * (1.0 + float(np.linalg.norm(w)))
+        converged = step <= CONV_TOL * (1.0 + float(np.linalg.norm(w)))
         w = w_new
         if converged:
             return w, t + 1, True
@@ -296,7 +297,7 @@ def test_report_counts_fallbacks_and_peak_weight():
         assert rep.lstsq_fallbacks >= 0
         state = rep.final_state
         assert rep.peak_weight >= max(state.q.max(), state.u.max())
-        assert rep.peak_weight <= 1.0 / SolverConfig().weight_floor
+        assert rep.peak_weight <= 1.0 / WEIGHT_FLOOR
 
 
 def assert_fits_identical(a, b):

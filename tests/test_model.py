@@ -12,16 +12,15 @@ from qtsvm.errors import (
     ModelInconsistencyError,
     ModelVersionError,
 )
-from qtsvm.lifting import LiftingMode
+from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights
 from qtsvm.model import (
     QuadraticSurface,
     TrainedModel,
+    _distances,
     load_model,
-    normalized_distance,
     predict,
     predict_many,
     save_model,
-    surface_value,
 )
 
 IDENTITY_SCALER = NormalizationParams(minimum=[-1.0, -1.0], maximum=[1.0, 1.0])
@@ -32,12 +31,21 @@ def make_model(sp, sn):
                         scaler=IDENTITY_SCALER, n=2)
 
 
+def normalized_distance(s, x):
+    """Distance of one point to one surface, through the stacked rule."""
+    return float(_distances(np.atleast_2d(x), s.W[None], s.b[None], np.array([s.c]))[0, 0])
+
+
 def test_surface_value():
     s = QuadraticSurface(W=np.array([[2.0, 0.0], [0.0, 4.0]]),
                          b=np.array([1.0, -1.0]), c=3.0)
     x = np.array([1.0, 2.0])
-    # 1/2 (2 + 16) + (1 - 2) + 3
-    assert surface_value(s, x) == pytest.approx(11.0)
+    # 1/2 (2 + 16) + (1 - 2) + 3, as the lifted weights dotted with the lifted point.
+    for mode in LiftingMode:
+        value = pack_weights(s.W, s.b, s.c, mode) @ lift_matrix(x[None], mode)[0]
+        assert value == pytest.approx(11.0)
+    # The distance's numerator: |value| over the gradient norm |(3, 7)|.
+    assert normalized_distance(s, x) == pytest.approx(11.0 / np.sqrt(58.0))
 
 
 def test_normalized_distance():
@@ -115,6 +123,23 @@ def test_predict_rejects_wrong_dimension():
         predict(m, np.zeros(3))
     with pytest.raises(InvalidInputError):
         predict_many(m, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_nonfinite_rows(bad):
+    # A non-finite row once came back labelled -1 with only a RuntimeWarning.
+    m = make_model(
+        QuadraticSurface(W=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=0.0),
+        QuadraticSurface(W=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-1.0),
+    )
+    X = np.zeros((5, 2))
+    X[3, 1] = bad
+    X[4, 0] = bad
+    with pytest.raises(InvalidInputError, match="row 3 "):
+        predict_many(m, X)
+    with pytest.raises(InvalidInputError, match="row 0 "):
+        predict(m, X[3])
+    assert predict_many(m, X[:3]).tolist() == [1, 1, 1]
 
 
 def test_surface_rejects_asymmetric_or_nonfinite():

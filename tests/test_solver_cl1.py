@@ -11,15 +11,17 @@ from qtsvm.errors import InvalidInputError
 from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights
 from qtsvm.model import predict_many
 from qtsvm.solver_cl1 import (
+    WEIGHT_FLOOR,
     ReweightState,
     SolverConfig,
-    capped_loss_sum,
+    _mixed_loss_sum,
     compute_weights_pos,
     fit,
     objective_plus,
-    stationarity_residual_plus,
     update_w_plus,
 )
+
+from oracles import capped_loss_sum, stationarity_residual_plus
 
 
 def random_lifted_pair(rng, m_pos=None, m_neg=None, n=None):
@@ -50,11 +52,14 @@ def test_config_validation():
         SolverConfig(branch="fancy")
     # NaN compares False with everything; an infinite penalty diverges, and an
     # infinite cap makes the saturated loss inf - inf.
-    for bad in [dict(c1=math.nan), dict(c2=math.nan), dict(cap_eps=math.nan),
-                dict(conv_tol=math.nan), dict(weight_floor=math.nan), dict(c1=math.inf),
+    for bad in [dict(c1=math.nan), dict(c2=math.nan), dict(cap_eps=math.nan), dict(c1=math.inf),
                 dict(c2=math.inf), dict(c2=-math.inf), dict(cap_eps=math.inf)]:
         with pytest.raises(InvalidInputError):
             SolverConfig(**bad)
+    # The weight floor and the step tolerance are module constants.
+    for removed in ("weight_floor", "conv_tol"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{removed: 1e-6})
 
 
 def test_weight_rule_cases():
@@ -74,8 +79,8 @@ def test_weight_rule_cases():
 def test_weight_rule_zero_iterate_hits_floor():
     Zp = np.array([[1.0]])
     Zm = np.array([[1.0]])
-    state = compute_weights_pos(np.array([0.0]), Zp, Zm, cap_eps=1.0,
-                                weight_floor=1e-12)
+    state = compute_weights_pos(np.array([0.0]), Zp, Zm, cap_eps=1.0)
+    assert WEIGHT_FLOOR == 1e-12
     np.testing.assert_allclose(state.q, [1e12])
     np.testing.assert_allclose(state.u, [1.0])
 
@@ -94,8 +99,8 @@ def test_weight_range_invariant():
         w = rng.standard_normal(Zp.shape[0]) * rng.choice([1e-14, 1.0, 1e3])
         # The negative surface's weights are the positive rule at -w with
         # the classes swapped.
-        for state in (compute_weights_pos(w, Zp, Zm, cap_eps=0.7, weight_floor=1e-12),
-                      compute_weights_pos(-w, Zm, Zp, cap_eps=0.7, weight_floor=1e-12)):
+        for state in (compute_weights_pos(w, Zp, Zm, cap_eps=0.7),
+                      compute_weights_pos(-w, Zm, Zp, cap_eps=0.7)):
             for arr in (state.q, state.u):
                 assert np.all(arr > 0)
                 assert np.all(arr <= max(1e12, 0.7))
@@ -169,6 +174,7 @@ def test_objective_capped_vs_mixed_loss_agree_below_cap():
     vals = np.array([0.1, -0.4, 0.25])
     assert capped_loss_sum(vals, 1.0) == pytest.approx(0.75)
     assert capped_loss_sum(np.array([5.0, -0.5]), 1.0) == pytest.approx(1.5)
+    assert _mixed_loss_sum(np.abs(vals), 1.0, True) == pytest.approx(capped_loss_sum(vals, 1.0))
 
 
 def test_objective_positive_and_regularized():
@@ -310,7 +316,7 @@ def gaussian_classes(n, m_per_class, seed):
 
 def test_full_lifting_smw_fits_descend():
     # 28 lifted dimensions against 12 samples per class: residuals vanish
-    # and weights reach 1 / weight_floor = 1e12, where an SMW solve through
+    # and weights reach 1 / WEIGHT_FLOOR = 1e12, where an SMW solve through
     # two nested sample-space factorizations made 39 of these 40 traces rise.
     cfg = SolverConfig(c1=0.01, c2=0.01)
     for seed in range(20):
