@@ -285,8 +285,10 @@ def _benchmark_config(path):
                   mode=LiftingMode(_get(cfg, "mode", "full",
                                         lambda v: v in [m.value for m in LiftingMode],
                                         "'full' or 'reduced'")),
-                  selection=cfg.get("selection", "nested"),
-                  normalize=cfg.get("normalize", "full"))
+                  selection=_get(cfg, "selection", "nested", lambda v: v in ("nested", "flat"),
+                                 "'nested' or 'flat'"),
+                  normalize=_get(cfg, "normalize", "full", lambda v: v in ("full", "per-fold"),
+                                 "'full' or 'per-fold'"))
     return entries, [_TRAINERS[m]() for m in methods], ratios, spec, grids
 
 

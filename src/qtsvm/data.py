@@ -18,7 +18,6 @@ class Dataset:
 
     X_pos: np.ndarray
     X_neg: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         self.X_pos = np.atleast_2d(np.asarray(self.X_pos, dtype=float))
@@ -92,11 +91,7 @@ def apply_scaler(params: NormalizationParams, X: np.ndarray) -> np.ndarray:
 
 
 def scale_dataset(d: Dataset, params: NormalizationParams) -> Dataset:
-    return Dataset(
-        X_pos=apply_scaler(params, d.X_pos),
-        X_neg=apply_scaler(params, d.X_neg),
-        provenance=d.provenance,
-    )
+    return Dataset(X_pos=apply_scaler(params, d.X_pos), X_neg=apply_scaler(params, d.X_neg))
 
 
 def gen_example1(m_per_class: int, seed: int) -> Dataset:
@@ -108,11 +103,7 @@ def gen_example1(m_per_class: int, seed: int) -> Dataset:
     x2p = 0.2222 * x1p**2 + 0.5 + rng.normal(0.0, 0.1, m_per_class)
     x1n = rng.uniform(-3.0, 3.0, m_per_class)
     x2n = -0.2222 * x1n**2 + 1.5 + rng.normal(0.0, 0.1, m_per_class)
-    return Dataset(
-        X_pos=np.column_stack([x1p, x2p]),
-        X_neg=np.column_stack([x1n, x2n]),
-        provenance=f"example1(m={m_per_class},seed={seed})",
-    )
+    return Dataset(X_pos=np.column_stack([x1p, x2p]), X_neg=np.column_stack([x1n, x2n]))
 
 
 def gen_example2(m_per_class: int, seed: int) -> Dataset:
@@ -133,9 +124,7 @@ def gen_example2(m_per_class: int, seed: int) -> Dataset:
     xn = np.column_stack(
         [3.0 * np.cos(tn), 3.0 * np.sin(tn) + rng.normal(0.0, 0.2, m_per_class)]
     )
-    return Dataset(
-        X_pos=xp, X_neg=xn, provenance=f"example2(m={m_per_class},seed={seed})"
-    )
+    return Dataset(X_pos=xp, X_neg=xn)
 
 
 def gen_example3(m_per_class: int, seed: int) -> Dataset:
@@ -147,11 +136,7 @@ def gen_example3(m_per_class: int, seed: int) -> Dataset:
     x2p = 0.75 * x1p**2 + 1.5 * x1p + 0.75 + rng.normal(0.0, 0.1, m_per_class)
     x1n = rng.uniform(-1.0, 3.0, m_per_class)
     x2n = 0.75 * x1n**2 - 1.5 * x1n + 0.75 + rng.normal(0.0, 0.1, m_per_class)
-    return Dataset(
-        X_pos=np.column_stack([x1p, x2p]),
-        X_neg=np.column_stack([x1n, x2n]),
-        provenance=f"example3(m={m_per_class},seed={seed})",
-    )
+    return Dataset(X_pos=np.column_stack([x1p, x2p]), X_neg=np.column_stack([x1n, x2n]))
 
 
 GENERATORS = {1: gen_example1, 2: gen_example2, 3: gen_example3}
@@ -164,19 +149,14 @@ def inject_label_noise(d: Dataset, ratio: float, seed: int) -> Dataset:
         raise InvalidInputError(f"noise ratio must be in [0, 1), got {ratio}")
     n_flip = int(ratio * d.m)
     if n_flip == 0:
-        return Dataset(X_pos=d.X_pos.copy(), X_neg=d.X_neg.copy(),
-                       provenance=d.provenance)
+        return Dataset(X_pos=d.X_pos.copy(), X_neg=d.X_neg.copy())
     rng = np.random.default_rng(seed)
     flip = np.zeros(d.m, dtype=bool)
     flip[rng.choice(d.m, size=n_flip, replace=False)] = True
     flip_pos, flip_neg = flip[: d.m_pos], flip[d.m_pos :]
     new_pos = np.vstack([d.X_pos[~flip_pos], d.X_neg[flip_neg]])
     new_neg = np.vstack([d.X_neg[~flip_neg], d.X_pos[flip_pos]])
-    return Dataset(
-        X_pos=new_pos,
-        X_neg=new_neg,
-        provenance=f"{d.provenance}+label_noise(ratio={ratio},seed={seed})",
-    )
+    return Dataset(X_pos=new_pos, X_neg=new_neg)
 
 
 def _float(cell: str) -> float | None:
@@ -306,7 +286,7 @@ def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
         _, rows, first = _split_header(raw, label_idx)
     numeric = [i for i in range(width) if i != label_idx]
     X, pos = _table(rows, first, width, numeric, label_idx, positive_label)
-    return Dataset(X_pos=X[pos], X_neg=X[~pos], provenance=str(path))
+    return Dataset(X_pos=X[pos], X_neg=X[~pos])
 
 
 def load_scores(path):

@@ -182,10 +182,8 @@ def _stratified_folds(m_pos, m_neg, k, seed_key):
 def _split(dataset: Dataset, assign: np.ndarray, fold: int):
     pos_mask = assign[: dataset.m_pos] == fold
     neg_mask = assign[dataset.m_pos :] == fold
-    test = Dataset(X_pos=dataset.X_pos[pos_mask], X_neg=dataset.X_neg[neg_mask],
-                   provenance=dataset.provenance)
-    train = Dataset(X_pos=dataset.X_pos[~pos_mask], X_neg=dataset.X_neg[~neg_mask],
-                    provenance=dataset.provenance)
+    test = Dataset(X_pos=dataset.X_pos[pos_mask], X_neg=dataset.X_neg[neg_mask])
+    train = Dataset(X_pos=dataset.X_pos[~pos_mask], X_neg=dataset.X_neg[~neg_mask])
     return train, test
 
 

@@ -54,8 +54,8 @@ class SolverConfig:
         # infinite cap would make the saturated loss inf - inf.
         if not all(0 < v < math.inf for v in (self.c1, self.c2, self.cap_eps)):
             raise InvalidInputError("c1, c2 and cap_eps must be finite and > 0")
-        if self.max_iter < 1:
-            raise InvalidInputError("max_iter must be >= 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InvalidInputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.branch not in ("auto", "smw", "direct"):
             raise InvalidInputError(f"unknown branch {self.branch!r}")
 
@@ -65,8 +65,9 @@ class ReweightState:
     """Diagonal reweighting of one subproblem.
 
     q holds the weights on the subproblem's own-class residuals, u the
-    weights on the opposite-class slacks.  (The second subproblem's pair,
-    often written (f, g), is just another instance of the same structure.)
+    weights on the opposite-class slacks, each one lane's vector or a
+    stack with one row per lane.  (The second subproblem's pair, often
+    written (f, g), is just another instance of the same structure.)
     """
 
     q: np.ndarray
@@ -137,9 +138,20 @@ LANE_CHUNK_BYTES = 64 * 2**20
 STACKED_SOLVE_MAX_DIM = 50
 
 
-def _weights_of_abs(a, cap_eps):
-    """Weights of residuals whose magnitudes are a, written over a:
-    reciprocal below the cap (boundary included), cap_eps above it.
+# Every subproblem below is written for the positive surface, with Z_own
+# the lifted samples of its own class and Z_other those of the other class:
+# own-class residuals are w.z over the own class, slacks 1 + w.z over the
+# other.  The negative surface is minus the positive one with the classes
+# swapped, since negating w negates every residual and turns the slacks
+# 1 - w.z into 1 + (-w).z.  Each step takes a stack of lanes, one row per
+# lane; own and other are masks of the samples each lane trains on.
+
+
+def compute_weights_pos(R, S, cap_eps, own=True, other=True) -> ReweightState:
+    """Weights for the positive-surface subproblem from the magnitudes R of
+    the own-class residuals and S of the slacks, written over R and S:
+    reciprocal below the cap (boundary included), cap_eps above it, and 0
+    on a sample that the masks own and other leave out.
 
     This is the iteratively reweighted rule L'(r)/r for the mixed loss
     L(r) = |r| below the cap and (eps/2) r^2 + eps - eps^3/2 above it:
@@ -148,29 +160,13 @@ def _weights_of_abs(a, cap_eps):
     weight on saturated residuals retains margin pressure from far-side
     points.  WEIGHT_FLOOR guards the reciprocal against division by zero.
     """
-    saturated = ~(a <= cap_eps)
-    np.maximum(a, WEIGHT_FLOOR, out=a)
-    np.divide(1.0, a, out=a)
-    a[saturated] = cap_eps
-    return a
-
-
-# Every subproblem below is written for the positive surface, with Z_own
-# the lifted samples of its own class and Z_other those of the other class:
-# own-class residuals are w.z over the own class, slacks 1 + w.z over the
-# other.  The negative surface is minus the positive one with the classes
-# swapped, since negating w negates every residual and turns the slacks
-# 1 - w.z into 1 + (-w).z.  w may be one weight vector or a stack of them.
-
-
-def compute_weights_pos(w_plus, Zp, Zm, cap_eps) -> ReweightState:
-    """Weights for the positive-surface subproblem at the current iterate.
-
-    Own-class residuals are w.z_i over the positives; slacks are
-    eta_j = 1 + w.z_j over the negatives.
-    """
-    return ReweightState(q=_weights_of_abs(np.abs(w_plus @ Zp), cap_eps),
-                         u=_weights_of_abs(np.abs(1.0 + w_plus @ Zm), cap_eps))
+    for a, keep in ((R, own), (S, other)):
+        saturated = ~(a <= cap_eps)
+        np.maximum(a, WEIGHT_FLOOR, out=a)
+        np.divide(1.0, a, out=a)
+        a[saturated] = cap_eps
+        a *= keep
+    return ReweightState(q=R, u=S)
 
 
 def _pick_branch(m_l: int, m_other: int, requested: str) -> str:
@@ -292,26 +288,18 @@ def _sample_gram(Z_own, Z_other):
     return Z.T @ Z
 
 
-def _solve_lanes(Z_own, Z_other, Q, U, c1, c2, branch, gram=None):
+def update_w_plus(Z_own, Z_other, state: ReweightState, c1, c2, branch, gram=None):
     """Solve (Z_own diag(q) Z_own' + c1 I + c2 Z_other diag(u) Z_other') w
-    = -c2 * Z_other u for every lane g (rows of Q and U, entries of
-    c1 and c2) by the requested branch (SMW takes ``gram`` from _sample_gram).
+    = -c2 * Z_other u for every lane g (rows of state.q and state.u,
+    entries of c1 and c2) by the given branch (SMW takes ``gram`` from
+    _sample_gram).
 
     Returns the solutions, shape (G, l), and each lane's count of
     factorizations that fell back to least squares.
     """
     if branch == "smw":
-        return _solve_sample_space(Z_own, Z_other, Q, U, c1, c2, gram)
-    return _solve_direct(Z_own, Z_other, Q, U, c1, c2)
-
-
-def update_w_plus(Zp, Zm, state: ReweightState, cfg: SolverConfig) -> np.ndarray:
-    """One closed-form update of the positive-surface weight vector."""
-    branch = _pick_branch(Zp.shape[0], Zm.shape[1], cfg.branch)
-    gram = _sample_gram(Zp, Zm) if branch == "smw" else None
-    w, _ = _solve_lanes(Zp, Zm, state.q[None], state.u[None],
-                        np.array([cfg.c1]), np.array([cfg.c2]), branch, gram)
-    return w[0]
+        return _solve_sample_space(Z_own, Z_other, state.q, state.u, c1, c2, gram)
+    return _solve_direct(Z_own, Z_other, state.q, state.u, c1, c2)
 
 
 def _mixed_loss_sum(a: np.ndarray, cap_eps: float, keep) -> np.ndarray:
@@ -328,17 +316,12 @@ def _mixed_loss_sum(a: np.ndarray, cap_eps: float, keep) -> np.ndarray:
     return loss.sum(axis=-1)
 
 
-def _objective(w, abs_residuals, abs_slacks, c1, c2, cap_eps, own, other):
-    """Mixed-loss objective from the magnitudes of an iterate's residuals and
-    slacks, counting the samples that the masks own and other mark."""
+def objective_plus(w, abs_residuals, abs_slacks, c1, c2, cap_eps, own=True, other=True):
+    """Mixed-loss objective of the positive-surface subproblem for each lane,
+    from the magnitudes of its iterate's residuals and slacks, counting the
+    samples that the masks own and other mark."""
     return (_mixed_loss_sum(abs_residuals, cap_eps, own) + 0.5 * c1 * (w * w).sum(axis=-1)
             + c2 * _mixed_loss_sum(abs_slacks, cap_eps, other))
-
-
-def objective_plus(w_plus, Zp, Zm, cfg: SolverConfig) -> float:
-    """Objective of the positive-surface subproblem (mixed-loss form)."""
-    return float(_objective(w_plus, np.abs(w_plus @ Zp), np.abs(1.0 + w_plus @ Zm),
-                            cfg.c1, cfg.c2, cfg.cap_eps, True, True))
 
 
 def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=None):
@@ -370,26 +353,27 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=No
     # The zero start carries no residual information (own-class
     # reciprocals would all hit the division floor), so the first update
     # is a plain unweighted least-squares step on each lane's samples.
-    Qa, Ua = own.astype(float), other.astype(float)
+    state = ReweightState(q=own.astype(float), u=other.astype(float))
     for t in range(cfg.max_iter):
-        W_new, fell = _solve_lanes(Z_own, Z_other, Qa, Ua, c1, c2, branch, gram)
+        W_new, fell = update_w_plus(Z_own, Z_other, state, c1, c2, branch, gram)
         if not np.isfinite(W_new).all():
             raise NumericError(f"non-finite iterate at iteration {t}")
         step = np.linalg.norm(W_new - W_old, axis=1)
         done = step <= CONV_TOL * (1.0 + np.linalg.norm(W_old, axis=1))
         fell_sum += fell
-        peak_a = np.maximum(peak_a, np.maximum(Qa.max(axis=1), Ua.max(axis=1)))
+        peak_a = np.maximum(peak_a, np.maximum(state.q.max(axis=1), state.u.max(axis=1)))
         stop = done if t + 1 < cfg.max_iter else np.ones_like(done)
         if stop.any():
             fin = lanes[stop]
-            W[fin], Q[fin], U[fin] = W_new[stop], Qa[stop], Ua[stop]
+            W[fin], Q[fin], U[fin] = W_new[stop], state.q[stop], state.u[stop]
             iters[fin], converged[fin] = t + 1, done[stop]
             fallbacks[fin], peak[fin] = fell_sum[stop], peak_a[stop]
         # The weights are recorded, so their buffers take |r|, which serves
         # both the objective here and the next weights, written over it.
-        R = np.abs(np.matmul(W_new, Z_own, out=Qa), out=Qa)
-        S = np.abs(np.add(np.matmul(W_new, Z_other, out=Ua), 1.0, out=Ua), out=Ua)
-        trace[t, lanes] = _objective(W_new, R, S, c1, c2, cfg.cap_eps, own, other)
+        R, S = state.q, state.u
+        np.abs(np.matmul(W_new, Z_own, out=R), out=R)
+        np.abs(np.add(np.matmul(W_new, Z_other, out=S), 1.0, out=S), out=S)
+        trace[t, lanes] = objective_plus(W_new, R, S, c1, c2, cfg.cap_eps, own, other)
         if stop.all():
             break
         if stop.any():
@@ -398,9 +382,7 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=No
             c1, c2, fell_sum, peak_a = c1[run], c2[run], fell_sum[run], peak_a[run]
             own, other = own[run], other[run]
         W_old = W_new
-        Qa, Ua = _weights_of_abs(R, cfg.cap_eps), _weights_of_abs(S, cfg.cap_eps)
-        Qa *= own
-        Ua *= other
+        state = compute_weights_pos(R, S, cfg.cap_eps, own, other)
     reports = [
         SubproblemReport(
             objective_trace=trace[: iters[g], g].copy(),

@@ -4,7 +4,7 @@ Each surface minimizes a proximal squared term on its own class plus a
 squared slack penalty on the other class, with a small ridge that keeps
 the system positive definite when the own-class Gram matrix is rank
 deficient.  Its normal equations are those of the first, unweighted step
-of the capped-L1 iteration with c1 = ridge and c2 = 2C, so the baseline is
+of the capped-L1 iteration with c1 = RIDGE and c2 = 2C, so the baseline is
 fit as that one step of the capped-L1 solver.
 """
 
@@ -18,13 +18,12 @@ from .lifting import LiftingMode
 from .model import TrainedModel
 from .solver_cl1 import GridFit, SolverConfig, fit_grid
 
-DEFAULT_RIDGE = 1e-8
+RIDGE = 1e-8
 
 
 def fit_lsq_grid(
     dataset: Dataset,
     Cs,
-    ridge: float = DEFAULT_RIDGE,
     mode: LiftingMode = LiftingMode.FULL,
     scaler: NormalizationParams | None = None,
     mask=None,
@@ -36,9 +35,9 @@ def fit_lsq_grid(
     Raises NumericError when a system is not positive definite in floating
     point, rather than accept the capped-L1 solver's least-squares fallback.
     """
-    if not all(0 < v < math.inf for v in (*Cs, ridge)):
-        raise InvalidInputError("C and ridge must be finite and > 0")
-    cfgs = [SolverConfig(c1=ridge, c2=2.0 * C, max_iter=1, branch="direct") for C in Cs]
+    if not all(0 < v < math.inf for v in Cs):
+        raise InvalidInputError("C must be finite and > 0")
+    cfgs = [SolverConfig(c1=RIDGE, c2=2.0 * C, max_iter=1, branch="direct") for C in Cs]
     grid = fit_grid(dataset, cfgs, mode, scaler, mask)
     if any(rep.pos.lstsq_fallbacks or rep.neg.lstsq_fallbacks for rep in grid.reports):
         raise NumericError("least-squares system factorization failed: "
@@ -49,9 +48,8 @@ def fit_lsq_grid(
 def fit_lsq(
     dataset: Dataset,
     C: float,
-    ridge: float = DEFAULT_RIDGE,
     mode: LiftingMode = LiftingMode.FULL,
 ) -> TrainedModel:
     """Train the least-squares twin classifier in closed form, with the
     [-1, 1] rescaling fit on this dataset."""
-    return fit_lsq_grid(dataset, [C], ridge, mode).model(0)
+    return fit_lsq_grid(dataset, [C], mode).model(0)

@@ -29,9 +29,9 @@ from qtsvm.evaluation import (
     nemenyi_cd,
 )
 from qtsvm.lifting import LiftingMode, dvec, hvec, lift_matrix, lvec, pack_weights, qvec
-from qtsvm.solver_cl1 import ReweightState, SolverConfig, fit, update_w_plus
+from qtsvm.solver_cl1 import ReweightState, SolverConfig, fit
 
-from oracles import stationarity_residual_plus
+from oracles import solve_one, stationarity_residual_plus
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -86,10 +86,10 @@ def test_criterion_2_solver_oracle_equivalence():
         B = Zp @ np.diag(q) @ Zp.T + c2 * Zm @ np.diag(u) @ Zm.T
         B += c1 * np.eye(Zp.shape[0])
         ref = np.linalg.solve(B, -c2 * Zm @ u)
-        w_direct = update_w_plus(Zp, Zm, state,
-                                 SolverConfig(c1=c1, c2=c2, branch="direct"))
-        w_smw = update_w_plus(Zp, Zm, state,
-                              SolverConfig(c1=c1, c2=c2, branch="smw"))
+        w_direct = solve_one(Zp, Zm, state,
+                             SolverConfig(c1=c1, c2=c2, branch="direct"))
+        w_smw = solve_one(Zp, Zm, state,
+                          SolverConfig(c1=c1, c2=c2, branch="smw"))
         scale = 1 + np.linalg.norm(ref)
         worst_oracle = max(worst_oracle, np.linalg.norm(w_direct - ref) / scale)
         worst_branch = max(worst_branch, np.linalg.norm(w_smw - w_direct) / scale)

@@ -42,3 +42,26 @@ def test_fit_report_keeps_the_final_weights_of_each_side():
     assert report.neg.final_state.q.shape == (5,)
     assert report.neg.final_state.u.shape == (7,)
     assert np.isfinite(report.pos.final_state.q).all()
+
+
+def test_tracer_sees_every_solve_of_a_fit(tracing):
+    # The solve, weight and objective metrics come from wrappers on the step
+    # functions that the IRLS loop calls by their module-level names.
+    # fit is looked up after install, so that its own wrapper runs too.
+    from qtsvm import solver_cl1
+    from qtsvm.data import gen_example3
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        solver_cl1.fit(gen_example3(20, 0), solver_cl1.SolverConfig(c1=0.01, c2=0.01))
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracer.metrics(1)
+
+    def value(name):
+        return metrics[f"solver_cl1.{name}"]["value"]
+
+    assert value("solve_calls") == value("irls_iters") > 0
+    for name in ("gflop", "weights_s", "objective_s"):
+        assert value(name) > 0, name

@@ -195,6 +195,18 @@ def test_benchmark_config_names_an_unknown_key(tmp_path, capsys, changes, key):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("key, allowed", [
+    ("selection", "'nested' or 'flat'"),
+    ("normalize", "'full' or 'per-fold'"),
+], ids=["selection", "normalize"])
+def test_benchmark_config_names_the_allowed_values(tmp_path, capsys, key, allowed):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({**BENCH_CONFIG, key: "x"}))
+    assert run(["benchmark", "--config", cfg, "--out", tmp_path / "r.csv"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: benchmark config: {key!r} must be {allowed}, got 'x'\n")
+
+
 def test_replay_generate_byte_identical(tmp_path):
     out = tmp_path / "d.csv"
     run(["generate", "--example", 3, "--m", 25, "--seed", 7, "--out", out])
@@ -414,6 +426,8 @@ def trained(tmp_path_factory):
     (_bench(datasets=[{"name": "curves", "path": "d.csv", "m_per_class": 30}]), 2),
     (_bench(datasets=[{"name": "curves", "example": 3, "path": "d.csv"}]), 2),
     (_bench(datasets=[{"name": "curves", "path": "d.csv", "positive_label": None}]), 2),
+    (_bench(selection="x"), 2),
+    (_bench(normalize="x"), 2),
     (_bench("--jobs", 0), 2),
     (_bench("--jobs", -3), 2),
     # Two samples per class pass the 2-fold size check, so the inner-CV
@@ -445,7 +459,7 @@ def trained(tmp_path_factory):
         "config-mode", "config-folds", "config-seed", "config-noise-ratios", "config-m-per-class",
         "config-grid-key", "config-dataset-entry", "config-methods-string", "config-unknown-key",
         "config-unknown-example-key", "config-unknown-path-key", "config-example-and-path",
-        "config-positive-label-null", "jobs-zero",
+        "config-positive-label-null", "config-selection", "config-normalize", "jobs-zero",
         "jobs-negative", "jobs-2-cell-error", "unlabeled-nan", "unlabeled-inf",
         "nemenyi-raw-text", "nemenyi-results-text", "nemenyi-ragged", "nemenyi-results-no-acc",
         "nemenyi-not-utf8", "nemenyi-missing", "nemenyi-directory", "nemenyi-nan",

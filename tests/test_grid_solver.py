@@ -31,14 +31,15 @@ from qtsvm.model import GRADIENT_NORM_FLOOR, _distances, predict_stack
 from qtsvm.solver_cl1 import (
     CONV_TOL,
     WEIGHT_FLOOR,
+    ReweightState,
     SolverConfig,
     _irls,
     _psd_solve_stack,
     _sample_gram,
-    _solve_lanes,
-    _weights_of_abs,
+    compute_weights_pos,
     fit,
     fit_grid,
+    update_w_plus,
 )
 
 POWERS = (1e-4, 1e-2, 1.0, 1e2, 1e4)
@@ -58,8 +59,9 @@ def serial_subproblem(Z_own, Z_other, sign, cfg):
         if t == 0:
             q, u = np.ones(Z_own.shape[1]), np.ones(Z_other.shape[1])
         else:
-            q = _weights_of_abs(np.abs(Z_own.T @ w), cfg.cap_eps)
-            u = _weights_of_abs(np.abs(1.0 - sign * (Z_other.T @ w)), cfg.cap_eps)
+            state = compute_weights_pos(np.abs(Z_own.T @ w),
+                                        np.abs(1.0 - sign * (Z_other.T @ w)), cfg.cap_eps)
+            q, u = state.q, state.u
         B = (Z_own * q) @ Z_own.T + cfg.c2 * (Z_other * u) @ Z_other.T
         B[np.diag_indices(l)] += cfg.c1
         rhs = Z_other @ u
@@ -203,7 +205,7 @@ def test_fallback_counted_on_its_lane_only():
     Q[1, 0] = -1e6
     U = np.ones((3, 12))
     c = np.array([0.1, 0.1, 0.1])
-    W, fell = _solve_lanes(Z_own, Z_other, Q, U, c, c, "direct")
+    W, fell = update_w_plus(Z_own, Z_other, ReweightState(q=Q, u=U), c, c, "direct")
     np.testing.assert_array_equal(fell, [0, 1, 0])
     B = (Z_own * Q[1]) @ Z_own.T + 0.1 * (Z_other * U[1]) @ Z_other.T + 0.1 * np.eye(6)
     ref = -0.1 * np.linalg.lstsq(B, Z_other @ U[1], rcond=None)[0]
@@ -265,7 +267,8 @@ def test_smw_stack_drops_zero_weight_columns():
     U[3, :2] = 0.0
     c1 = np.array([0.1, 1.0, 0.01, 10.0])
     c2 = np.array([1.0, 0.1, 2.0, 1.0])
-    W, fell = _solve_lanes(Z_own, Z_other, Q, U, c1, c2, "smw", _sample_gram(Z_own, Z_other))
+    W, fell = update_w_plus(Z_own, Z_other, ReweightState(q=Q, u=U), c1, c2, "smw",
+                            _sample_gram(Z_own, Z_other))
     np.testing.assert_array_equal(fell, 0)
     for g in range(4):
         B = (Z_own * Q[g]) @ Z_own.T + c2[g] * (Z_other * U[g]) @ Z_other.T + c1[g] * np.eye(6)

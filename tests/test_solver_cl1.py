@@ -15,13 +15,16 @@ from qtsvm.solver_cl1 import (
     ReweightState,
     SolverConfig,
     _mixed_loss_sum,
-    compute_weights_pos,
     fit,
-    objective_plus,
-    update_w_plus,
 )
 
-from oracles import capped_loss_sum, stationarity_residual_plus
+from oracles import (
+    capped_loss_sum,
+    objective_at,
+    solve_one,
+    stationarity_residual_plus,
+    weights_at,
+)
 
 
 def random_lifted_pair(rng, m_pos=None, m_neg=None, n=None):
@@ -48,6 +51,11 @@ def test_config_validation():
         SolverConfig(cap_eps=-1.0)
     with pytest.raises(InvalidInputError):
         SolverConfig(max_iter=0)
+    # A non-integer budget once passed the check and failed in the loop.
+    for bad in (2.5, "3", math.nan):
+        with pytest.raises(InvalidInputError):
+            SolverConfig(max_iter=bad)
+    assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
     with pytest.raises(InvalidInputError):
         SolverConfig(branch="fancy")
     # NaN compares False with everything; an infinite penalty diverges, and an
@@ -67,11 +75,11 @@ def test_weight_rule_cases():
     Zm = np.array([[1.0]])
     # Residual 0.25 below cap 0.5 -> reciprocal weight 4;
     # slack 1 + 0.25 above the cap -> constant weight eps = 0.5.
-    state = compute_weights_pos(np.array([0.25]), Zp, Zm, cap_eps=0.5)
+    state = weights_at(np.array([0.25]), Zp, Zm, cap_eps=0.5)
     np.testing.assert_allclose(state.q, [4.0, 4.0])
     np.testing.assert_allclose(state.u, [0.5])
     # Residual 1.5 saturates too.
-    state = compute_weights_pos(np.array([1.5]), Zp, Zm, cap_eps=0.5)
+    state = weights_at(np.array([1.5]), Zp, Zm, cap_eps=0.5)
     np.testing.assert_allclose(state.q, [0.5, 0.5])
     np.testing.assert_allclose(state.u, [0.5])
 
@@ -79,7 +87,7 @@ def test_weight_rule_cases():
 def test_weight_rule_zero_iterate_hits_floor():
     Zp = np.array([[1.0]])
     Zm = np.array([[1.0]])
-    state = compute_weights_pos(np.array([0.0]), Zp, Zm, cap_eps=1.0)
+    state = weights_at(np.array([0.0]), Zp, Zm, cap_eps=1.0)
     assert WEIGHT_FLOOR == 1e-12
     np.testing.assert_allclose(state.q, [1e12])
     np.testing.assert_allclose(state.u, [1.0])
@@ -88,7 +96,7 @@ def test_weight_rule_zero_iterate_hits_floor():
 def test_weight_rule_boundary_belongs_to_reciprocal_branch():
     Zp = np.array([[1.0]])
     Zm = np.array([[1.0]])
-    state = compute_weights_pos(np.array([0.5]), Zp, Zm, cap_eps=0.5)
+    state = weights_at(np.array([0.5]), Zp, Zm, cap_eps=0.5)
     np.testing.assert_allclose(state.q, [2.0])
 
 
@@ -99,8 +107,8 @@ def test_weight_range_invariant():
         w = rng.standard_normal(Zp.shape[0]) * rng.choice([1e-14, 1.0, 1e3])
         # The negative surface's weights are the positive rule at -w with
         # the classes swapped.
-        for state in (compute_weights_pos(w, Zp, Zm, cap_eps=0.7),
-                      compute_weights_pos(-w, Zm, Zp, cap_eps=0.7)):
+        for state in (weights_at(w, Zp, Zm, cap_eps=0.7),
+                      weights_at(-w, Zm, Zp, cap_eps=0.7)):
             for arr in (state.q, state.u):
                 assert np.all(arr > 0)
                 assert np.all(arr <= max(1e12, 0.7))
@@ -117,7 +125,7 @@ def test_one_step_matches_dense_oracle():
         state = ReweightState(q=q, u=u)
         for branch in ("direct", "smw"):
             cfg = SolverConfig(c1=c1, c2=c2, branch=branch)
-            wp = update_w_plus(Zp, Zm, state, cfg)
+            wp = solve_one(Zp, Zm, state, cfg)
             ref = dense_oracle(Zp, Zm, q, u, c1, c2, -1.0)
             np.testing.assert_allclose(wp, ref, rtol=1e-8, atol=1e-10)
 
@@ -132,8 +140,8 @@ def test_smw_and_direct_branches_agree():
         q = rng.uniform(0.1, 10.0, Zp.shape[1])
         u = rng.uniform(0.1, 10.0, Zm.shape[1])
         state = ReweightState(q=q, u=u)
-        w_direct = update_w_plus(Zp, Zm, state, SolverConfig(c1=c1, c2=c2, branch="direct"))
-        w_smw = update_w_plus(Zp, Zm, state, SolverConfig(c1=c1, c2=c2, branch="smw"))
+        w_direct = solve_one(Zp, Zm, state, SolverConfig(c1=c1, c2=c2, branch="direct"))
+        w_smw = solve_one(Zp, Zm, state, SolverConfig(c1=c1, c2=c2, branch="smw"))
         rel = np.linalg.norm(w_direct - w_smw) / (1 + np.linalg.norm(w_direct))
         worst = max(worst, rel)
     assert worst <= 1e-8
@@ -145,13 +153,13 @@ def test_smw_branch_tolerates_zero_weights():
     q = np.array([1.0, 0.0, 2.0, 0.0, 1.0])
     u = np.array([0.5, 0.5, 0.0, 1.0, 1.0])
     state = ReweightState(q=q, u=u)
-    w_direct = update_w_plus(Zp, Zm, state, SolverConfig(branch="direct"))
-    w_smw = update_w_plus(Zp, Zm, state, SolverConfig(branch="smw"))
+    w_direct = solve_one(Zp, Zm, state, SolverConfig(branch="direct"))
+    w_smw = solve_one(Zp, Zm, state, SolverConfig(branch="smw"))
     np.testing.assert_allclose(w_smw, w_direct, rtol=1e-8, atol=1e-10)
     # All-zero own weights: the own-class low-rank term vanishes entirely.
     state = ReweightState(q=np.zeros(5), u=u)
-    w_direct = update_w_plus(Zp, Zm, state, SolverConfig(branch="direct"))
-    w_smw = update_w_plus(Zp, Zm, state, SolverConfig(branch="smw"))
+    w_direct = solve_one(Zp, Zm, state, SolverConfig(branch="direct"))
+    w_smw = solve_one(Zp, Zm, state, SolverConfig(branch="smw"))
     np.testing.assert_allclose(w_smw, w_direct, rtol=1e-8, atol=1e-10)
 
 
@@ -164,7 +172,7 @@ def test_update_w_minus_matches_oracle():
         u = rng.uniform(0.1, 10.0, Zp.shape[1])
         state = ReweightState(q=q, u=u)
         for branch in ("direct", "smw"):
-            wm = -update_w_plus(Zm, Zp, state, SolverConfig(branch=branch))
+            wm = -solve_one(Zm, Zp, state, SolverConfig(branch=branch))
             ref = dense_oracle(Zm, Zp, q, u, 1.0, 1.0, +1.0)
             np.testing.assert_allclose(wm, ref, rtol=1e-8, atol=1e-10)
 
@@ -182,7 +190,7 @@ def test_objective_positive_and_regularized():
     Zp, Zm = random_lifted_pair(rng)
     cfg = SolverConfig()
     w = rng.standard_normal(Zp.shape[0])
-    obj = objective_plus(w, Zp, Zm, cfg)
+    obj = objective_at(w, Zp, Zm, cfg)
     assert obj >= 0.5 * cfg.c1 * w @ w
 
 
