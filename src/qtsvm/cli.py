@@ -45,23 +45,23 @@ USAGE_EXIT = 2
 RUNTIME_EXIT = 1
 
 
-def _write_csv(path, header, rows):
-    """Write rows of Python scalars; the csv module writes a float as its
-    shortest round-trip ``repr``."""
+def _write_csv(path, rows):
+    """Write dicts of Python scalars under a header of the first one's keys;
+    the csv module writes a float as its shortest round-trip ``repr``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
         writer.writerows(rows)
 
 
-def _write_labelled_matrix(path, header, X, labels):
-    """Write a float matrix and an integer label column as ``_write_csv``
-    would.  Numbers never need quoting, so each column is formatted at once
-    and the rows are joined without the csv module."""
+def _write_labelled_matrix(path, X, labels, label_name):
+    """Write a float matrix as columns x1..xn and integer labels as a last
+    column, as ``_write_csv`` would.  Numbers never need quoting, so each
+    column is formatted at once and the rows are joined without csv."""
     cols = [map(repr, col) for col in X.T.tolist()]
     cols.append(map(str, labels.astype(int).tolist()))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join([f"x{i + 1}" for i in range(X.shape[1])] + [label_name]) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
@@ -78,11 +78,12 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path, command, flags, outputs, inputs=()):
-    """Record the command, its flags, its outputs and the sha256 of each
-    input file, so that ``replay`` can refuse inputs that changed."""
+def _write_manifest(args, out_path, outputs, inputs=()):
+    """Record the command, every parsed flag, its outputs and the sha256 of
+    each input file, so that ``replay`` can refuse inputs that changed."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     doc = {
-        "command": command,
+        "command": args.command,
         "flags": flags,
         "seed": flags.get("seed"),
         "version": __version__,
@@ -90,26 +91,17 @@ def _write_manifest(out_path, command, flags, outputs, inputs=()):
         "outputs": outputs,
         "inputs": {str(path): _sha256(path) for path in inputs},
     }
-    path = f"{out_path}.manifest.json"
-    with open(path, "w") as fh:
+    with open(f"{out_path}.manifest.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return path
 
 
 def cmd_generate(args) -> int:
     d = GENERATORS[args.example](args.m, args.seed)
     # A ratio of 0 returns the same samples; a bad one is rejected.
     d = inject_label_noise(d, args.noise_ratio, seed=args.seed + 1)
-    header = [f"x{i + 1}" for i in range(d.n)] + ["label"]
-    _write_labelled_matrix(args.out, header, *d.stacked())
-    _write_manifest(
-        args.out,
-        "generate",
-        {"example": args.example, "m": args.m, "noise_ratio": args.noise_ratio,
-         "seed": args.seed, "out": args.out},
-        [args.out],
-    )
+    _write_labelled_matrix(args.out, *d.stacked(), "label")
+    _write_manifest(args, args.out, [args.out])
     print(f"wrote {d.m} samples ({d.m_pos} positive, {d.m_neg} negative) to {args.out}")
     return 0
 
@@ -145,15 +137,7 @@ def cmd_train(args) -> int:
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    _write_manifest(
-        args.model_out,
-        "train",
-        {"data": args.data, "method": args.method, "c1": args.c1, "c2": args.c2,
-         "eps": args.eps, "max_iter": args.max_iter, "mode": args.mode,
-         "model_out": args.model_out, "seed": None},
-        [args.model_out, report_path],
-        [args.data],
-    )
+    _write_manifest(args, args.model_out, [args.model_out, report_path], [args.data])
     print(f"trained {args.method}; training accuracy {report['train_accuracy']:.4f}")
     return 0
 
@@ -173,15 +157,8 @@ def cmd_predict(args) -> int:
             f"features (plus an optional label column)"
         )
     preds = predict_many(model, X)
-    header = [f"x{i + 1}" for i in range(model.n)] + ["prediction"]
-    _write_labelled_matrix(args.out, header, X, preds)
-    _write_manifest(
-        args.out,
-        "predict",
-        {"model": args.model, "data": args.data, "out": args.out, "seed": None},
-        [args.out],
-        [args.model, args.data],
-    )
+    _write_labelled_matrix(args.out, X, preds, "prediction")
+    _write_manifest(args, args.out, [args.out], [args.model, args.data])
     if y is not None:
         counts = counts_from_predictions(y, preds)
         print(f"accuracy {accuracy(counts):.4f} f1 {f1(counts):.4f}")
@@ -190,8 +167,9 @@ def cmd_predict(args) -> int:
     return 0
 
 
-_TRAINERS = {"cl1qtsvm": CL1Trainer, "lsqtsvm": LSQTrainer}
-_GRID_KEYS = {"cl1qtsvm": {"c1", "c2"}, "lsqtsvm": {"C"}}
+_TRAINERS = {trainer.name: trainer for trainer in (CL1Trainer, LSQTrainer)}
+_GRID_KEYS = {method: set(default_grid(method)[0]) for method in _TRAINERS}
+_MODES = [mode.value for mode in LiftingMode]
 _CONFIG_KEYS = {"seed", "folds", "repeats", "selection", "normalize", "mode", "methods",
                 "datasets", "noise_ratios", "grid"}
 _DATASET_KEYS = {"example": {"name", "example", "m_per_class"},
@@ -213,6 +191,10 @@ def _int_from(low):
 
 def _list_of(ok):
     return lambda v: isinstance(v, list) and bool(v) and all(ok(x) for x in v)
+
+
+def _one_of(values):
+    return (lambda v: v in values), " or ".join(map(repr, values))
 
 
 def _grid_of(keys):
@@ -282,13 +264,9 @@ def _benchmark_config(path):
                   repeats=_get(cfg, "repeats", 2, _int_from(1), "an integer >= 1"),
                   seed=_get(cfg, "seed", 0, _int_from(0), "an integer >= 0"),
                   grid=grids[methods[0]],
-                  mode=LiftingMode(_get(cfg, "mode", "full",
-                                        lambda v: v in [m.value for m in LiftingMode],
-                                        "'full' or 'reduced'")),
-                  selection=_get(cfg, "selection", "nested", lambda v: v in ("nested", "flat"),
-                                 "'nested' or 'flat'"),
-                  normalize=_get(cfg, "normalize", "full", lambda v: v in ("full", "per-fold"),
-                                 "'full' or 'per-fold'"))
+                  mode=LiftingMode(_get(cfg, "mode", "full", *_one_of(_MODES))),
+                  selection=_get(cfg, "selection", "nested", *_one_of(("nested", "flat"))),
+                  normalize=_get(cfg, "normalize", "full", *_one_of(("full", "per-fold"))))
     return entries, [_TRAINERS[m]() for m in methods], ratios, spec, grids
 
 
@@ -306,17 +284,15 @@ def cmd_benchmark(args) -> int:
     datasets = {name: _benchmark_dataset(entry, spec.seed) for name, entry in entries.items()}
     results = sweep_results(datasets, trainers, ratios, spec, grids, jobs=args.jobs)
 
-    header = ["dataset", "method", "noise_ratio", "fold", "repeat", "c1", "c2", "acc", "f1"]
-    long_rows = [[row[key] for key in header] for row in sweep_rows(results)]
-    _write_csv(args.out, header, long_rows)
+    long_rows = sweep_rows(results)
+    _write_csv(args.out, long_rows)
     summary_path = f"{args.out}.summary.csv"
-    _write_csv(summary_path, ["dataset", "method", "noise_ratio", "acc_mean", "acc_std",
-                              "f1_mean", "f1_std", "best_params"],
-               ([ds_name, method, ratio, result.acc_mean, result.acc_std, result.f1_mean,
-                 result.f1_std, json.dumps(result.best_params, sort_keys=True)]
-                for (ds_name, ratio, method), result in results))
-    _write_manifest(args.out, "benchmark", {"config": args.config, "out": args.out,
-                                            "jobs": args.jobs}, [args.out, summary_path],
+    _write_csv(summary_path, [
+        dict(dataset=ds_name, method=method, noise_ratio=ratio, acc_mean=result.acc_mean,
+             acc_std=result.acc_std, f1_mean=result.f1_mean, f1_std=result.f1_std,
+             best_params=json.dumps(result.best_params, sort_keys=True))
+        for (ds_name, ratio, method), result in results])
+    _write_manifest(args, args.out, [args.out, summary_path],
                     [args.config] + [e["path"] for e in entries.values() if "path" in e])
     print(f"wrote {len(long_rows)} result rows to {args.out}")
     return 0
@@ -390,7 +366,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic dataset CSV")
-    p.add_argument("--example", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--example", type=int, choices=tuple(GENERATORS), required=True)
     p.add_argument("--m", type=int, default=200, help="samples per class")
     p.add_argument("--noise-ratio", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
@@ -399,13 +375,13 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     p = sub.add_parser("train", help="train a model on a labeled CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", choices=("cl1qtsvm", "lsqtsvm"), required=True)
+    p.add_argument("--method", choices=tuple(_TRAINERS), required=True)
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=1.0,
                    help="penalty (cl1qtsvm) or C (lsqtsvm)")
     p.add_argument("--eps", type=float, default=SolverConfig().cap_eps)
     p.add_argument("--max-iter", type=int, default=30)
-    p.add_argument("--mode", choices=("full", "reduced"), default="full")
+    p.add_argument("--mode", choices=_MODES, default="full")
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -440,12 +416,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except QtsvmError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_EXIT
+        usage = isinstance(exc, (DataFormatError, InvalidInputError))
+        return USAGE_EXIT if usage else RUNTIME_EXIT
 
 
 if __name__ == "__main__":

@@ -4,7 +4,6 @@ Nemenyi critical-difference test."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,7 +149,6 @@ class FoldRecord:
     fold: int
     params: dict
     counts: ConfusionCounts
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,6 @@ class EvalResult:
     f1_mean: float
     f1_std: float
     best_params: dict
-    wall_time: float  # seconds spent fitting and testing, summed over folds
     folds: tuple  # of FoldRecord
 
 
@@ -257,18 +254,14 @@ def _outer_folds(dataset, trainer, spec):
 def _fold_records(dataset, trainer, spec, full_scaler, assign, rep, fold):
     """Records of one outer fold: with nested selection one, for the grid
     point its inner CV picks; with flat selection one per grid point."""
-    t0 = time.perf_counter()
     train, test = _split(dataset, assign, fold)
     if spec.selection == "flat":
         counts = trainer.evaluate(train, test, spec.grid, spec.mode, full_scaler)
-        # The grid is fit in one go; its time is shared out evenly.
-        seconds = (time.perf_counter() - t0) / len(spec.grid)
-        return [FoldRecord(repeat=rep, fold=fold, params=params, counts=c, seconds=seconds)
+        return [FoldRecord(repeat=rep, fold=fold, params=params, counts=c)
                 for params, c in zip(spec.grid, counts)]
     params = _inner_select(trainer, train, spec, full_scaler, [spec.seed, rep, fold, 1])
     [counts] = trainer.evaluate(train, test, (params,), spec.mode, full_scaler)
-    return [FoldRecord(repeat=rep, fold=fold, params=params, counts=counts,
-                       seconds=time.perf_counter() - t0)]
+    return [FoldRecord(repeat=rep, fold=fold, params=params, counts=counts)]
 
 
 def _eval_result(selection, per_fold) -> EvalResult:
@@ -292,7 +285,6 @@ def _eval_result(selection, per_fold) -> EvalResult:
         f1_mean=float(np.mean(f1s)),
         f1_std=float(np.std(f1s)),
         best_params=dict(winner),
-        wall_time=sum(r.seconds for fold in per_fold for r in fold),
         folds=tuple(records),
     )
 
@@ -313,10 +305,10 @@ def sweep_results(datasets: dict, trainers: list, noise_ratios, spec: CvSpec,
                           replace(spec, grid=tuple((grids or {}).get(trainer.name, spec.grid))))
              for name, ratio, trainer in keys]
     folds = [fold for cell in cells for fold in cell]
-    if jobs > 1 and cells:
+    if jobs > 1 and folds:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(min(jobs, len(cells))) as pool:
+        with ProcessPoolExecutor(min(jobs, len(folds))) as pool:
             records = iter(list(pool.map(_fold_records, *zip(*folds))))
     else:
         records = (_fold_records(*fold) for fold in folds)
@@ -326,11 +318,11 @@ def sweep_results(datasets: dict, trainers: list, noise_ratios, spec: CvSpec,
 
 
 def sweep_rows(results) -> list[dict]:
-    """One row per outer fold of each cell of ``sweep_results``."""
+    """One results-file row per outer fold of each cell of ``sweep_results``."""
     return [dict(dataset=ds_name, method=method, noise_ratio=ratio, fold=rec.fold,
                  repeat=rec.repeat, c1=rec.params.get("c1", ""),
                  c2=rec.params.get("c2", rec.params.get("C", "")),
-                 acc=accuracy(rec.counts), f1=f1(rec.counts), seconds=rec.seconds)
+                 acc=accuracy(rec.counts), f1=f1(rec.counts))
             for (ds_name, ratio, method), result in results for rec in result.folds]
 
 

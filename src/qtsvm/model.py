@@ -166,15 +166,21 @@ def load_model(path) -> TrainedModel:
         raise MalformedModelFileError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedModelFileError(f"{path}: expected a key/value document")
+
+    def integer(key):  # a JSON integer: not true, 1.0, 2.7, "2" or 1e400 (read as inf)
+        if type(doc[key]) is not int:
+            raise MalformedModelFileError(f"{path}: {key!r} must be an integer, got {doc[key]!r}")
+        return doc[key]
+
     try:
-        version = doc["format_version"]
+        version = integer("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelVersionError(
                 f"unsupported model format version {version!r} "
                 f"(supported: {MODEL_FORMAT_VERSION})"
             )
         mode = LiftingMode(doc["mode"])
-        n = int(doc["n"])
+        n = integer("n")
         scaler_doc = doc["scaler"]
         scaler = NormalizationParams(
             minimum=np.array(scaler_doc["min"], dtype=float),

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifact round-trips, replay."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import qtsvm
-from qtsvm.cli import main
+from qtsvm.cli import build_parser, main
 from qtsvm.data import load_csv
 
 BENCH_CONFIG = {
@@ -268,6 +269,37 @@ def test_benchmark_manifest_hashes_config_and_dataset_files(predicted):
     assert run(["replay", predicted / "results.csv.manifest.json"]) == 2
 
 
+def _dests(command):
+    """The dests of every flag of a subcommand's parser."""
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def test_manifest_flags_are_the_parsed_command_line(predicted):
+    # A flag left out of the manifest would be replayed at its default.
+    cfg = predicted / "bench.json"
+    cfg.write_text(json.dumps(BENCH_CONFIG))
+    assert run(["benchmark", "--config", cfg, "--out", predicted / "results.csv"]) == 0
+    for command, out in (("generate", "d.csv"), ("train", "model.json"),
+                         ("predict", "p.csv"), ("benchmark", "results.csv")):
+        manifest = json.loads((predicted / f"{out}.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["flags"]) == _dests(command)
+
+
+@pytest.mark.parametrize("out", ["model.json", "p.csv"])
+def test_replay_reads_a_manifest_with_a_null_seed_flag(predicted, out):
+    # Manifests of train and predict once recorded a "seed": null flag.
+    manifest = predicted / f"{out}.manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["flags"]["seed"] = None
+    manifest.write_text(json.dumps(doc))
+    first = (predicted / out).read_bytes()
+    (predicted / out).unlink()
+    assert run(["replay", manifest]) == 0
+    assert (predicted / out).read_bytes() == first
+
+
 def test_replay_predict_byte_identical(predicted):
     first = (predicted / "p.csv").read_bytes()
     (predicted / "p.csv").unlink()
@@ -413,6 +445,7 @@ def trained(tmp_path_factory):
     (_predict_with_model(lambda doc: doc["surface_pos"].update(b=3.0)), 1),
     (_predict_with_model(lambda doc: doc["scaler"].update(
         min=[v + 10.0 for v in doc["scaler"]["max"]])), 1),
+    (_predict_with_model(lambda doc: doc.update(n=float("inf"))), 1),
     (_bench(mode="diag"), 2),
     (_bench(folds="abc"), 2),
     (_bench(seed="x"), 2),
@@ -456,6 +489,7 @@ def trained(tmp_path_factory):
     (_generate("--noise-ratio", "nan"), 2),
     (_generate("--noise-ratio", "-0.5"), 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
+        "model-n-inf",
         "config-mode", "config-folds", "config-seed", "config-noise-ratios", "config-m-per-class",
         "config-grid-key", "config-dataset-entry", "config-methods-string", "config-unknown-key",
         "config-unknown-example-key", "config-unknown-path-key", "config-example-and-path",

@@ -97,7 +97,7 @@ def test_write_csv_writes_per_cell_repr(tmp_path):
     rows = [EDGE_VALUES, EDGE_VALUES[::-1],
             np.random.default_rng(0).normal(size=len(EDGE_VALUES)).tolist()]
     header = [f"c{i}" for i in range(len(EDGE_VALUES))]
-    _write_csv(tmp_path / "o.csv", header, rows)
+    _write_csv(tmp_path / "o.csv", [dict(zip(header, row)) for row in rows])
     assert (tmp_path / "o.csv").read_text() == ",".join(header) + "\n" + _per_cell_repr(rows)
 
 
@@ -106,7 +106,7 @@ def test_labelled_matrix_writes_per_cell_repr(tmp_path):
     X = np.array([floats, floats[::-1], np.random.default_rng(1).normal(size=len(floats))])
     labels = np.array([1.0, -1.0, 1.0])
     header = [f"x{i + 1}" for i in range(X.shape[1])] + ["label"]
-    _write_labelled_matrix(tmp_path / "o.csv", header, X, labels)
+    _write_labelled_matrix(tmp_path / "o.csv", X, labels, "label")
     expected = _per_cell_repr([[*map(float, x), int(v)] for x, v in zip(X, labels)])
     assert (tmp_path / "o.csv").read_text() == ",".join(header) + "\n" + expected
 

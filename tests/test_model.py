@@ -225,6 +225,17 @@ def test_load_rejects_unknown_version(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("key, text", [("n", "1e400"), ("n", "2.7"), ("n", '"2"'),
+                                       ("format_version", "true"), ("format_version", "1.0")])
+def test_load_rejects_a_field_that_is_not_an_integer(tmp_path, key, text):
+    # Each once loaded (or, for 1e400, ended in an OverflowError).
+    path, doc = _valid_doc(tmp_path)
+    doc[key] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', text))
+    with pytest.raises(MalformedModelFileError, match=f"'{key}' must be an integer"):
+        load_model(path)
+
+
 def test_load_rejects_dimension_mismatch(tmp_path):
     path, doc = _valid_doc(tmp_path)
     doc["surface_pos"]["b"] = [0.0, 0.0, 0.0]
