@@ -376,11 +376,12 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = sub.add_parser("train", help="train a model on a labeled CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--method", choices=tuple(_TRAINERS), required=True)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0,
+    defaults = SolverConfig()
+    p.add_argument("--c1", type=float, default=defaults.c1)
+    p.add_argument("--c2", type=float, default=defaults.c2,
                    help="penalty (cl1qtsvm) or C (lsqtsvm)")
-    p.add_argument("--eps", type=float, default=SolverConfig().cap_eps)
-    p.add_argument("--max-iter", type=int, default=30)
+    p.add_argument("--eps", type=float, default=defaults.cap_eps)
+    p.add_argument("--max-iter", type=int, default=defaults.max_iter)
     p.add_argument("--mode", choices=_MODES, default="full")
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=cmd_train)

@@ -184,22 +184,22 @@ def _split(dataset: Dataset, assign: np.ndarray, fold: int):
     return train, test
 
 
-def _inner_counts(trainer, train, spec: CvSpec, scaler, assign, k):
-    """Confusion counts of every grid point on each of the k inner folds
-    that assign deals, one list per fold in grid order.
+def _cv_counts(trainer, dataset, spec: CvSpec, scaler, assign, k):
+    """Confusion counts of every grid point on each of the k folds that
+    assign deals over dataset, one list per fold in grid order.
 
-    With a shared scaler (normalize="full") an inner fold's training
-    problem is the whole training split with its held-out samples masked
-    out, so all folds' grids are fit as one stack on the split scaled and
-    lifted once; with per-fold scaling each fold is fit on its own."""
+    With a shared scaler (normalize="full") a fold's training problem is
+    the whole dataset with that fold's samples masked out, so all folds'
+    grids are fit as one stack on the dataset scaled and lifted once; with
+    per-fold scaling each fold is fit on its own."""
     if spec.normalize == "per-fold":
-        return [trainer.evaluate(*_split(train, assign, fold), spec.grid, spec.mode, scaler)
+        return [trainer.evaluate(*_split(dataset, assign, fold), spec.grid, spec.mode, scaler)
                 for fold in range(k)]
     size = len(spec.grid)
     held = assign == np.arange(k)[:, None]
-    fitted = trainer.fit_split(train, tuple(spec.grid) * k, spec.mode, scaler,
+    fitted = trainer.fit_split(dataset, tuple(spec.grid) * k, spec.mode, scaler,
                                mask=np.repeat(~held, size, axis=0))
-    X, y = train.stacked()
+    X, y = dataset.stacked()
     per_fold = []
     for fold, rows in enumerate(held):
         lanes = slice(fold * size, (fold + 1) * size)
@@ -217,7 +217,7 @@ def _inner_select(trainer, train, spec: CvSpec, scaler, seed_key):
         )
     assign = _stratified_folds(train.m_pos, train.m_neg, k, seed_key)
     per_fold = [[accuracy(c) for c in counts]
-                for counts in _inner_counts(trainer, train, spec, scaler, assign, k)]
+                for counts in _cv_counts(trainer, train, spec, scaler, assign, k)]
     means = [float(np.mean(accs)) for accs in zip(*per_fold)]
     return spec.grid[int(np.argmax(means))]
 
@@ -229,39 +229,44 @@ def cross_validate(dataset: Dataset, trainer, spec: CvSpec) -> EvalResult:
     spec.seed, so reruns (and any parallel evaluation order) reproduce
     the same result exactly.
     """
-    return _eval_result(spec.selection, [_fold_records(*fold)
-                                         for fold in _outer_folds(dataset, trainer, spec)])
+    return _eval_result(spec.selection, [records for task in _cv_tasks(dataset, trainer, spec)
+                                         for records in _task_records(*task)])
 
 
-def _outer_folds(dataset, trainer, spec):
-    """The outer folds of cross_validate in (repeat, fold) order, each as the
-    arguments of _fold_records."""
+def _cv_tasks(dataset, trainer, spec):
+    """The work of cross_validate in (repeat, fold) order, each task as the
+    arguments of _task_records: with flat selection one task per repeat,
+    whose outer folds are fit together, with nested selection one per
+    outer fold."""
     if dataset.m_pos < spec.folds or dataset.m_neg < spec.folds:
         raise InvalidInputError(
             f"each class needs at least {spec.folds} samples for "
             f"{spec.folds}-fold CV; use a smaller k"
         )
     full_scaler = fit_scaler(dataset) if spec.normalize == "full" else None
-    folds = []
+    folds = [None] if spec.selection == "flat" else range(spec.folds)
+    tasks = []
     for rep in range(spec.repeats):
         assign = _stratified_folds(dataset.m_pos, dataset.m_neg, spec.folds,
                                    [spec.seed, rep])
-        folds += [(dataset, trainer, spec, full_scaler, assign, rep, fold)
-                  for fold in range(spec.folds)]
-    return folds
+        tasks += [(dataset, trainer, spec, full_scaler, assign, rep, fold) for fold in folds]
+    return tasks
 
 
-def _fold_records(dataset, trainer, spec, full_scaler, assign, rep, fold):
-    """Records of one outer fold: with nested selection one, for the grid
-    point its inner CV picks; with flat selection one per grid point."""
+def _task_records(dataset, trainer, spec, full_scaler, assign, rep, fold):
+    """The records of one task, one list per outer fold.  A flat task (fold
+    None) cross-validates the whole grid over all outer folds of repeat
+    rep, one record per grid point and fold; a nested task gives its outer
+    fold one record, for the grid point its inner CV picks."""
+    if fold is None:
+        return [[FoldRecord(repeat=rep, fold=f, params=params, counts=c)
+                 for params, c in zip(spec.grid, counts)]
+                for f, counts in enumerate(_cv_counts(trainer, dataset, spec, full_scaler,
+                                                      assign, spec.folds))]
     train, test = _split(dataset, assign, fold)
-    if spec.selection == "flat":
-        counts = trainer.evaluate(train, test, spec.grid, spec.mode, full_scaler)
-        return [FoldRecord(repeat=rep, fold=fold, params=params, counts=c)
-                for params, c in zip(spec.grid, counts)]
     params = _inner_select(trainer, train, spec, full_scaler, [spec.seed, rep, fold, 1])
     [counts] = trainer.evaluate(train, test, (params,), spec.mode, full_scaler)
-    return [FoldRecord(repeat=rep, fold=fold, params=params, counts=counts)]
+    return [[FoldRecord(repeat=rep, fold=fold, params=params, counts=counts)]]
 
 
 def _eval_result(selection, per_fold) -> EvalResult:
@@ -294,26 +299,27 @@ def sweep_results(datasets: dict, trainers: list, noise_ratios, spec: CvSpec,
     """Cross-validate every (dataset, noise ratio, trainer) cell, datasets in
     name order; returns ((dataset, ratio, method), EvalResult) pairs in that
     order.  ``grids`` optionally maps trainer name to its grid (default
-    spec.grid).  With jobs > 1 the cells' outer folds run in up to ``jobs``
+    spec.grid).  With jobs > 1 the cells' tasks (one per repeat with flat
+    selection, one per outer fold with nested) run in up to ``jobs``
     processes, handed out one at a time so that a worker slowed by other
-    load holds up the sweep by at most one fold; each fold is seeded on its
+    load holds up the sweep by at most one task; each task is seeded on its
     own, so results do not depend on ``jobs``."""
     keys = [(name, ratio, trainer) for name in sorted(datasets)
             for ratio in noise_ratios for trainer in trainers]
-    cells = [_outer_folds(inject_label_noise(datasets[name], ratio, seed=spec.seed + 1),
-                          trainer,
-                          replace(spec, grid=tuple((grids or {}).get(trainer.name, spec.grid))))
+    cells = [_cv_tasks(inject_label_noise(datasets[name], ratio, seed=spec.seed + 1),
+                       trainer,
+                       replace(spec, grid=tuple((grids or {}).get(trainer.name, spec.grid))))
              for name, ratio, trainer in keys]
-    folds = [fold for cell in cells for fold in cell]
-    if jobs > 1 and folds:
+    tasks = [task for cell in cells for task in cell]
+    if jobs > 1 and tasks:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(min(jobs, len(folds))) as pool:
-            records = iter(list(pool.map(_fold_records, *zip(*folds))))
+        with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
+            records = iter(list(pool.map(_task_records, *zip(*tasks))))
     else:
-        records = (_fold_records(*fold) for fold in folds)
+        records = (_task_records(*task) for task in tasks)
     return [((name, ratio, trainer.name),
-             _eval_result(spec.selection, [next(records) for _ in cell]))
+             _eval_result(spec.selection, [recs for _ in cell for recs in next(records)]))
             for (name, ratio, trainer), cell in zip(keys, cells)]
 
 

@@ -149,8 +149,21 @@ def save_model(m: TrainedModel, path) -> None:
         fh.write("\n")
 
 
-def _surface_from_doc(doc: dict, n: int, mode: LiftingMode) -> QuadraticSurface:
-    w = np.concatenate([doc["w_head"], doc["b"], [doc["c"]]])
+def _numbers(value, field: str) -> np.ndarray:
+    """A JSON list of numbers as a float array.  Strings such as "1.5" and
+    booleans are not numbers here, though numpy would convert them."""
+    if type(value) is not list or not all(type(v) in (int, float) for v in value):
+        raise TypeError(f"{field} must be a list of numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
+def _surface_from_doc(doc: dict, side: str, n: int, mode: LiftingMode) -> QuadraticSurface:
+    surface = doc[side]
+    c = surface["c"]
+    if type(c) not in (int, float):
+        raise TypeError(f"{side}.c must be a number, got {c!r}")
+    w = np.concatenate([_numbers(surface["w_head"], f"{side}.w_head"),
+                        _numbers(surface["b"], f"{side}.b"), [c]])
     return QuadraticSurface(*unpack_weights(w, n, mode))
 
 
@@ -176,22 +189,22 @@ def load_model(path) -> TrainedModel:
         version = integer("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise ModelVersionError(
-                f"unsupported model format version {version!r} "
+                f"{path}: unsupported model format version {version!r} "
                 f"(supported: {MODEL_FORMAT_VERSION})"
             )
         mode = LiftingMode(doc["mode"])
         n = integer("n")
         scaler_doc = doc["scaler"]
         scaler = NormalizationParams(
-            minimum=np.array(scaler_doc["min"], dtype=float),
-            maximum=np.array(scaler_doc["max"], dtype=float),
+            minimum=_numbers(scaler_doc["min"], "scaler.min"),
+            maximum=_numbers(scaler_doc["max"], "scaler.max"),
         )
         if scaler.minimum.shape != scaler.maximum.shape or scaler.minimum.size != n:
             raise ModelInconsistencyError(
                 f"{path}: scaler dimension {scaler.minimum.size} != n={n}"
             )
-        return TrainedModel(surface_pos=_surface_from_doc(doc["surface_pos"], n, mode),
-                            surface_neg=_surface_from_doc(doc["surface_neg"], n, mode),
+        return TrainedModel(surface_pos=_surface_from_doc(doc, "surface_pos", n, mode),
+                            surface_neg=_surface_from_doc(doc, "surface_neg", n, mode),
                             mode=mode, scaler=scaler, n=n)
     except KeyError as exc:
         raise MalformedModelFileError(f"{path}: missing field {exc}") from exc

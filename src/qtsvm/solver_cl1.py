@@ -17,7 +17,7 @@ cross-validation split are lanes of the same stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -228,14 +228,24 @@ def _psd_solve_stack(B, rhs):
     return X, fell
 
 
-def _gram_stack(Z, Q):
-    """Stack of the weighted Gram matrices Z diag(q) Z', one per row q of Q."""
+def _pair_products(Z):
+    """The pairwise row products of Z, shape (l * l, m), from which
+    _gram_stack forms a stack of weighted Grams in one product; None where
+    l is too large for that to pay or the products would take more than
+    LANE_CHUNK_BYTES."""
     l, m = Z.shape
     if l <= STACKED_SOLVE_MAX_DIM and 8 * l * l * m <= LANE_CHUNK_BYTES:
-        # One product with the pairwise row products of Z: far cheaper than
-        # a small product per lane when l is small (and far dearer when not).
-        P = (Z[:, None, :] * Z[None, :, :]).reshape(l * l, m)
-        return (Q @ P.T).reshape(-1, l, l)
+        return (Z[:, None, :] * Z[None, :, :]).reshape(l * l, m)
+    return None
+
+
+def _gram_stack(Z, Q, P):
+    """Stack of the weighted Gram matrices Z diag(q) Z', one per row q of Q,
+    from Z's pair products P when _pair_products gave them."""
+    if P is not None:
+        # One product: far cheaper than a small product per lane when l is
+        # small (and far dearer when not).
+        return (Q @ P.T).reshape(-1, Z.shape[0], Z.shape[0])
     return (Z * Q[:, None, :]) @ Z.T
 
 
@@ -247,14 +257,16 @@ def _solve_chunked(G, per_lane, system):
     return np.concatenate([x for x, _ in parts]), np.concatenate([f for _, f in parts])
 
 
-def _solve_direct(Z_own, Z_other, Q, U, c1, c2):
-    """The stacked solves in lifted space: w = -c2 x for B x = Z_other u."""
+def _solve_direct(Z_own, Z_other, Q, U, c1, c2, pairs):
+    """The stacked solves in lifted space: w = -c2 x for B x = Z_other u,
+    the Grams formed from the pair products pairs = (own, other)."""
     l = Z_own.shape[0]
     diag = np.arange(l)
+    P_own, P_other = pairs
 
     def system(sl):
-        B = _gram_stack(Z_own, Q[sl])
-        B += c2[sl, None, None] * _gram_stack(Z_other, U[sl])
+        B = _gram_stack(Z_own, Q[sl], P_own)
+        B += c2[sl, None, None] * _gram_stack(Z_other, U[sl], P_other)
         B[:, diag, diag] += c1[sl, None]
         return B, U[sl] @ Z_other.T
 
@@ -288,18 +300,29 @@ def _sample_gram(Z_own, Z_other):
     return Z.T @ Z
 
 
-def update_w_plus(Z_own, Z_other, state: ReweightState, c1, c2, branch, gram=None):
+def _branch_constants(Z_own, Z_other, branch, gram=None):
+    """What update_w_plus's branch takes from the data alone, formed once per
+    fit: for SMW the sample Gram (``gram`` when given, else _sample_gram's),
+    for the direct branch the pair products of Z_own and of Z_other."""
+    if branch == "smw":
+        return _sample_gram(Z_own, Z_other) if gram is None else gram
+    return _pair_products(Z_own), _pair_products(Z_other)
+
+
+def update_w_plus(Z_own, Z_other, state: ReweightState, c1, c2, branch, consts=None):
     """Solve (Z_own diag(q) Z_own' + c1 I + c2 Z_other diag(u) Z_other') w
     = -c2 * Z_other u for every lane g (rows of state.q and state.u,
-    entries of c1 and c2) by the given branch (SMW takes ``gram`` from
-    _sample_gram).
+    entries of c1 and c2) by the given branch, with the branch's constants
+    from _branch_constants (formed here when not given).
 
     Returns the solutions, shape (G, l), and each lane's count of
     factorizations that fell back to least squares.
     """
+    if consts is None:
+        consts = _branch_constants(Z_own, Z_other, branch)
     if branch == "smw":
-        return _solve_sample_space(Z_own, Z_other, state.q, state.u, c1, c2, gram)
-    return _solve_direct(Z_own, Z_other, state.q, state.u, c1, c2)
+        return _solve_sample_space(Z_own, Z_other, state.q, state.u, c1, c2, consts)
+    return _solve_direct(Z_own, Z_other, state.q, state.u, c1, c2, consts)
 
 
 def _mixed_loss_sum(a: np.ndarray, cap_eps: float, keep) -> np.ndarray:
@@ -326,7 +349,8 @@ def objective_plus(w, abs_residuals, abs_slacks, c1, c2, cap_eps, own=True, othe
 
 def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=None):
     """The capped-L1 IRLS of the positive subproblem over a stack of lanes,
-    lane g with penalties (c1[g], c2[g]) and the rest of cfg.
+    lane g with penalties (c1[g], c2[g]) and cfg's cap_eps and max_iter;
+    an SMW run takes its sample Gram from ``gram`` when given.
 
     own and other are boolean masks of shapes (G, m_own) and (G, m_other):
     lane g trains on the samples its rows mark, and an unmarked sample gets
@@ -354,8 +378,9 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=No
     # reciprocals would all hit the division floor), so the first update
     # is a plain unweighted least-squares step on each lane's samples.
     state = ReweightState(q=own.astype(float), u=other.astype(float))
+    consts = _branch_constants(Z_own, Z_other, branch, gram)
     for t in range(cfg.max_iter):
-        W_new, fell = update_w_plus(Z_own, Z_other, state, c1, c2, branch, gram)
+        W_new, fell = update_w_plus(Z_own, Z_other, state, c1, c2, branch, consts)
         if not np.isfinite(W_new).all():
             raise NumericError(f"non-finite iterate at iteration {t}")
         step = np.linalg.norm(W_new - W_old, axis=1)
@@ -440,11 +465,12 @@ def fit_grid(
 
     groups: dict = {}
     for g, cfg in enumerate(cfgs):
-        groups.setdefault(replace(cfg, c1=1.0, c2=1.0), []).append(g)
+        groups.setdefault((cfg.cap_eps, cfg.max_iter, cfg.branch), []).append(g)
     w = {side: np.empty((len(cfgs), l)) for side in Z}
     reps = {side: [None] * len(cfgs) for side in Z}
     grams = {}
-    for shared, idx in groups.items():
+    for idx in groups.values():
+        shared = cfgs[idx[0]]
         idx = np.array(idx)
         c1 = np.array([cfgs[g].c1 for g in idx])
         c2 = np.array([cfgs[g].c2 for g in idx])

@@ -14,6 +14,7 @@ import pytest
 import qtsvm
 from qtsvm.cli import build_parser, main
 from qtsvm.data import load_csv
+from qtsvm.solver_cl1 import SolverConfig
 
 BENCH_CONFIG = {
     "seed": 3,
@@ -287,6 +288,15 @@ def test_manifest_flags_are_the_parsed_command_line(predicted):
         assert set(manifest["flags"]) == _dests(command)
 
 
+def test_train_defaults_are_the_solver_defaults():
+    # The flags once restated the defaults as literals.
+    args = build_parser().parse_args(["train", "--data", "d.csv", "--method", "cl1qtsvm",
+                                      "--model-out", "m.json"])
+    defaults = SolverConfig()
+    assert (args.c1, args.c2, args.eps, args.max_iter) == (
+        defaults.c1, defaults.c2, defaults.cap_eps, defaults.max_iter)
+
+
 @pytest.mark.parametrize("out", ["model.json", "p.csv"])
 def test_replay_reads_a_manifest_with_a_null_seed_flag(predicted, out):
     # Manifests of train and predict once recorded a "seed": null flag.
@@ -446,6 +456,14 @@ def trained(tmp_path_factory):
     (_predict_with_model(lambda doc: doc["scaler"].update(
         min=[v + 10.0 for v in doc["scaler"]["max"]])), 1),
     (_predict_with_model(lambda doc: doc.update(n=float("inf"))), 1),
+    (_predict_with_model(lambda doc: doc["surface_pos"].update(c="1.5")), 1),
+    (_predict_with_model(lambda doc: doc["surface_neg"].update(
+        b=[True] * len(doc["surface_neg"]["b"]))), 1),
+    (_predict_with_model(lambda doc: doc["scaler"].update(
+        min=[str(v) for v in doc["scaler"]["min"]])), 1),
+    (_predict_with_model(lambda doc: doc["scaler"].update(
+        max=[True] * len(doc["scaler"]["max"]))), 1),
+    (_predict_with_model(lambda doc: doc.update(format_version=2)), 1),
     (_bench(mode="diag"), 2),
     (_bench(folds="abc"), 2),
     (_bench(seed="x"), 2),
@@ -489,7 +507,8 @@ def trained(tmp_path_factory):
     (_generate("--noise-ratio", "nan"), 2),
     (_generate("--noise-ratio", "-0.5"), 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
-        "model-n-inf",
+        "model-n-inf", "model-c-string", "model-b-bool", "model-min-string", "model-max-bool",
+        "model-version",
         "config-mode", "config-folds", "config-seed", "config-noise-ratios", "config-m-per-class",
         "config-grid-key", "config-dataset-entry", "config-methods-string", "config-unknown-key",
         "config-unknown-example-key", "config-unknown-path-key", "config-example-and-path",

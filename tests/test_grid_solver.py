@@ -1,6 +1,6 @@
 """The stacked grid IRLS against the serial loop it replaced, its
-lane-by-lane least-squares fallback, and its training masks against fits
-on the masked subsets."""
+lane-by-lane least-squares fallback, its training masks against fits on
+the masked subsets, and the stacked CV folds against one fit per fold."""
 
 import numpy as np
 import pytest
@@ -20,11 +20,12 @@ from qtsvm.evaluation import (
     CL1Trainer,
     CvSpec,
     LSQTrainer,
-    _inner_counts,
+    _cv_counts,
     _inner_select,
     _split,
     _stratified_folds,
     accuracy,
+    cross_validate,
 )
 from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights, unpack_weights
 from qtsvm.model import GRADIENT_NORM_FLOOR, _distances, predict_stack
@@ -468,7 +469,7 @@ def test_stacked_inner_cv_matches_fold_loop(trainer, grid):
     held = assign == np.arange(k)[:, None]
     stacked = trainer.fit_split(d, grid * k, spec.mode, scaler,
                                 mask=np.repeat(~held, len(grid), axis=0))
-    counts = _inner_counts(trainer, d, spec, scaler, assign, k)
+    counts = _cv_counts(trainer, d, spec, scaler, assign, k)
     X, _ = d.stacked()
     loop = []
     compared = 0
@@ -487,3 +488,46 @@ def test_stacked_inner_cv_matches_fold_loop(trainer, grid):
     assert compared >= k * len(grid) // 2
     means = [np.mean([accuracy(c) for c in per_point]) for per_point in zip(*loop)]
     assert _inner_select(trainer, d, spec, scaler, seed) == grid[int(np.argmax(means))]
+
+
+@pytest.mark.parametrize("trainer, grid", [
+    (CL1Trainer(), tuple({"c1": a, "c2": b} for a in POWERS for b in POWERS)),
+    (LSQTrainer(), tuple({"C": c} for c in POWERS)),
+])
+def test_flat_cv_stack_matches_fold_loop(trainer, grid):
+    # Flat selection fits all outer folds of a repeat as one stack on the
+    # whole dataset.  Against one fit per outer fold: the same labels
+    # wherever they are not rounding-decided, the same counts on every lane
+    # with no rounding-decided row, and the same pick, accuracy and records.
+    d = inject_label_noise(gen_example1(40, seed=4), 0.1, seed=4)
+    spec = CvSpec(folds=4, repeats=1, seed=6, grid=grid, selection="flat")
+    scaler = fit_scaler(d)
+    k = spec.folds
+    assign = _stratified_folds(d.m_pos, d.m_neg, k, [spec.seed, 0])
+    held = assign == np.arange(k)[:, None]
+    stacked = trainer.fit_split(d, grid * k, spec.mode, scaler,
+                                mask=np.repeat(~held, len(grid), axis=0))
+    counts = _cv_counts(trainer, d, spec, scaler, assign, k)
+    X, _ = d.stacked()
+    loop = []
+    compared = 0
+    for fold, rows in enumerate(held):
+        train, test = _split(d, assign, fold)
+        ref = trainer.fit_split(train, grid, spec.mode, scaler)
+        labels, far = fold_labels(stacked, slice(fold * len(grid), (fold + 1) * len(grid)),
+                                  X[rows])
+        labels_ref, far_ref = fold_labels(ref, slice(None), X[rows])
+        decided = np.maximum(far, far_ref) < FLOOR_DISTANCE
+        np.testing.assert_array_equal(labels[decided], labels_ref[decided])
+        loop.append(trainer.evaluate(train, test, grid, spec.mode, scaler))
+        for g in np.flatnonzero(decided.all(axis=1)):
+            assert counts[fold][g] == loop[fold][g], (fold, grid[g])
+            compared += 1
+    assert compared >= k * len(grid) // 2
+    means = [np.mean([accuracy(c) for c in per_point]) for per_point in zip(*loop)]
+    best = int(np.argmax(means))
+    result = cross_validate(d, trainer, spec)
+    assert result.best_params == grid[best]
+    assert result.acc_mean == means[best]
+    assert [(r.fold, r.params, r.counts) for r in result.folds] == [
+        (fold, grid[best], loop[fold][best]) for fold in range(k)]

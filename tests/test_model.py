@@ -221,8 +221,27 @@ def test_load_rejects_unknown_version(tmp_path):
     path, doc = _valid_doc(tmp_path)
     doc["format_version"] = 99
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelVersionError):
+    with pytest.raises(ModelVersionError) as exc:
         load_model(path)
+    assert str(exc.value) == f"{path}: unsupported model format version 99 (supported: 1)"
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("surface_pos", "c", "1.5", "surface_pos.c must be a number"),
+    ("surface_neg", "c", True, "surface_neg.c must be a number"),
+    ("surface_pos", "b", [True, False], "surface_pos.b must be a list of numbers"),
+    ("surface_neg", "w_head", ["1", 0.0, 0.0], "surface_neg.w_head must be a list of numbers"),
+    ("scaler", "min", ["-1", "-1"], "scaler.min must be a list of numbers"),
+    ("scaler", "max", [True, 1.0], "scaler.max must be a list of numbers"),
+])
+def test_load_rejects_a_number_that_is_not_a_json_number(tmp_path, section, key, value, field):
+    # Each once loaded: numpy reads "1.5" as 1.5 and true as 1.0.
+    path, doc = _valid_doc(tmp_path)
+    doc[section][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedModelFileError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {field}, got {value!r}"
 
 
 @pytest.mark.parametrize("key, text", [("n", "1e400"), ("n", "2.7"), ("n", '"2"'),
