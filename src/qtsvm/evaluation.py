@@ -93,7 +93,11 @@ class CL1Trainer(_GridTrainer):
 
     @staticmethod
     def fit_split(train, grid, mode, scaler, mask=None):
-        return fit_grid(train, [SolverConfig(**params) for params in grid], mode, scaler, mask)
+        # A CV stack repeats its grid once per fold; each distinct point is
+        # made and validated once.
+        points = {tuple(p.items()): p for p in grid}
+        configs = {key: SolverConfig(**p) for key, p in points.items()}
+        return fit_grid(train, [configs[tuple(p.items())] for p in grid], mode, scaler, mask)
 
 
 class LSQTrainer(_GridTrainer):
@@ -352,12 +356,22 @@ def nemenyi_cd(k: int, N: int, q_alpha: float | None = None) -> float:
 
 def mean_ranks(scores: np.ndarray) -> np.ndarray:
     """Mean rank per method (columns) over datasets (rows); rank 1 is the
-    best score, ties get midranks."""
-    # Imported here: scipy.stats costs most of a cold import of the package.
-    from scipy.stats import rankdata
-
+    best score, ties get midranks, and a row with a NaN ranks NaN."""
+    # The recipe of scipy.stats.rankdata(method="average"), whose results it
+    # equals bit for bit, written out because scipy.stats would be most of a
+    # cold start: sort each row, find where each run of equal values starts,
+    # and give the run its first ordinal rank plus half its length less one.
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
-    ranks = np.vstack([rankdata(-row, method="average") for row in scores])
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ordered = -np.take_along_axis(scores, order, axis=1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=ordered.size)
+    mid = first % ordered.shape[1] + 1 + (counts - 1) / 2
+    ranks = np.empty_like(ordered)
+    np.put_along_axis(ranks, order, np.repeat(mid, counts).reshape(ordered.shape), axis=1)
+    ranks[np.isnan(scores).any(axis=1)] = np.nan
     return ranks.mean(axis=0)
 
 

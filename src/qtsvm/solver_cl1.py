@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 
 from .data import Dataset, NormalizationParams, fit_scaler, scale_dataset
 from .errors import InvalidInputError, NumericError
@@ -130,11 +130,14 @@ class GridFit:
 # product or a (lanes, l, l) system in the stacked direct solve.
 LANE_CHUNK_BYTES = 64 * 2**20
 
-# Direct systems up to this size are solved as one numpy stack, which
-# saves a call per lane.  Larger ones are solved lane by lane with scipy's
-# Cholesky solve, which is then cheaper than numpy's Cholesky test plus LU
-# solve (at l = 201, 0.22 ms against 0.61 ms with one OpenBLAS thread on a
-# 2.1 GHz Xeon; the two break even near l = 50).
+# Direct and SMW systems up to this size are solved as one numpy stack,
+# which saves a call per lane.  Larger ones are solved lane by lane with
+# scipy's Cholesky solve, which is then cheaper than numpy's Cholesky test
+# plus LU solve (at l = 201, 0.22 ms against 0.61 ms with one OpenBLAS
+# thread on a 2.1 GHz Xeon; the two break even near l = 50).  Only
+# _psd_solver imports scipy.linalg, which takes about 0.3 s and 28 MB, most
+# of a cold start: small systems load it only to find the lanes that a
+# failed stacked Cholesky holds.
 STACKED_SOLVE_MAX_DIM = 50
 
 
@@ -187,6 +190,8 @@ def _psd_solver(A):
     what Cholesky tolerates in floating point; fall back to a
     least-squares solve in that case.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     try:
         factor = cho_factor(A, lower=True)
         return (lambda B: cho_solve(factor, B)), False

@@ -366,15 +366,61 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats is most of a cold import; only the Nemenyi ranks need it.
+def _fresh_python(code, cwd=None):
+    """stdout of code run in a fresh interpreter that imports this qtsvm."""
     src = str(Path(qtsvm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, qtsvm.cli; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
+                          text=True, timeout=120, check=True).stdout
+
+
+# The names of the scipy modules a process has loaded.
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy is most of a cold import, and only large systems need it.
+    assert _fresh_python(f"import sys, qtsvm.cli; print({_SCIPY_LOADED})").strip() == "[]"
+
+
+def test_commands_on_small_systems_leave_out_scipy(tmp_path):
+    # Every command below solves only 2-D systems (l = 6 full, 5 reduced),
+    # which numpy's stacked solve takes, so none of them loads scipy.
+    for selection in ("flat", "nested"):
+        (tmp_path / f"{selection}.json").write_text(
+            json.dumps(dict(BENCH_CONFIG, selection=selection)))
+    commands = [
+        ["generate", "--example", "1", "--m", "40", "--seed", "4", "--out", "d.csv"],
+        ["train", "--data", "d.csv", "--method", "cl1qtsvm", "--c1", "0.01", "--c2", "0.01",
+         "--model-out", "m.json"],
+        ["train", "--data", "d.csv", "--method", "lsqtsvm", "--mode", "reduced",
+         "--model-out", "lsq.json"],
+        ["predict", "--model", "m.json", "--data", "d.csv", "--out", "p.csv"],
+        ["benchmark", "--config", "flat.json", "--out", "flat.csv"],
+        ["benchmark", "--config", "nested.json", "--out", "nested.csv"],
+        ["nemenyi", "--results", "flat.csv"],
+    ]
+    code = (f"import sys\nfrom qtsvm.cli import main\n"
+            f"codes = [main(argv) for argv in {commands!r}]\n"
+            f"print(codes, {_SCIPY_LOADED})")
+    last = _fresh_python(code, cwd=tmp_path).splitlines()[-1]
+    assert last == f"{[0] * len(commands)} []"
+
+
+def test_nemenyi_ties_print_exact_midranks(tmp_path, capsys):
+    # Ties, 0.0 against -0.0 among them, take midranks as scipy's rankdata.
+    scores = tmp_path / "scores.csv"
+    scores.write_text("a,b,c\n0.9,0.9,0.5\n0.8,0.8,0.8\n0.7,0.6,0.6\n0.0,-0.0,-0.5\n"
+                      "0.9,0.9,0.1\n0.95,0.9,0.9\n0.6,0.6,0.2\n0.8,0.7,0.3\n")
+    assert run(["nemenyi", "--results", scores]) == 0
+    assert capsys.readouterr().out == (
+        "k=3 N=8 CD=1.1719\n"
+        "  a: mean rank 1.3750\n"
+        "  b: mean rank 1.8750\n"
+        "  c: mean rank 2.7500\n"
+        "significantly different pairs:\n"
+        "  a vs c\n")
 
 
 def _predict_with_model(mutate):

@@ -10,8 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import rankdata
 
 import qtsvm
+import qtsvm.evaluation
 from qtsvm.data import gen_example1, gen_example3
 from qtsvm.errors import InvalidInputError
 from qtsvm.lifting import LiftingMode
@@ -33,6 +38,7 @@ from qtsvm.evaluation import (
     sweep_results,
     sweep_rows,
 )
+from qtsvm.solver_cl1 import SolverConfig
 
 FAST_GRID = ({"c1": 0.01, "c2": 0.01}, {"c1": 1.0, "c2": 0.01})
 LSQ_GRID = ({"C": 0.001}, {"C": 0.01})
@@ -201,6 +207,23 @@ def test_trainers_evaluate_grid_point_by_point():
         assert together == alone
 
 
+def test_cl1_cv_stack_makes_one_config_per_grid_point(monkeypatch):
+    # A flat CV stack repeats its grid once per fold; the configs are not.
+    made = []
+
+    class Counted(SolverConfig):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    spec = CvSpec(folds=3, repeats=1, seed=0, grid=FAST_GRID, selection="flat")
+    data = gen_example1(20, seed=3)
+    expected = cross_validate(data, CL1Trainer(), spec)
+    monkeypatch.setattr(qtsvm.evaluation, "SolverConfig", Counted)
+    assert cross_validate(data, CL1Trainer(), spec) == expected
+    assert [(c.c1, c.c2) for c in made] == [(p["c1"], p["c2"]) for p in FAST_GRID]
+
+
 def test_robustness_sweep_layout():
     datasets = {"a": gen_example1(30, seed=6)}
     spec = CvSpec(folds=3, repeats=1, seed=0, grid=FAST_GRID, selection="flat")
@@ -282,6 +305,17 @@ def test_mean_ranks():
 def test_mean_ranks_ties_get_midranks():
     np.testing.assert_allclose(mean_ranks(np.array([[0.5, 0.5, 0.1]])),
                                [1.5, 1.5, 3.0])
+    # A row with a NaN ranks NaN, as scipy's rankdata does.
+    assert np.isnan(mean_ranks(np.array([[0.5, np.nan, 0.1], [0.1, 0.2, 0.3]]))).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(2, 6)),
+              elements=st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])))
+def test_mean_ranks_equal_scipy_rankdata(scores):
+    # Drawn from six values, most rows tie; 0.0 and -0.0 tie too.
+    expected = np.vstack([rankdata(-row, method="average") for row in scores]).mean(axis=0)
+    assert np.array_equal(mean_ranks(scores), expected)
 
 
 def test_nemenyi_test_significance():
