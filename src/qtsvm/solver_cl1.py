@@ -17,7 +17,8 @@ cross-validation split are lanes of the same stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -109,14 +110,28 @@ class GridFit:
     """Models of one dataset under G configurations, as surface stacks.
 
     pos and neg are (W, b, c) stacks of shapes (G, n, n), (G, n) and (G,);
-    reports[g] belongs to configuration g.
+    lstsq_fallbacks[g] counts configuration g's least-squares fallbacks
+    over both surfaces.  reports[g] belongs to configuration g; the list is
+    derived from the iterates the IRLS kept the first time it is read, so
+    a caller that reads only the surfaces never pays for it.  replays holds
+    (side, lanes, replay) for each stacked IRLS run, replay() giving the
+    SubproblemReports of those lanes.
     """
 
     scaler: NormalizationParams
     mode: LiftingMode
     pos: tuple
     neg: tuple
-    reports: list
+    lstsq_fallbacks: np.ndarray
+    replays: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def reports(self) -> list:
+        reps = {side: [None] * len(self.lstsq_fallbacks) for side in ("pos", "neg")}
+        for side, lanes, replay in self.replays:
+            for g, rep in zip(lanes, replay()):
+                reps[side][g] = rep
+        return [FitReport(pos=p, neg=q) for p, q in zip(reps["pos"], reps["neg"])]
 
     def model(self, g: int) -> TrainedModel:
         """The trained classifier of configuration g."""
@@ -164,10 +179,13 @@ def compute_weights_pos(R, S, cap_eps, own=True, other=True) -> ReweightState:
     points.  WEIGHT_FLOOR guards the reciprocal against division by zero.
     """
     for a, keep in ((R, own), (S, other)):
+        # Written so that NaN and inf saturate.  A masked copy: where 10-15 %
+        # of entries saturate, as in grid search, a boolean-index assignment,
+        # np.where and an arithmetic select are all slower.
         saturated = ~(a <= cap_eps)
         np.maximum(a, WEIGHT_FLOOR, out=a)
         np.divide(1.0, a, out=a)
-        a[saturated] = cap_eps
+        np.copyto(a, cap_eps, where=saturated)
         a *= keep
     return ReweightState(q=R, u=S)
 
@@ -352,6 +370,18 @@ def objective_plus(w, abs_residuals, abs_slacks, c1, c2, cap_eps, own=True, othe
             + c2 * _mixed_loss_sum(abs_slacks, cap_eps, other))
 
 
+def _abs_residuals(W, Z_own, Z_other, R=None, S=None):
+    """Magnitudes of each lane's own-class residuals W Z_own and slacks
+    1 + W Z_other, the input of both the next weights and the objective;
+    written over the buffers R and S when given."""
+    R = np.matmul(W, Z_own, out=R)
+    np.abs(R, out=R)
+    S = np.matmul(W, Z_other, out=S)
+    np.add(S, 1.0, out=S)
+    np.abs(S, out=S)
+    return R, S
+
+
 def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=None):
     """The capped-L1 IRLS of the positive subproblem over a stack of lanes,
     lane g with penalties (c1[g], c2[g]) and cfg's cap_eps and max_iter;
@@ -364,21 +394,24 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=No
 
     Each lane keeps its own weights and stops on its own step rule; the
     lanes still running are solved together, and only their arrays are
-    carried from one iteration to the next.  Returns the weight vectors,
-    shape (G, l), and one SubproblemReport per lane.
+    carried from one iteration to the next.  The loop computes only what
+    the next step needs and keeps each step's (running lanes, iterates)
+    pair.  Returns the weight vectors, shape (G, l), each lane's count of
+    least-squares fallbacks, and a callable that replays the kept iterates
+    into one SubproblemReport per lane (see _replay).
     """
     G, l = c1.size, Z_own.shape[0]
     W = np.empty((G, l))
-    Q = np.empty(own.shape)
-    U = np.empty(other.shape)
-    trace = np.empty((cfg.max_iter, G))
-    iters = np.zeros(G, dtype=int)
     fallbacks = np.zeros(G, dtype=int)
-    peak = np.zeros(G)
     converged = np.zeros(G, dtype=bool)
+    steps = []
+    # Bound to the full stack's inputs; it reads steps, converged and
+    # fallbacks once the loop below has filled them.
+    replay = partial(_replay, steps, converged, fallbacks, Z_own, Z_other, c1, c2, cfg, branch,
+                     own, other)
     # The state of the lanes still running, row i belonging to lane lanes[i].
     lanes = np.arange(G)
-    W_old, fell_sum, peak_a = np.zeros((G, l)), np.zeros(G, dtype=int), np.zeros(G)
+    W_old = np.zeros((G, l))
     # The zero start carries no residual information (own-class
     # reciprocals would all hit the division floor), so the first update
     # is a plain unweighted least-squares step on each lane's samples.
@@ -388,32 +421,58 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=No
         W_new, fell = update_w_plus(Z_own, Z_other, state, c1, c2, branch, consts)
         if not np.isfinite(W_new).all():
             raise NumericError(f"non-finite iterate at iteration {t}")
+        steps.append((lanes, W_new))
         step = np.linalg.norm(W_new - W_old, axis=1)
         done = step <= CONV_TOL * (1.0 + np.linalg.norm(W_old, axis=1))
-        fell_sum += fell
-        peak_a = np.maximum(peak_a, np.maximum(state.q.max(axis=1), state.u.max(axis=1)))
+        fallbacks[lanes] += fell
         stop = done if t + 1 < cfg.max_iter else np.ones_like(done)
         if stop.any():
             fin = lanes[stop]
-            W[fin], Q[fin], U[fin] = W_new[stop], state.q[stop], state.u[stop]
-            iters[fin], converged[fin] = t + 1, done[stop]
-            fallbacks[fin], peak[fin] = fell_sum[stop], peak_a[stop]
-        # The weights are recorded, so their buffers take |r|, which serves
-        # both the objective here and the next weights, written over it.
-        R, S = state.q, state.u
-        np.abs(np.matmul(W_new, Z_own, out=R), out=R)
-        np.abs(np.add(np.matmul(W_new, Z_other, out=S), 1.0, out=S), out=S)
-        trace[t, lanes] = objective_plus(W_new, R, S, c1, c2, cfg.cap_eps, own, other)
-        if stop.all():
-            break
+            W[fin], converged[fin] = W_new[stop], done[stop]
+            if stop.all():
+                break
+        # The solve is done with the weights, so their buffers take |r|,
+        # which the next weights are written over.  |r| is formed for every
+        # lane of the step, as _replay forms it for the objective.
+        R, S = _abs_residuals(W_new, Z_own, Z_other, state.q, state.u)
         if stop.any():
             run = ~stop
             lanes, W_new, R, S = lanes[run], W_new[run], R[run], S[run]
-            c1, c2, fell_sum, peak_a = c1[run], c2[run], fell_sum[run], peak_a[run]
-            own, other = own[run], other[run]
+            c1, c2, own, other = c1[run], c2[run], own[run], other[run]
         W_old = W_new
         state = compute_weights_pos(R, S, cfg.cap_eps, own, other)
-    reports = [
+    return W, fallbacks, replay
+
+
+def _replay(steps, converged, fallbacks, Z_own, Z_other, c1, c2, cfg, branch, own, other):
+    """One SubproblemReport per lane of an _irls run, from the (running
+    lanes, iterates) pair it kept of each step: its objective trace, final
+    state and peak weight.
+
+    Each step is replayed in the loop's own lane order and array shapes,
+    through the same _abs_residuals, objective_plus and compute_weights_pos,
+    so every value has the bits that forming it inside the loop gives.
+    """
+    G = c1.size
+    trace = np.empty((len(steps), G))
+    iters = np.zeros(G, dtype=int)
+    peak = np.zeros(G)
+    Q, U = np.empty(own.shape), np.empty(other.shape)
+    state = ReweightState(q=own.astype(float), u=other.astype(float))
+    for t, (lanes, W) in enumerate(steps):
+        # state holds the weights of this step's solve, one row per lane.
+        peak[lanes] = np.maximum(peak[lanes], np.maximum(state.q.max(axis=1), state.u.max(axis=1)))
+        following = steps[t + 1][0] if t + 1 < len(steps) else lanes[:0]
+        run = np.isin(lanes, following, assume_unique=True)
+        fin = lanes[~run]
+        Q[fin], U[fin], iters[fin] = state.q[~run], state.u[~run], t + 1
+        R, S = _abs_residuals(W, Z_own, Z_other)
+        trace[t, lanes] = objective_plus(W, R, S, c1[lanes], c2[lanes], cfg.cap_eps,
+                                         own[lanes], other[lanes])
+        if run.any():
+            state = compute_weights_pos(R[run], S[run], cfg.cap_eps, own[following],
+                                        other[following])
+    return [
         SubproblemReport(
             objective_trace=trace[: iters[g], g].copy(),
             iterations_used=int(iters[g]),
@@ -425,7 +484,6 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=No
         )
         for g in range(G)
     ]
-    return W, reports
 
 
 def fit_grid(
@@ -472,7 +530,8 @@ def fit_grid(
     for g, cfg in enumerate(cfgs):
         groups.setdefault((cfg.cap_eps, cfg.max_iter, cfg.branch), []).append(g)
     w = {side: np.empty((len(cfgs), l)) for side in Z}
-    reps = {side: [None] * len(cfgs) for side in Z}
+    fallbacks = np.zeros(len(cfgs), dtype=int)
+    replays = []
     grams = {}
     for idx in groups.values():
         shared = cfgs[idx[0]]
@@ -488,18 +547,19 @@ def fit_grid(
                     grams["pos"] = _sample_gram(Z["pos"], Z["neg"])
                     # Swapping the classes swaps the Gram's blocks.
                     grams["neg"] = np.roll(grams["pos"], (-Z["pos"].shape[1],) * 2, axis=(0, 1))
-                w[own][lanes], lane_reps = _irls(Z[own], Z[other], c1[sel], c2[sel], shared,
-                                                 branch, masks[own][lanes], masks[other][lanes],
-                                                 grams.get(own))
-                for g, rep in zip(lanes, lane_reps):
-                    reps[own][g] = rep
+                w[own][lanes], fell, replay = _irls(Z[own], Z[other], c1[sel], c2[sel], shared,
+                                                    branch, masks[own][lanes],
+                                                    masks[other][lanes], grams.get(own))
+                fallbacks[lanes] += fell
+                replays.append((own, lanes, replay))
     return GridFit(
         scaler=scaler,
         mode=mode,
         pos=unpack_weights(w["pos"], dataset.n, mode),
         # The positive solve on swapped classes gives minus the negative surface.
         neg=unpack_weights(-w["neg"], dataset.n, mode),
-        reports=[FitReport(pos=p, neg=q) for p, q in zip(reps["pos"], reps["neg"])],
+        lstsq_fallbacks=fallbacks,
+        replays=tuple(replays),
     )
 
 

@@ -39,7 +39,7 @@ def fit_lsq_grid(
         raise InvalidInputError("C must be finite and > 0")
     cfgs = [SolverConfig(c1=RIDGE, c2=2.0 * C, max_iter=1, branch="direct") for C in Cs]
     grid = fit_grid(dataset, cfgs, mode, scaler, mask)
-    if any(rep.pos.lstsq_fallbacks or rep.neg.lstsq_fallbacks for rep in grid.reports):
+    if grid.lstsq_fallbacks.any():
         raise NumericError("least-squares system factorization failed: "
                            "not positive definite")
     return grid

@@ -43,6 +43,8 @@ from qtsvm.solver_cl1 import (
     update_w_plus,
 )
 
+from oracles import objective_at
+
 POWERS = (1e-4, 1e-2, 1.0, 1e2, 1e4)
 GRID = [SolverConfig(c1=a, c2=b) for a in POWERS for b in POWERS]
 # Distances at or past this are rounding-decided: a constant surface sits
@@ -103,9 +105,11 @@ def test_stacked_irls_matches_serial_loop(split, side):
     c2 = np.array([cfg.c2 for cfg in GRID])
     # The stacked loop solves the positive form; the negative surface is
     # minus that solve on swapped classes.
-    W, reports = _irls(Z_own, Z_other, c1, c2, SolverConfig(), "direct",
-                       np.ones((c1.size, Z_own.shape[1]), bool),
-                       np.ones((c1.size, Z_other.shape[1]), bool))
+    W, fallbacks, replay = _irls(Z_own, Z_other, c1, c2, SolverConfig(), "direct",
+                                 np.ones((c1.size, Z_own.shape[1]), bool),
+                                 np.ones((c1.size, Z_other.shape[1]), bool))
+    reports = replay()
+    np.testing.assert_array_equal(fallbacks, [rep.lstsq_fallbacks for rep in reports])
     W = -sign * W
     both_converged = 0
     for g, cfg in enumerate(GRID):
@@ -302,6 +306,59 @@ def test_report_counts_fallbacks_and_peak_weight():
         state = rep.final_state
         assert rep.peak_weight >= max(state.q.max(), state.u.max())
         assert rep.peak_weight <= 1.0 / WEIGHT_FLOOR
+
+
+def test_cv_stack_forms_no_report_and_fit_still_does(monkeypatch):
+    # A masked CV stack reads only the surfaces: it evaluates no objective
+    # and builds no SubproblemReport.  fit still reports the full trace,
+    # final state and peak weight, the trace being the objective at each
+    # iterate that the solves returned.
+    calls = {"objective_plus": 0, "SubproblemReport": 0}
+
+    def counted(name):
+        original = getattr(solver_cl1, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_cl1, name, wrapper)
+
+    counted("objective_plus")
+    counted("SubproblemReport")
+    d = inject_label_noise(gen_example1(40, seed=3), 0.1, seed=3)
+    grid = tuple({"c1": a, "c2": b} for a in POWERS for b in POWERS)
+    spec = CvSpec(folds=4, grid=grid)
+    assign = _stratified_folds(d.m_pos, d.m_neg, spec.folds, 0)
+    _cv_counts(CL1Trainer(), d, spec, fit_scaler(d), assign, spec.folds)
+    assert calls == {"objective_plus": 0, "SubproblemReport": 0}
+
+    iterates = []
+    update = solver_cl1.update_w_plus
+
+    def spy(Z_own, Z_other, *args):
+        W, fell = update(Z_own, Z_other, *args)
+        iterates.append((Z_own, Z_other, W[0]))
+        return W, fell
+
+    monkeypatch.setattr(solver_cl1, "update_w_plus", spy)
+    # Both surfaces converge, after 9 and 11 iterations.
+    cfg = SolverConfig(c1=1.0, c2=0.1, cap_eps=0.5)
+    _, report = fit(d, cfg)
+    # One objective per iterate, one report per surface.
+    assert calls == {"objective_plus": len(iterates), "SubproblemReport": 2}
+    subs = (report.pos, report.neg)
+    assert len(iterates) == sum(rep.iterations_used for rep in subs)
+    start = 0
+    for rep, m_own, m_other in zip(subs, (d.m_pos, d.m_neg), (d.m_neg, d.m_pos)):
+        assert rep.converged and rep.objective_trace.shape == (rep.iterations_used,)
+        assert rep.final_state.q.shape == (m_own,) and rep.final_state.u.shape == (m_other,)
+        assert 1.0 <= rep.peak_weight <= 1.0 / WEIGHT_FLOOR
+        assert rep.peak_weight >= max(rep.final_state.q.max(), rep.final_state.u.max())
+        ref = [objective_at(w, Z_own, Z_other, cfg)
+               for Z_own, Z_other, w in iterates[start : start + rep.iterations_used]]
+        np.testing.assert_allclose(rep.objective_trace, ref, rtol=1e-12, atol=0)
+        start += rep.iterations_used
 
 
 def assert_fits_identical(a, b):

@@ -15,6 +15,7 @@ from qtsvm.solver_cl1 import (
     ReweightState,
     SolverConfig,
     _mixed_loss_sum,
+    compute_weights_pos,
     fit,
 )
 
@@ -98,6 +99,42 @@ def test_weight_rule_boundary_belongs_to_reciprocal_branch():
     Zm = np.array([[1.0]])
     state = weights_at(np.array([0.5]), Zp, Zm, cap_eps=0.5)
     np.testing.assert_allclose(state.q, [2.0])
+
+
+CAP = 0.3
+# (|r|, sample kept, weight): the weight rule's rows, NaN and inf included.
+WEIGHT_RULE_ROWS = [
+    (0.0, True, 1.0 / WEIGHT_FLOOR),
+    (0.5 * WEIGHT_FLOOR, True, 1.0 / WEIGHT_FLOOR),
+    (0.1, True, 1.0 / 0.1),
+    (CAP, True, 1.0 / CAP),
+    (np.nextafter(CAP, 1.0), True, CAP),
+    (7.0, True, CAP),
+    (math.inf, True, CAP),
+    # ~(|r| <= cap) holds for NaN, so NaN saturates.
+    (math.nan, True, CAP),
+    (0.1, False, 0.0),
+    (7.0, False, 0.0),
+    (math.nan, False, 0.0),
+]
+
+
+def check_weight_rule(R, keep, expect):
+    # Own-class and slack side follow the same rule.
+    state = compute_weights_pos(R.copy(), R.copy(), CAP, keep, keep)
+    np.testing.assert_array_equal(state.q, expect)
+    np.testing.assert_array_equal(state.u, expect)
+
+
+@pytest.mark.parametrize("magnitude, kept, weight", WEIGHT_RULE_ROWS)
+def test_weight_rule_rows(magnitude, kept, weight):
+    check_weight_rule(np.array([[magnitude]]), np.array([[kept]]), np.array([[weight]]))
+
+
+def test_weight_rule_rows_in_one_stack():
+    # The rule is elementwise: its rows mixed in a two-lane stack keep their weights.
+    R, keep, expect = (np.array([list(col)] * 2) for col in zip(*WEIGHT_RULE_ROWS))
+    check_weight_rule(R, keep, expect)
 
 
 def test_weight_range_invariant():
