@@ -282,6 +282,9 @@ def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
             raise DataFormatError(f"label column {label_column!r} not found in header")
         label_idx = header.index(label_column)
     else:
+        if not -width <= label_column < width:
+            raise DataFormatError(f"label column {label_column} is out of range "
+                                  f"for {width} columns")
         label_idx = label_column % width
         _, rows, first = _split_header(raw, label_idx)
     numeric = [i for i in range(width) if i != label_idx]

@@ -28,6 +28,10 @@ Q_ALPHA_05 = {
     10: 3.163684,
 }
 
+# Nested selection's inner CV uses this many folds, or fewer where a class
+# of the outer training split has fewer samples.
+INNER_FOLDS = 5
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -132,7 +136,6 @@ class CvSpec:
     seed: int = 0
     grid: tuple = ()
     mode: LiftingMode = LiftingMode.FULL
-    inner_folds: int = 5
     selection: str = "nested"  # "nested" | "flat"
     normalize: str = "full"  # "full" | "per-fold"
 
@@ -214,7 +217,7 @@ def _cv_counts(trainer, dataset, spec: CvSpec, scaler, assign, k):
 
 def _inner_select(trainer, train, spec: CvSpec, scaler, seed_key):
     """Pick the grid point with the best inner-CV mean accuracy."""
-    k = min(spec.inner_folds, train.m_pos, train.m_neg)
+    k = min(INNER_FOLDS, train.m_pos, train.m_neg)
     if k < 2:
         raise InvalidInputError(
             "training split too small for inner model selection; use fewer folds"

@@ -149,10 +149,9 @@ LANE_CHUNK_BYTES = 64 * 2**20
 # which saves a call per lane.  Larger ones are solved lane by lane with
 # scipy's Cholesky solve, which is then cheaper than numpy's Cholesky test
 # plus LU solve (at l = 201, 0.22 ms against 0.61 ms with one OpenBLAS
-# thread on a 2.1 GHz Xeon; the two break even near l = 50).  Only
-# _psd_solver imports scipy.linalg, which takes about 0.3 s and 28 MB, most
-# of a cold start: small systems load it only to find the lanes that a
-# failed stacked Cholesky holds.
+# thread on a 2.1 GHz Xeon; the two break even near l = 50).  Only that
+# path imports scipy.linalg, which takes about 0.3 s and 28 MB, most of a
+# cold start; small systems never load it.
 STACKED_SOLVE_MAX_DIM = 50
 
 
@@ -199,53 +198,50 @@ def _pick_branch(m_l: int, m_other: int, requested: str) -> str:
     return "smw" if m_l > m_other else "direct"
 
 
-def _psd_solver(A):
-    """Return (solve callable, whether it fell back) for a symmetric
-    positive definite system.
-
-    The system is positive definite in exact arithmetic (c1 > 0), but
-    reciprocal weights spanning many orders of magnitude can push it past
-    what Cholesky tolerates in floating point; fall back to a
-    least-squares solve in that case.
-    """
-    from scipy.linalg import cho_factor, cho_solve
-
-    try:
-        factor = cho_factor(A, lower=True)
-        return (lambda B: cho_solve(factor, B)), False
-    except LinAlgError:
-        return (lambda B: np.linalg.lstsq(A, B, rcond=None)[0]), True
-
-
 def _psd_solve_stack(B, rhs):
-    """Solve a stack of systems B[g] x = rhs[g], with _psd_solver's rule
-    lane by lane: a lane whose matrix Cholesky rejects gets least squares.
+    """Solve a stack of symmetric systems B[g] x = rhs[g]: a lane whose
+    matrix Cholesky rejects gets least squares instead.
+
+    Every system is positive definite in exact arithmetic (c1 > 0), but
+    reciprocal weights spanning many orders of magnitude can push one past
+    what Cholesky tolerates in floating point.  Systems up to
+    STACKED_SOLVE_MAX_DIM take numpy's stacked Cholesky test and LU solve;
+    when the stacked test fails, numpy's Cholesky of each lane finds the
+    lanes it rejects.  Larger systems take scipy's Cholesky solve per lane.
 
     Returns the solutions and a per-lane flag of the lanes that fell back.
     """
     X = np.empty_like(rhs)
     fell = np.zeros(len(B), dtype=bool)
     if B.shape[-1] > STACKED_SOLVE_MAX_DIM:
+        from scipy.linalg import cho_factor, cho_solve
+
         for g, A in enumerate(B):
-            solve, fell[g] = _psd_solver(A)
-            X[g] = solve(rhs[g])
-        return X, fell
-    try:
-        np.linalg.cholesky(B)
-    except LinAlgError:
-        # The stacked factorization fails as a whole; find the lanes.
-        fell = np.array([_psd_solver(A)[1] for A in B])
-    ok = ~fell
-    try:
-        X[ok] = np.linalg.solve(B[ok], rhs[ok, :, None])[..., 0]
-    except LinAlgError:
-        # LU found a matrix exactly singular that Cholesky passed (pivots
-        # rounded to tiny positives); such lanes fall back too.
-        for g in np.flatnonzero(ok):
             try:
-                X[g] = np.linalg.solve(B[g], rhs[g])
+                X[g] = cho_solve(cho_factor(A, lower=True), rhs[g])
             except LinAlgError:
                 fell[g] = True
+    else:
+        try:
+            np.linalg.cholesky(B)
+        except LinAlgError:
+            # The stacked factorization fails as a whole; find the lanes.
+            for g, A in enumerate(B):
+                try:
+                    np.linalg.cholesky(A)
+                except LinAlgError:
+                    fell[g] = True
+        ok = ~fell
+        try:
+            X[ok] = np.linalg.solve(B[ok], rhs[ok, :, None])[..., 0]
+        except LinAlgError:
+            # LU found a matrix exactly singular that Cholesky passed (pivots
+            # rounded to tiny positives); such lanes fall back too.
+            for g in np.flatnonzero(ok):
+                try:
+                    X[g] = np.linalg.solve(B[g], rhs[g])
+                except LinAlgError:
+                    fell[g] = True
     for g in np.flatnonzero(fell):
         X[g] = np.linalg.lstsq(B[g], rhs[g], rcond=None)[0]
     return X, fell

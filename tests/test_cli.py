@@ -384,9 +384,20 @@ def test_cli_import_leaves_out_scipy():
     assert _fresh_python(f"import sys, qtsvm.cli; print({_SCIPY_LOADED})").strip() == "[]"
 
 
+def test_package_import_loads_nothing_else():
+    # Every name is imported from its submodule, so the package alone loads
+    # neither numpy nor any of its modules.
+    code = ("import sys, qtsvm\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'"
+            " or m.startswith('qtsvm.')))")
+    assert _fresh_python(code).strip() == "[]"
+
+
 def test_commands_on_small_systems_leave_out_scipy(tmp_path):
     # Every command below solves only 2-D systems (l = 6 full, 5 reduced),
-    # which numpy's stacked solve takes, so none of them loads scipy.
+    # which numpy's stacked solve takes, so none of them loads scipy.  Nor
+    # does a small stack whose stacked Cholesky fails: the singular SMW lane
+    # of test_singular_smw_lane_falls_back_alone falls back on both surfaces.
     for selection in ("flat", "nested"):
         (tmp_path / f"{selection}.json").write_text(
             json.dumps(dict(BENCH_CONFIG, selection=selection)))
@@ -403,9 +414,17 @@ def test_commands_on_small_systems_leave_out_scipy(tmp_path):
     ]
     code = (f"import sys\nfrom qtsvm.cli import main\n"
             f"codes = [main(argv) for argv in {commands!r}]\n"
-            f"print(codes, {_SCIPY_LOADED})")
+            "import numpy as np\n"
+            "from qtsvm.data import Dataset\n"
+            "from qtsvm.solver_cl1 import SolverConfig, fit_grid\n"
+            "rng = np.random.default_rng(1)\n"
+            "d = Dataset(X_pos=rng.standard_normal((5, 2)), X_neg=rng.standard_normal((5, 2)))\n"
+            "grid = fit_grid(d, [SolverConfig(c1=c1, c2=2.0, max_iter=1, branch='smw')\n"
+            "                    for c1 in (1e-300, 1.0)])\n"
+            "fell = [(r.pos.lstsq_fallbacks, r.neg.lstsq_fallbacks) for r in grid.reports]\n"
+            f"print(codes, fell, {_SCIPY_LOADED})")
     last = _fresh_python(code, cwd=tmp_path).splitlines()[-1]
-    assert last == f"{[0] * len(commands)} []"
+    assert last == f"{[0] * len(commands)} [(1, 1), (0, 0)] []"
 
 
 def test_nemenyi_ties_print_exact_midranks(tmp_path, capsys):
@@ -465,18 +484,51 @@ def _train(method, *flags):
                                *flags, "--model-out", tmp / "t.json"]
 
 
-def _bench(*flags, **changes):
-    """argv of a benchmark whose config is BENCH_CONFIG updated by changes."""
+def _bench_text(content, *flags):
+    """argv of a benchmark whose config file holds content."""
     def argv(tmp_path, model):
         cfg = tmp_path / "bench.json"
-        cfg.write_text(json.dumps({**BENCH_CONFIG, **changes}))
+        cfg.write_bytes(content)
         return ["benchmark", "--config", cfg, "--out", tmp_path / "r.csv", *flags]
     return argv
+
+
+def _bench(*flags, **changes):
+    """argv of a benchmark whose config is BENCH_CONFIG updated by changes."""
+    return _bench_text(json.dumps({**BENCH_CONFIG, **changes}).encode(), *flags)
 
 
 def _generate(*flags):
     return lambda tmp, model: ["generate", "--example", 1, "--m", 20, "--seed", 0, *flags,
                                "--out", tmp / "g.csv"]
+
+
+def _bench_csv(**entry):
+    """argv of a benchmark on the fixture's d.csv, its dataset entry
+    updated by entry."""
+    def argv(tmp_path, model):
+        dataset = {"name": "d", "path": str(tmp_path / "d.csv"), **entry}
+        return _bench(datasets=[dataset])(tmp_path, model)
+    return argv
+
+
+def _predict_on(content):
+    """argv of a predict with the trained model on a file holding content."""
+    def argv(tmp_path, model):
+        (tmp_path / "x.csv").write_bytes(content)
+        return ["predict", "--model", model, "--data", tmp_path / "x.csv",
+                "--out", tmp_path / "p.csv"]
+    return argv
+
+
+def _replay_without_input(tmp_path, model):
+    """argv of a replay of a train manifest whose data file is gone."""
+    data = tmp_path / "gone.csv"
+    data.write_bytes((tmp_path / "d.csv").read_bytes())
+    assert run(["train", "--data", data, "--method", "lsqtsvm",
+                "--model-out", tmp_path / "gone.json"]) == 0
+    data.unlink()
+    return ["replay", tmp_path / "gone.json.manifest.json"]
 
 
 def _curves(m_per_class):
@@ -552,6 +604,14 @@ def trained(tmp_path_factory):
     (_written("scores.csv", b"a,b\n0.9,0.8\n0.7,0.6\n", ["nemenyi", "--q-alpha", "-1", "--results"]), 2),
     (_generate("--noise-ratio", "nan"), 2),
     (_generate("--noise-ratio", "-0.5"), 2),
+    (_bench_csv(label_column=5), 2),
+    (_predict_on(b"1,2,3,4\n5,6,7,8\n"), 2),
+    (_bench_text(b"{not json"), 2),
+    (_bench_text(b"[1, 2]"), 2),
+    (_bench(datasets=[{"name": "curves"}]), 2),
+    (_bench(datasets=_curves(2), folds=2, selection="nested"), 2),
+    (_nemenyi(b"dataset,method,noise_ratio,acc\n"), 2),
+    (_replay_without_input, 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
         "model-n-inf", "model-c-string", "model-b-bool", "model-min-string", "model-max-bool",
         "model-version",
@@ -564,9 +624,13 @@ def trained(tmp_path_factory):
         "nemenyi-not-utf8", "nemenyi-missing", "nemenyi-directory", "nemenyi-nan",
         "replay-not-utf8", "replay-command-number", "replay-flag-list", "train-c1-nan",
         "train-eps-nan", "train-c2-inf", "lsq-c2-nan", "train-eps-inf", "nemenyi-q-alpha-nan",
-        "nemenyi-q-alpha-negative", "generate-noise-nan", "generate-noise-negative"])
+        "nemenyi-q-alpha-negative", "generate-noise-nan", "generate-noise-negative",
+        "config-label-column-out-of-range", "predict-width", "config-not-json",
+        "config-array", "config-dataset-no-source", "nested-split-too-small",
+        "nemenyi-results-no-rows", "replay-input-gone"])
 def test_cli_failures_are_clean(trained, argv, code):
-    # Each input once ended in a traceback or the wrong exit code.
+    # Each input exits with its code, and on failure with one error: line
+    # and no traceback.  Most of them once ended otherwise.
     src = str(Path(qtsvm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

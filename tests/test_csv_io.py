@@ -8,11 +8,13 @@ wrote it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qtsvm.cli import _write_csv, _write_labelled_matrix, main
 from qtsvm.data import GENERATORS, inject_label_noise, load_csv
+from qtsvm.errors import DataFormatError
 from qtsvm.model import load_model, predict_many
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200,
@@ -83,6 +85,17 @@ def test_load_csv_matches_per_cell_float(tmp_path_factory, table):
     X_pos, X_neg = _reference(rows, label_idx, pos_label)
     assert _bits(d.X_pos) == _bits(X_pos)
     assert _bits(d.X_neg) == _bits(X_neg)
+
+
+@pytest.mark.parametrize("label_column", [3, 5, 8, -4, -7])
+def test_load_csv_rejects_an_out_of_range_label_column(tmp_path, label_column):
+    # Such an index once wrapped around and silently read another column.
+    # The property test above covers every in-range index, negative ones too.
+    path = tmp_path / "three.csv"
+    path.write_text("1,1,1\n4,5,6\n")
+    with pytest.raises(DataFormatError) as exc:
+        load_csv(path, label_column=label_column)
+    assert str(exc.value) == f"label column {label_column} is out of range for 3 columns"
 
 
 EDGE_VALUES = [1e16, 9999999999999998.0, 1e-5, 5e-324, -0.0,

@@ -129,10 +129,10 @@ def test_cross_validate_deterministic_and_accurate():
     assert 0.0 <= r1.acc_std <= 0.5
 
 
-def test_cross_validate_nested_selection():
+def test_cross_validate_nested_selection(monkeypatch):
+    monkeypatch.setattr(qtsvm.evaluation, "INNER_FOLDS", 3)
     d = gen_example1(60, seed=1)
-    spec = CvSpec(folds=3, repeats=1, seed=0, grid=FAST_GRID,
-                  selection="nested", inner_folds=3)
+    spec = CvSpec(folds=3, repeats=1, seed=0, grid=FAST_GRID, selection="nested")
     r = cross_validate(d, CL1Trainer(), spec)
     assert r.acc_mean > 0.8
     assert all(rec.params in [dict(p) for p in FAST_GRID] for rec in r.folds)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from qtsvm import solver_cl1
+from qtsvm import evaluation, solver_cl1
 from qtsvm.data import (
     Dataset,
     apply_scaler,
@@ -199,6 +199,41 @@ def test_fallback_is_lane_wise(l):
     np.testing.assert_array_equal(X[1], np.linalg.lstsq(B[1], rhs[1], rcond=None)[0])
     for g in (0, 2):
         np.testing.assert_allclose(X[g], np.linalg.solve(B[g], rhs[g]), rtol=1e-9)
+
+
+def _borderline(rng):
+    """A symmetric 6 x 6 matrix Z diag(q) Z' + r I with weights q spanning 24
+    orders of magnitude and a tiny ridge r: Cholesky may or may not take it."""
+    Z = rng.standard_normal((6, 3))
+    A = (Z * 10.0 ** rng.uniform(-12, 12, 3)) @ Z.T + 10.0 ** rng.uniform(-16, -4) * np.eye(6)
+    return (A + A.T) / 2
+
+
+def _rejects(solve, A):
+    try:
+        solve(A)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def test_small_stack_flags_the_lanes_numpy_cholesky_rejects():
+    # A small stack's lanes are flagged by the numpy Cholesky that failed on
+    # the stack, or by LU, never re-decided by another BLAS build.  Seed 346
+    # once came back with no lane flagged.
+    rejected = 0
+    rhs = np.ones((2, 6))
+    for seed in range(400):
+        A = _borderline(np.random.default_rng(seed))
+        X, fell = _psd_solve_stack(np.stack([np.eye(6), A]), rhs)
+        flag = (_rejects(np.linalg.cholesky, A)
+                or _rejects(lambda A: np.linalg.solve(A, rhs[1]), A))
+        np.testing.assert_array_equal(fell, [False, flag], err_msg=f"seed {seed}")
+        if flag:
+            np.testing.assert_array_equal(X[1], np.linalg.lstsq(A, rhs[1], rcond=None)[0])
+        rejected += flag
+    assert _rejects(np.linalg.cholesky, _borderline(np.random.default_rng(346)))
+    assert 100 <= rejected <= 300
 
 
 def test_fallback_counted_on_its_lane_only():
@@ -513,13 +548,14 @@ def fold_labels(fitted, lanes, X):
     (CL1Trainer(), tuple({"c1": a, "c2": b} for a in POWERS for b in POWERS)),
     (LSQTrainer(), tuple({"C": c} for c in POWERS)),
 ])
-def test_stacked_inner_cv_matches_fold_loop(trainer, grid):
+def test_stacked_inner_cv_matches_fold_loop(monkeypatch, trainer, grid):
     # One stack for all inner folds against one fit per inner fold: the
     # same labels wherever they are not rounding-decided, hence the same
     # counts on every lane with no rounding-decided row, and the same grid
     # point picked.
     d = inject_label_noise(gen_example1(40, seed=3), 0.1, seed=3)
-    spec = CvSpec(folds=5, grid=grid, inner_folds=4)
+    monkeypatch.setattr(evaluation, "INNER_FOLDS", 4)
+    spec = CvSpec(folds=5, grid=grid)
     scaler = fit_scaler(d)
     k, seed = 4, [0, 0, 2, 1]
     assign = _stratified_folds(d.m_pos, d.m_neg, k, seed)
