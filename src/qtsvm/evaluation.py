@@ -32,6 +32,14 @@ Q_ALPHA_05 = {
 # of the outer training split has fewer samples.
 INNER_FOLDS = 5
 
+# Under a shared scaler, nested selection fits the inner-CV lanes of as many
+# consecutive outer folds as fit in this many lanes as one stack (a fold
+# larger than that alone): one outer fold of the default capped-L1 grid,
+# INNER_FOLDS x 121 lanes.  A stack's peak memory grows by about 5 KB per
+# lane on 200 samples, and a default-grid sweep runs no faster in stacks of
+# whole cells, so a larger bound would cost memory for no speed.
+NESTED_STACK_LANES = 605
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -183,12 +191,16 @@ def _stratified_folds(m_pos, m_neg, k, seed_key):
     return assign
 
 
+def _subset(dataset: Dataset, keep: np.ndarray) -> Dataset:
+    """The samples that the boolean row mask keep marks, in dataset.stacked()
+    order (positives first)."""
+    return Dataset(X_pos=dataset.X_pos[keep[: dataset.m_pos]],
+                   X_neg=dataset.X_neg[keep[dataset.m_pos :]])
+
+
 def _split(dataset: Dataset, assign: np.ndarray, fold: int):
-    pos_mask = assign[: dataset.m_pos] == fold
-    neg_mask = assign[dataset.m_pos :] == fold
-    test = Dataset(X_pos=dataset.X_pos[pos_mask], X_neg=dataset.X_neg[neg_mask])
-    train = Dataset(X_pos=dataset.X_pos[~pos_mask], X_neg=dataset.X_neg[~neg_mask])
-    return train, test
+    held = assign == fold
+    return _subset(dataset, ~held), _subset(dataset, held)
 
 
 def _cv_counts(trainer, dataset, spec: CvSpec, scaler, assign, k):
@@ -197,36 +209,61 @@ def _cv_counts(trainer, dataset, spec: CvSpec, scaler, assign, k):
 
     With a shared scaler (normalize="full") a fold's training problem is
     the whole dataset with that fold's samples masked out, so all folds'
-    grids are fit as one stack on the dataset scaled and lifted once; with
-    per-fold scaling each fold is fit on its own."""
+    grids are fit as one stack (see _stack_counts); with per-fold scaling
+    each fold is fit on its own."""
     if spec.normalize == "per-fold":
         return [trainer.evaluate(*_split(dataset, assign, fold), spec.grid, spec.mode, scaler)
                 for fold in range(k)]
-    size = len(spec.grid)
-    held = assign == np.arange(k)[:, None]
-    fitted = trainer.fit_split(dataset, tuple(spec.grid) * k, spec.mode, scaler,
-                               mask=np.repeat(~held, size, axis=0))
+    return _stack_counts(trainer, dataset, spec.mode, scaler,
+                         [(spec.grid, assign != fold, assign == fold) for fold in range(k)])
+
+
+def _stack_counts(trainer, dataset, mode, scaler, blocks):
+    """Confusion counts of masked fits on the whole dataset, one list per
+    block (grid, train, held) in grid order: the block's grid points are fit
+    on the samples that the boolean row mask train marks and counted on the
+    rows that held marks.  All blocks' lanes are one stack on the dataset
+    scaled and lifted once, less the samples that no lane trains on."""
+    grid = tuple(p for points, _, _ in blocks for p in points)
+    mask = np.concatenate([np.broadcast_to(train, (len(points), dataset.m))
+                           for points, train, _ in blocks])
+    # A sample no lane trains on stays out of the fit, so a stack of one
+    # outer fold's inner lanes is fit on that fold's training split.
+    used = mask.any(axis=0)
+    fitted = trainer.fit_split(_subset(dataset, used), grid, mode, scaler, mask=mask[:, used])
     X, y = dataset.stacked()
-    per_fold = []
-    for fold, rows in enumerate(held):
-        lanes = slice(fold * size, (fold + 1) * size)
+    per_block, start = [], 0
+    for points, _, rows in blocks:
+        lanes = slice(start, start + len(points))
+        start += len(points)
         pos, neg = (tuple(a[lanes] for a in stack) for stack in (fitted.pos, fitted.neg))
-        per_fold.append(counts_stack(y[rows], predict_stack(fitted.scaler, pos, neg, X[rows])))
-    return per_fold
+        per_block.append(counts_stack(y[rows], predict_stack(fitted.scaler, pos, neg, X[rows])))
+    return per_block
 
 
-def _inner_select(trainer, train, spec: CvSpec, scaler, seed_key):
-    """Pick the grid point with the best inner-CV mean accuracy."""
-    k = min(INNER_FOLDS, train.m_pos, train.m_neg)
+def _inner_folds(m_pos, m_neg, seed_key):
+    """Inner-CV fold per sample of an outer training split with m_pos
+    positives and m_neg negatives (positives first), and the fold count."""
+    k = min(INNER_FOLDS, m_pos, m_neg)
     if k < 2:
         raise InvalidInputError(
             "training split too small for inner model selection; use fewer folds"
         )
-    assign = _stratified_folds(train.m_pos, train.m_neg, k, seed_key)
-    per_fold = [[accuracy(c) for c in counts]
-                for counts in _cv_counts(trainer, train, spec, scaler, assign, k)]
-    means = [float(np.mean(accs)) for accs in zip(*per_fold)]
-    return spec.grid[int(np.argmax(means))]
+    return _stratified_folds(m_pos, m_neg, k, seed_key), k
+
+
+def _best_point(grid, per_fold):
+    """The grid point with the best mean accuracy over the folds' counts,
+    the first one on a tie."""
+    accs = [[accuracy(c) for c in counts] for counts in per_fold]
+    means = [float(np.mean(point)) for point in zip(*accs)]
+    return grid[int(np.argmax(means))]
+
+
+def _inner_select(trainer, train, spec: CvSpec, scaler, seed_key):
+    """Pick the grid point with the best inner-CV mean accuracy."""
+    assign, k = _inner_folds(train.m_pos, train.m_neg, seed_key)
+    return _best_point(spec.grid, _cv_counts(trainer, train, spec, scaler, assign, k))
 
 
 def cross_validate(dataset: Dataset, trainer, spec: CvSpec) -> EvalResult:
@@ -242,16 +279,18 @@ def cross_validate(dataset: Dataset, trainer, spec: CvSpec) -> EvalResult:
 
 def _cv_tasks(dataset, trainer, spec):
     """The work of cross_validate in (repeat, fold) order, each task as the
-    arguments of _task_records: with flat selection one task per repeat,
-    whose outer folds are fit together, with nested selection one per
-    outer fold."""
+    arguments of _task_records.  Under a shared scaler (normalize="full")
+    a task is one repeat, whose outer folds are fit together as masked
+    stacks, with flat and with nested selection; with nested selection
+    and per-fold scaling it is one outer fold."""
     if dataset.m_pos < spec.folds or dataset.m_neg < spec.folds:
         raise InvalidInputError(
             f"each class needs at least {spec.folds} samples for "
             f"{spec.folds}-fold CV; use a smaller k"
         )
     full_scaler = fit_scaler(dataset) if spec.normalize == "full" else None
-    folds = [None] if spec.selection == "flat" else range(spec.folds)
+    per_repeat = spec.selection == "flat" or spec.normalize == "full"
+    folds = [None] if per_repeat else range(spec.folds)
     tasks = []
     for rep in range(spec.repeats):
         assign = _stratified_folds(dataset.m_pos, dataset.m_neg, spec.folds,
@@ -263,17 +302,56 @@ def _cv_tasks(dataset, trainer, spec):
 def _task_records(dataset, trainer, spec, full_scaler, assign, rep, fold):
     """The records of one task, one list per outer fold.  A flat task (fold
     None) cross-validates the whole grid over all outer folds of repeat
-    rep, one record per grid point and fold; a nested task gives its outer
-    fold one record, for the grid point its inner CV picks."""
-    if fold is None:
-        return [[FoldRecord(repeat=rep, fold=f, params=params, counts=c)
-                 for params, c in zip(spec.grid, counts)]
-                for f, counts in enumerate(_cv_counts(trainer, dataset, spec, full_scaler,
-                                                      assign, spec.folds))]
-    train, test = _split(dataset, assign, fold)
-    params = _inner_select(trainer, train, spec, full_scaler, [spec.seed, rep, fold, 1])
-    [counts] = trainer.evaluate(train, test, (params,), spec.mode, full_scaler)
-    return [[FoldRecord(repeat=rep, fold=fold, params=params, counts=counts)]]
+    rep, one record per grid point and fold; a nested task gives each of
+    its outer folds (all of repeat rep when fold is None, else that one)
+    one record, for the grid point its inner CV picks."""
+    if fold is not None:
+        train, test = _split(dataset, assign, fold)
+        params = _inner_select(trainer, train, spec, full_scaler, [spec.seed, rep, fold, 1])
+        [counts] = trainer.evaluate(train, test, (params,), spec.mode, full_scaler)
+        return [[FoldRecord(repeat=rep, fold=fold, params=params, counts=counts)]]
+    if spec.selection == "nested":
+        return _nested_records(dataset, trainer, spec, full_scaler, assign, rep)
+    return [[FoldRecord(repeat=rep, fold=f, params=params, counts=c)
+             for params, c in zip(spec.grid, counts)]
+            for f, counts in enumerate(_cv_counts(trainer, dataset, spec, full_scaler,
+                                                  assign, spec.folds))]
+
+
+def _nested_records(dataset, trainer, spec, scaler, assign, rep):
+    """Nested selection over every outer fold of repeat rep under the shared
+    scaler, one record per outer fold, fit as masked stacks on the whole
+    dataset.
+
+    Outer fold f deals its training split (assign != f) over inner folds as
+    _inner_select would, seeded [seed, rep, f, 1], so inner lane (f, j, g)
+    is grid point g fit on that split less inner fold j and counted on
+    inner fold j.  The inner lanes of consecutive outer folds share a stack
+    up to NESTED_STACK_LANES lanes; then each fold's outer fit, at the grid
+    point its inner CV picks, is one lane of a last stack of spec.folds."""
+    inner = []
+    for f in range(spec.folds):
+        train = assign != f
+        dealt, k = _inner_folds(int(train[: dataset.m_pos].sum()),
+                                int(train[dataset.m_pos :].sum()), [spec.seed, rep, f, 1])
+        fold_of = np.full(dataset.m, -1)
+        fold_of[train] = dealt
+        inner.append([(spec.grid, train & (fold_of != j), fold_of == j) for j in range(k)])
+    lanes = [len(spec.grid) * len(blocks) for blocks in inner]
+    stacks = [[]]
+    for f, n in enumerate(lanes):
+        if stacks[-1] and sum(lanes[g] for g in stacks[-1]) + n > NESTED_STACK_LANES:
+            stacks.append([])
+        stacks[-1].append(f)
+    picks = []
+    for folds in stacks:
+        counts = iter(_stack_counts(trainer, dataset, spec.mode, scaler,
+                                    [block for f in folds for block in inner[f]]))
+        picks += [_best_point(spec.grid, [next(counts) for _ in inner[f]]) for f in folds]
+    outer = _stack_counts(trainer, dataset, spec.mode, scaler,
+                          [((params,), assign != f, assign == f) for f, params in enumerate(picks)])
+    return [[FoldRecord(repeat=rep, fold=f, params=params, counts=counts)]
+            for f, (params, [counts]) in enumerate(zip(picks, outer))]
 
 
 def _eval_result(selection, per_fold) -> EvalResult:
@@ -306,11 +384,12 @@ def sweep_results(datasets: dict, trainers: list, noise_ratios, spec: CvSpec,
     """Cross-validate every (dataset, noise ratio, trainer) cell, datasets in
     name order; returns ((dataset, ratio, method), EvalResult) pairs in that
     order.  ``grids`` optionally maps trainer name to its grid (default
-    spec.grid).  With jobs > 1 the cells' tasks (one per repeat with flat
-    selection, one per outer fold with nested) run in up to ``jobs``
-    processes, handed out one at a time so that a worker slowed by other
-    load holds up the sweep by at most one task; each task is seeded on its
-    own, so results do not depend on ``jobs``."""
+    spec.grid).  With jobs > 1 the cells' tasks (see _cv_tasks: one per
+    repeat under the shared scaler, one per outer fold with nested selection
+    and per-fold scaling) run in up to ``jobs`` processes, handed out one at
+    a time so that a worker slowed by other load holds up the sweep by at
+    most one task; each task is seeded on its own, so results do not depend
+    on ``jobs``."""
     keys = [(name, ratio, trainer) for name in sorted(datasets)
             for ratio in noise_ratios for trainer in trainers]
     cells = [_cv_tasks(inject_label_noise(datasets[name], ratio, seed=spec.seed + 1),

@@ -130,9 +130,11 @@ def test_benchmark_and_nemenyi(tmp_path, capsys):
     assert "CD=" in printed and "cl1qtsvm" in printed and "lsqtsvm" in printed
 
 
-def test_benchmark_parallel_matches_serial(tmp_path):
+@pytest.mark.parametrize("normalize", ["full", "per-fold"])
+@pytest.mark.parametrize("selection", ["flat", "nested"])
+def test_benchmark_parallel_matches_serial(tmp_path, selection, normalize):
     cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps(BENCH_CONFIG))
+    cfg.write_text(json.dumps({**BENCH_CONFIG, "selection": selection, "normalize": normalize}))
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     assert run(["benchmark", "--config", cfg, "--out", serial]) == 0
     assert run(["benchmark", "--config", cfg, "--out", parallel,

@@ -261,14 +261,19 @@ def test_sweep_caps_processes_at_fold_count(monkeypatch):
                            grids={"lsqtsvm": LSQ_GRID})
     pooled = sweep_results(datasets, [CL1Trainer(), LSQTrainer()], [0.0, 0.1], spec,
                            grids={"lsqtsvm": LSQ_GRID}, jobs=1000)
-    # A flat (cell, repeat) is one task: 8 cells x 1 repeat, and a cell of
-    # 10 folds and 3 repeats gets 3 workers.  A nested outer fold is one
-    # task: a cell of 10 folds still gets all 4 workers it asks for.
+    # Under the shared scaler a (cell, repeat) is one task, flat or nested:
+    # 8 cells x 1 repeat, a cell of 10 folds and 3 repeats gets 3 workers,
+    # and a nested cell of 10 folds and 1 repeat gets 1.  With per-fold
+    # scaling a nested outer fold is one task: that cell gets all 4
+    # workers it asks for.
     sweep_results({"a": datasets["a"]}, [LSQTrainer()], [0.0],
                   CvSpec(folds=10, repeats=3, seed=0, grid=LSQ_GRID, selection="flat"), jobs=4)
     sweep_results({"a": datasets["a"]}, [LSQTrainer()], [0.0],
                   CvSpec(folds=10, repeats=1, seed=0, grid=LSQ_GRID, selection="nested"), jobs=4)
-    assert sizes == [8, 3, 4]
+    sweep_results({"a": datasets["a"]}, [LSQTrainer()], [0.0],
+                  CvSpec(folds=10, repeats=1, seed=0, grid=LSQ_GRID, selection="nested",
+                         normalize="per-fold"), jobs=4)
+    assert sizes == [8, 3, 1, 4]
     keys = [key for key, _ in serial]
     assert keys == [(ds, ratio, method) for ds in "ab" for ratio in (0.0, 0.1)
                     for method in ("cl1qtsvm", "lsqtsvm")]

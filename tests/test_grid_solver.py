@@ -624,3 +624,80 @@ def test_flat_cv_stack_matches_fold_loop(trainer, grid):
     assert result.acc_mean == means[best]
     assert [(r.fold, r.params, r.counts) for r in result.folds] == [
         (fold, grid[best], loop[fold][best]) for fold in range(k)]
+
+
+# On the data below, c2 >= 100 makes constant surfaces on every outer fold,
+# whose labels rounding decides (ROADMAP item 3); this grid keeps c2 <= 1.
+@pytest.mark.parametrize("trainer, grid", [
+    (CL1Trainer(), tuple({"c1": a, "c2": b} for a in POWERS for b in POWERS[:3])),
+    (LSQTrainer(), tuple({"C": c} for c in POWERS)),
+])
+@pytest.mark.parametrize("folds_per_stack", [None, 2], ids=["bound", "small-bound"])
+def test_nested_cell_stack_matches_fold_loop(monkeypatch, trainer, grid, folds_per_stack):
+    # Nested selection under the shared scaler fits the inner CV of all
+    # outer folds as masked stacks on the whole dataset, then the outer
+    # fits as one more.  Against one outer fold at a time (inner CV on its
+    # training split, then an unmasked outer fit): the same counts on every
+    # inner lane with no rounding-decided row, and the same pick and outer
+    # counts on every outer fold with none.
+    d = inject_label_noise(gen_example1(40, seed=3), 0.1, seed=3)
+    spec = CvSpec(folds=4, repeats=1, seed=6, grid=grid)
+    scaler = fit_scaler(d)
+    lanes = evaluation.INNER_FOLDS * len(grid)
+    assert spec.folds * lanes <= evaluation.NESTED_STACK_LANES
+    if folds_per_stack:
+        monkeypatch.setattr(evaluation, "NESTED_STACK_LANES", folds_per_stack * lanes)
+    stacks = []
+    stack_counts = evaluation._stack_counts
+
+    def count_stacks(*args):
+        stacks.append(len(args[-1]))
+        return stack_counts(*args)
+
+    # Each predict_stack call labels one fold's held-out rows under its
+    # lanes: the inner folds of every outer fold in order, then the outer
+    # folds.  Keep the labels and the larger of each row's two distances.
+    labelled = []
+
+    def spy(scaler, pos, neg, X):
+        Xs = apply_scaler(scaler, X)
+        labels = predict_stack(scaler, pos, neg, X)
+        labelled.append((labels, np.maximum(*(_distances(Xs, *s) for s in (pos, neg)))))
+        return labels
+
+    monkeypatch.setattr(evaluation, "_stack_counts", count_stacks)
+    monkeypatch.setattr(evaluation, "predict_stack", spy)
+    result = cross_validate(d, trainer, spec)
+    # Inner stacks of whole outer folds (one block per inner fold), within
+    # the bound, then one outer stack of one block per outer fold.
+    per_stack = folds_per_stack or spec.folds
+    assert stacks == [per_stack * evaluation.INNER_FOLDS] * (spec.folds // per_stack) + [
+        spec.folds]
+    inner_labelled, outer_labelled = iter(labelled[: -spec.folds]), labelled[-spec.folds :]
+    assign = _stratified_folds(d.m_pos, d.m_neg, spec.folds, [spec.seed, 0])
+    inner_compared = outer_compared = 0
+    for fold, record in enumerate(result.folds):
+        train, test = _split(d, assign, fold)
+        inner = _stratified_folds(train.m_pos, train.m_neg, evaluation.INNER_FOLDS,
+                                  [spec.seed, 0, fold, 1])
+        loop, fold_decided = [], True
+        for j in range(evaluation.INNER_FOLDS):
+            inner_train, inner_test = _split(train, inner, j)
+            X, y = inner_test.stacked()
+            labels_ref, far_ref = fold_labels(trainer.fit_split(inner_train, grid, spec.mode,
+                                                                scaler), slice(None), X)
+            labels, far = next(inner_labelled)
+            decided = np.maximum(far, far_ref) < FLOOR_DISTANCE
+            np.testing.assert_array_equal(labels[decided], labels_ref[decided])
+            fold_decided &= bool(decided.all())
+            inner_compared += int(decided.all(axis=1).sum())
+            loop.append(evaluation.counts_stack(y, labels_ref))
+        X, y = test.stacked()
+        labels_ref, far_ref = fold_labels(trainer.fit_split(train, (record.params,), spec.mode,
+                                                            scaler), slice(None), X)
+        if fold_decided and (np.maximum(outer_labelled[fold][1], far_ref) < FLOOR_DISTANCE).all():
+            assert record.params == evaluation._best_point(grid, loop), fold
+            assert record.counts == evaluation.counts_stack(y, labels_ref)[0], fold
+            outer_compared += 1
+    assert outer_compared >= spec.folds // 2
+    assert inner_compared >= spec.folds * evaluation.INNER_FOLDS * len(grid) // 2
