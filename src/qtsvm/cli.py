@@ -3,7 +3,7 @@ benchmark sweeps, and the Nemenyi test.
 
 Every command that writes artifacts also writes a ``<output>.manifest.json``
 recording the command and all flags; ``qtsvm replay <manifest>`` reruns it
-and reproduces the outputs byte for byte.
+and reproduces the outputs byte for byte at the same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import time
 
 from . import __version__
 from .data import (
+    CSV_BLOCK_ROWS,
     GENERATORS,
     first_row_width,
     inject_label_noise,
@@ -57,12 +58,15 @@ def _write_csv(path, rows):
 def _write_labelled_matrix(path, X, labels, label_name):
     """Write a float matrix as columns x1..xn and integer labels as a last
     column, as ``_write_csv`` would.  Numbers never need quoting, so each
-    column is formatted at once and the rows are joined without csv."""
-    cols = [map(repr, col) for col in X.T.tolist()]
-    cols.append(map(str, labels.astype(int).tolist()))
+    column of a block of rows is formatted at once and the rows are joined
+    without csv."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"x{i + 1}" for i in range(X.shape[1])] + [label_name]) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+        for start in range(0, len(X), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            cols = [map(repr, col) for col in X[block].T.tolist()]
+            cols.append(map(str, labels[block].astype(int).tolist()))
+            fh.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
 def _sha256(path) -> str:

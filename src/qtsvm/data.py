@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -83,11 +84,15 @@ def fit_scaler(d: Dataset) -> NormalizationParams:
 
 def apply_scaler(params: NormalizationParams, X: np.ndarray) -> np.ndarray:
     """Map each feature to [-1, 1]; constant features map to 0."""
-    X = np.asarray(X, dtype=float)
     span = params.maximum - params.minimum
     safe = np.where(span > 0, span, 1.0)
-    out = 2.0 * (X - params.minimum) / safe - 1.0
-    return np.where(span > 0, out, 0.0)
+    # 2 (X - min) / safe - 1, one operation at a time in one array.
+    out = np.subtract(np.asarray(X, dtype=float), params.minimum)
+    out *= 2.0
+    out /= safe
+    out -= 1.0
+    out[..., span <= 0] = 0.0
+    return out
 
 
 def scale_dataset(d: Dataset, params: NormalizationParams) -> Dataset:
@@ -166,27 +171,44 @@ def _float(cell: str) -> float | None:
         return None
 
 
-def _nonblank_rows(path, take):
-    """``take`` applied to an iterator over the nonblank rows of a CSV file."""
+# Nonblank CSV rows parsed, converted and written per block.  A row of the
+# two-feature files that ``generate`` writes takes about 250 bytes as Python
+# lists and strings, so a block of them holds about 0.25 MB however long the
+# file is.  Blocks of 512 to 8192 such rows parsed at the same speed.
+CSV_BLOCK_ROWS = 1024
+
+
+def _row_blocks(path, size=None):
+    """The nonblank rows of a CSV file in lists of up to ``size`` rows
+    (default ``CSV_BLOCK_ROWS``).  A read error is raised when the reader
+    reaches it, after the blocks before it have been handed out."""
+    size = size or CSV_BLOCK_ROWS
     try:
         with open(path, newline="") as fh:
-            raw = take(row for row in csv.reader(fh) if "".join(row).strip())
+            rows = (row for row in csv.reader(fh) if "".join(row).strip())
+            while block := list(islice(rows, size)):
+                yield block
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
-    if not raw:
+
+
+def _rows(path, size=None):
+    """The first block of rows of a nonempty CSV file and an iterator over
+    the others.  The first block has a second row whenever the file has
+    one: the header rule looks one row ahead."""
+    blocks = _row_blocks(path, size)
+    head = next(blocks, None)
+    if head is None:
         raise DataFormatError(f"{path} is empty")
-    return raw
-
-
-def _read_rows(path) -> list:
-    """The nonblank rows of a CSV file."""
-    return _nonblank_rows(path, list)
+    if len(head) == 1:
+        head += next(blocks, [])
+    return head, blocks
 
 
 def first_row_width(path) -> int:
-    """The number of fields in the first nonblank row of a CSV file; the
-    rest of the file is not parsed."""
-    return len(_nonblank_rows(path, lambda rows: next(rows, None)))
+    """The number of fields in the first nonblank row of a CSV file; at most
+    one more row is parsed."""
+    return len(_rows(path, 1)[0][0])
 
 
 def _split_header(rows, skip=None):
@@ -199,11 +221,12 @@ def _split_header(rows, skip=None):
     return None, rows, 1
 
 
-def _first_fault(rows, first, width, numeric, label_idx=None, positive_label=None):
+def _first_fault(rows, first, width, numeric, label_idx=None, positive_label=None,
+                 other_label=None):
     """Raise the DataFormatError for the first fault in file order: a ragged
     row, a cell of a ``numeric`` column that is not a finite number, or a
-    third label value.  ``first`` is the number of the first row."""
-    other_label = None
+    third label value.  ``first`` is the number of the first row and
+    ``other_label`` the non-positive label of the rows before it, if any."""
     for r, row in enumerate(rows, start=first):
         if len(row) != width:
             raise DataFormatError(
@@ -228,17 +251,11 @@ def _first_fault(rows, first, width, numeric, label_idx=None, positive_label=Non
             )
 
 
-def _table(rows, first, width, numeric, label_idx=None, positive_label=None):
-    """The ``numeric`` columns of a CSV table as an (m, len(numeric)) matrix
-    and, with a label column, the mask of its positive rows.
-
-    Cells are converted a whole column at a time (numpy accepts exactly the
-    strings ``float`` accepts) and must be finite.  When that fails, or a
-    third label value turns up, the rows are checked one by one so that the
-    error names the first fault in file order.
-    """
+def _block(rows, first, width, numeric, label_idx, positive_label, other_label):
+    """One block of ``_table``: its matrix, its positive mask and the
+    non-positive label seen so far."""
     if all(len(row) == width for row in rows):
-        cols = list(zip(*rows)) if rows else [()] * width
+        cols = list(zip(*rows))
         try:
             X = np.array([cols[i] for i in numeric], dtype=float)
         except ValueError:
@@ -247,22 +264,49 @@ def _table(rows, first, width, numeric, label_idx=None, positive_label=None):
             X = X.reshape(len(numeric), len(rows)).T
             if np.isfinite(X).all():
                 if label_idx is None:
-                    return np.ascontiguousarray(X), None
+                    return X, None, None
                 labels = np.array([label.strip() for label in cols[label_idx]], dtype=object)
                 pos = labels == positive_label
-                if len(set(labels[~pos])) <= 1:
-                    return X, pos
-    _first_fault(rows, first, width, numeric, label_idx, positive_label)
+                others = set(labels[~pos])
+                if other_label is not None:
+                    others.add(other_label)
+                if len(others) <= 1:
+                    return X, pos, next(iter(others), None)
+    _first_fault(rows, first, width, numeric, label_idx, positive_label, other_label)
     raise AssertionError("unreachable: the row-by-row check found no fault")
+
+
+def _table(blocks, first, width, numeric, label_idx=None, positive_label=None):
+    """The ``numeric`` columns of blocks of CSV data rows as an
+    (m, len(numeric)) matrix and, with a label column, the mask of its
+    positive rows.  ``first`` is the number of the first data row.
+
+    Cells are converted a column of a block at a time (numpy accepts exactly
+    the strings ``float`` accepts) and must be finite; every non-positive
+    label must be the first one.  When a block fails, its rows are checked
+    one by one, so that the error names the first fault in file order: the
+    blocks before it have passed.
+    """
+    k = len(numeric)
+    parts, masks, other_label = [np.empty((0, k))], [np.zeros(0, dtype=bool)], None
+    for rows in filter(None, blocks):
+        X, pos, other_label = _block(rows, first, width, numeric, label_idx,
+                                     positive_label, other_label)
+        parts.append(X)
+        masks.append(pos)
+        first += len(rows)
+    # ``out`` keeps the result C-ordered: the blocks are transposed views.
+    X = np.concatenate(parts, out=np.empty((sum(map(len, parts)), k)))
+    return X, None if label_idx is None else np.concatenate(masks)
 
 
 def load_features(path) -> np.ndarray:
     """Load an unlabeled rectangular CSV of finite numbers, with an optional
     header row, as an (m, n) matrix."""
-    raw = _read_rows(path)
-    width = len(raw[0])
-    _, rows, first = _split_header(raw)
-    return _table(rows, first, width, range(width))[0]
+    head, blocks = _rows(path)
+    width = len(head[0])
+    _, rows, first = _split_header(head)
+    return _table(chain([rows], blocks), first, width, range(width))[0]
 
 
 def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
@@ -274,10 +318,10 @@ def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
     (string comparison after stripping) become the positive class; all other
     rows must share a single second label value.
     """
-    raw = _read_rows(path)
-    width = len(raw[0])
+    head, blocks = _rows(path)
+    width = len(head[0])
     if isinstance(label_column, str):
-        header, rows, first = [c.strip() for c in raw[0]], raw[1:], 2
+        header, rows, first = [c.strip() for c in head[0]], head[1:], 2
         if label_column not in header:
             raise DataFormatError(f"label column {label_column!r} not found in header")
         label_idx = header.index(label_column)
@@ -286,9 +330,9 @@ def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
             raise DataFormatError(f"label column {label_column} is out of range "
                                   f"for {width} columns")
         label_idx = label_column % width
-        _, rows, first = _split_header(raw, label_idx)
+        _, rows, first = _split_header(head, label_idx)
     numeric = [i for i in range(width) if i != label_idx]
-    X, pos = _table(rows, first, width, numeric, label_idx, positive_label)
+    X, pos = _table(chain([rows], blocks), first, width, numeric, label_idx, positive_label)
     return Dataset(X_pos=X[pos], X_neg=X[~pos])
 
 
@@ -303,11 +347,13 @@ def load_scores(path):
     its first column holds dataset names when the last row's first cell is
     not a number.
     """
-    raw = _read_rows(path)
+    # The header rule reads the last row, so the blocks are collected.
+    raw, blocks = _rows(path)
+    raw.extend(chain.from_iterable(blocks))
     width = len(raw[0])
     header = [c.strip() for c in raw[0]]
     if {"dataset", "method", "acc"} <= set(header):
-        acc = _table(raw[1:], 2, width, [header.index("acc")])[0][:, 0]
+        acc = _table([raw[1:]], 2, width, [header.index("acc")])[0][:, 0]
         ds, method = header.index("dataset"), header.index("method")
         ratio = header.index("noise_ratio") if "noise_ratio" in header else None
         cells = {}
@@ -326,7 +372,7 @@ def load_scores(path):
     skip = 0 if _float(raw[-1][0]) is None else None
     header, rows, first = _split_header(raw, skip)
     numeric = [i for i in range(width) if i != skip]
-    scores = _table(rows, first, width, numeric)[0]
+    scores = _table([rows], first, width, numeric)[0]
     if header is None:
         return scores, [f"method{j + 1}" for j in range(len(numeric))]
     return scores, [header[i] for i in numeric]

@@ -1,4 +1,4 @@
-"""Cross-validation, grid search, metrics, robustness sweeps, and the
+"""Cross-validation, grid search, benchmark sweeps, metrics, and the
 Nemenyi critical-difference test."""
 
 from __future__ import annotations

@@ -1,19 +1,24 @@
 """CSV reading and writing against per-cell references.
 
-``load_csv`` converts whole columns at once; the property test checks it
-against ``float()`` applied to each cell.  The writers hand Python scalars to
-the csv module or format whole columns; the contract tests check that every
-number comes out as its shortest round-trip ``repr``, as a per-cell ``repr``
-wrote it.
+``load_csv`` converts a column of a block of rows at a time; the property
+tests check it against ``float()`` applied to each cell, and blocks of one to
+three rows against one block.  The writers hand Python scalars to the csv
+module or format the columns of a block of rows at once; the contract tests
+check that every number comes out as its shortest round-trip ``repr``, as a
+per-cell ``repr`` wrote it.
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qtsvm import cli, data
 from qtsvm.cli import _write_csv, _write_labelled_matrix, main
-from qtsvm.data import GENERATORS, inject_label_noise, load_csv
+from qtsvm.data import GENERATORS, gen_example1, inject_label_noise, load_csv
 from qtsvm.errors import DataFormatError
 from qtsvm.model import load_model, predict_many
 
@@ -87,6 +92,58 @@ def test_load_csv_matches_per_cell_float(tmp_path_factory, table):
     assert _bits(d.X_neg) == _bits(X_neg)
 
 
+@PROPERTY
+@given(table=tables())
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_load_csv_in_blocks_matches_one_block(tmp_path_factory, block_rows, table):
+    # A table of up to 13 rows is one block by default; in blocks of 1-3
+    # rows its header lookahead and its labels cross block boundaries.
+    text, label_column, pos_label, _, _ = table
+    path = tmp_path_factory.getbasetemp() / "blocks.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    one_block = load_csv(path, label_column=label_column, positive_label=pos_label)
+    with mock.patch.object(data, "CSV_BLOCK_ROWS", block_rows):
+        d = load_csv(path, label_column=label_column, positive_label=pos_label)
+    assert _bits(d.X_pos) == _bits(one_block.X_pos)
+    assert _bits(d.X_neg) == _bits(one_block.X_neg)
+
+
+def test_load_csv_peak_memory_stays_near_its_result(tmp_path):
+    # The whole file held as Python row lists came to more than 10x the
+    # result arrays; one block of them is a fixed cost.
+    path = tmp_path / "big.csv"
+    _write_labelled_matrix(path, *gen_example1(10_000, seed=0).stacked(), "label")
+    load_csv(path)
+    tracemalloc.start()
+    try:
+        d = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = d.X_pos.nbytes + d.X_neg.nbytes
+    assert d.m == 20_000 and peak < 6 * result, (peak, result)
+
+
+@pytest.mark.parametrize("tail, read_error", [
+    (b"1,2,\xff\n", "codec can't decode byte 0xff"),
+    (b'1,"' + b"2" * 200_000 + b'",1\n', "field larger than field limit"),
+], ids=["undecodable-bytes", "csv-error"])
+def test_a_fault_comes_before_a_read_error_in_a_later_block(tmp_path, tail, read_error):
+    # Blocks are read and checked in file order, so a bad cell is reported
+    # although the file's bytes go wrong some blocks further on.
+    path = tmp_path / "bad.csv"
+    body = b"1,2,-1\n" * (8 * data.CSV_BLOCK_ROWS)
+    path.write_bytes(b"1,2,1\n1,abc,-1\n" + body + tail)
+    with pytest.raises(DataFormatError) as exc:
+        load_csv(path)
+    assert str(exc.value) == "row 2, column 2: non-numeric cell 'abc'"
+    path.write_bytes(b"1,2,1\n1,2,-1\n" + body + tail)
+    with pytest.raises(DataFormatError) as exc:
+        load_csv(path)
+    assert str(exc.value).startswith(f"cannot read {path}: ")
+    assert read_error in str(exc.value)
+
+
 @pytest.mark.parametrize("label_column", [3, 5, 8, -4, -7])
 def test_load_csv_rejects_an_out_of_range_label_column(tmp_path, label_column):
     # Such an index once wrapped around and silently read another column.
@@ -122,6 +179,16 @@ def test_labelled_matrix_writes_per_cell_repr(tmp_path):
     _write_labelled_matrix(tmp_path / "o.csv", X, labels, "label")
     expected = _per_cell_repr([[*map(float, x), int(v)] for x, v in zip(X, labels)])
     assert (tmp_path / "o.csv").read_text() == ",".join(header) + "\n" + expected
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_labelled_matrix_in_blocks_matches_one_block(tmp_path, monkeypatch, block_rows):
+    X = np.random.default_rng(2).normal(size=(7, 3))
+    labels = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    _write_labelled_matrix(tmp_path / "one.csv", X, labels, "label")
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    _write_labelled_matrix(tmp_path / "blocks.csv", X, labels, "label")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 def _per_cell_rows(X, labels):

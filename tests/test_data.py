@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtsvm import data
 from qtsvm.data import (
     Dataset,
     NormalizationParams,
@@ -204,16 +205,20 @@ def test_load_csv_custom_positive_label(tmp_path):
     assert d.m_pos == 2 and d.m_neg == 1
 
 
+THIRD_LABEL = "1.0,1\n2.0,-1\n3.0,2\n"
+RAGGED = "1.0,2.0,1\n3.0,-1\n"
+
+
 def test_load_csv_rejects_third_label(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("1.0,1\n2.0,-1\n3.0,2\n")
+    p.write_text(THIRD_LABEL)
     with pytest.raises(DataFormatError):
         load_csv(p)
 
 
 def test_load_csv_rejects_ragged_rows(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text("1.0,2.0,1\n3.0,-1\n")
+    p.write_text(RAGGED)
     with pytest.raises(DataFormatError):
         load_csv(p)
 
@@ -234,11 +239,27 @@ def test_load_csv_rejects_missing_and_empty(tmp_path):
         load_csv(empty)
 
 
-@pytest.mark.parametrize("text, message", [
-    ("x1,x2,label\n1,abc,1\n2,3,-1\n4,5\n", "row 2, column 2: non-numeric cell 'abc'"),
-    ("1,2,1\n1,2,-1\n1,2,7\n1,zz,1\n", "row 3: unknown label value '7' (expected '1' or '-1')"),
-    ("x1,x2,label\n1,2,1\n2,inf,-1\n", "row 3, column 2: non-finite cell 'inf'"),
-], ids=["cell-before-ragged-row", "label-before-cell", "non-finite-cell"])
+CSV_FAULTS = [
+    pytest.param("x1,x2,label\n1,abc,1\n2,3,-1\n4,5\n",
+                 "row 2, column 2: non-numeric cell 'abc'", id="cell-before-ragged-row"),
+    pytest.param("1,2,1\n1,2,-1\n1,2,7\n1,zz,1\n",
+                 "row 3: unknown label value '7' (expected '1' or '-1')", id="label-before-cell"),
+    pytest.param("x1,x2,label\n1,2,1\n2,inf,-1\n",
+                 "row 3, column 2: non-finite cell 'inf'", id="non-finite-cell"),
+]
+FEATURE_FAULTS = [
+    pytest.param("a,b\n1,2\n3, abc\n", "row 3, column 2: non-numeric cell 'abc'",
+                 id="cell-after-header"),
+    pytest.param("1,2\n3\n4,x\n", "row 2: expected 2 fields, got 1 (ragged file)",
+                 id="ragged-before-cell"),
+    pytest.param("\n1,2\n\n3,4\n5,6,7\n", "row 3: expected 2 fields, got 3 (ragged file)",
+                 id="ragged-after-blank-lines"),
+    pytest.param("1,2\nnan,4\n", "row 2, column 1: non-finite cell 'nan'",
+                 id="non-finite-cell"),
+]
+
+
+@pytest.mark.parametrize("text, message", CSV_FAULTS)
 def test_load_csv_names_the_first_fault_in_file_order(tmp_path, text, message):
     p = tmp_path / "bad.csv"
     p.write_text(text)
@@ -247,12 +268,7 @@ def test_load_csv_names_the_first_fault_in_file_order(tmp_path, text, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("text, message", [
-    ("a,b\n1,2\n3, abc\n", "row 3, column 2: non-numeric cell 'abc'"),
-    ("1,2\n3\n4,x\n", "row 2: expected 2 fields, got 1 (ragged file)"),
-    ("\n1,2\n\n3,4\n5,6,7\n", "row 3: expected 2 fields, got 3 (ragged file)"),
-    ("1,2\nnan,4\n", "row 2, column 1: non-finite cell 'nan'"),
-], ids=["cell-after-header", "ragged-before-cell", "ragged-after-blank-lines", "non-finite-cell"])
+@pytest.mark.parametrize("text, message", FEATURE_FAULTS)
 def test_load_features_errors_name_row_and_column(tmp_path, text, message):
     p = tmp_path / "bad.csv"
     p.write_text(text)
@@ -267,3 +283,38 @@ def test_load_features_matches_per_cell_float(tmp_path):
     X = load_features(p)
     expected = np.array([[1.5, 2e-3], [10.0, -0.0], [5e-324, 1.7976931348623157e308]])
     assert X.flags["C_CONTIGUOUS"] and X.tobytes() == expected.tobytes()
+
+
+BLOCK_FAULTS = (
+    [pytest.param(load_csv, fault.values[0], id=f"csv-{fault.id}") for fault in CSV_FAULTS]
+    + [pytest.param(load_csv, THIRD_LABEL, id="csv-third-label"),
+       pytest.param(load_csv, RAGGED, id="csv-ragged")]
+    + [pytest.param(load_features, fault.values[0], id=f"features-{fault.id}")
+       for fault in FEATURE_FAULTS])
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+@pytest.mark.parametrize("load, text", BLOCK_FAULTS)
+def test_faults_read_in_blocks_match_one_block(tmp_path, monkeypatch, load, text, block_rows):
+    # Each file fits in one block by default.  In blocks of 1-3 rows its
+    # header lookahead, ragged row, bad cell or third label falls across a
+    # block boundary, and the message must not change.
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(DataFormatError) as one_block:
+        load(p)
+    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block_rows)
+    with pytest.raises(DataFormatError) as blocks:
+        load(p)
+    assert str(blocks.value) == str(one_block.value)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_load_features_in_blocks_matches_one_block(tmp_path, monkeypatch, block_rows):
+    p = tmp_path / "x.csv"
+    p.write_text("x1,x2\n 1.5 ,2e-3\n\n1_0,-0.0\n5e-324,1e308\n7,8\n-1,0.5\n")
+    one_block = load_features(p)
+    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block_rows)
+    X = load_features(p)
+    assert X.flags["C_CONTIGUOUS"] and X.shape == one_block.shape == (5, 2)
+    assert X.tobytes() == one_block.tobytes()

@@ -1,4 +1,4 @@
-"""Metrics, cross-validation machinery, robustness sweeps, Nemenyi test."""
+"""Metrics, cross-validation machinery, benchmark sweeps, Nemenyi test."""
 
 import concurrent.futures
 import json

@@ -2,6 +2,8 @@
 lane-by-lane least-squares fallback, its training masks against fits on
 the masked subsets, and the stacked CV folds against one fit per fold."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -579,8 +581,13 @@ def test_stacked_inner_cv_matches_fold_loop(monkeypatch, trainer, grid):
             assert counts[fold][g] == loop[fold][g], (fold, grid[g])
             compared += 1
     assert compared >= k * len(grid) // 2
-    means = [np.mean([accuracy(c) for c in per_point]) for per_point in zip(*loop)]
-    assert _inner_select(trainer, d, spec, scaler, seed) == grid[int(np.argmax(means))]
+    # Sweeps call _inner_select only with nested selection under per-fold
+    # scaling, where each inner fold scales its own training split.
+    per_fold = [trainer.evaluate(*_split(d, assign, fold), grid, spec.mode, None)
+                for fold in range(k)]
+    means = [np.mean([accuracy(c) for c in per_point]) for per_point in zip(*per_fold)]
+    assert (_inner_select(trainer, d, replace(spec, normalize="per-fold"), None, seed)
+            == grid[int(np.argmax(means))])
 
 
 @pytest.mark.parametrize("trainer, grid", [
