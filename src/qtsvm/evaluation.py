@@ -83,23 +83,11 @@ def f1(counts: ConfusionCounts) -> float:
     return 2 * counts.tp / denom
 
 
-class _GridTrainer:
-    """A grid-searchable trainer.  Subclasses define
-    fit_split(train, grid, mode, scaler, mask=None), which fits a grid of
-    parameter dicts on the training split as one GridFit, lane g on the
-    samples that mask[g] keeps (see fit_grid)."""
-
-    def evaluate(self, train, test, grid, mode, scaler) -> list[ConfusionCounts]:
-        """Fit one model per grid point on the training split, all in one
-        stacked solve, and return the test split's confusion counts under
-        each, in grid order."""
-        fitted = self.fit_split(train, grid, mode, scaler)
-        X, y = test.stacked()
-        return counts_stack(y, predict_stack(fitted.scaler, fitted.pos, fitted.neg, X))
-
-
-class CL1Trainer(_GridTrainer):
-    """Grid-searchable wrapper around the capped-L1 solver."""
+class CL1Trainer:
+    """Grid-searchable wrapper around the capped-L1 solver: fit_split(train,
+    grid, mode, scaler, mask=None) fits a grid of parameter dicts on the
+    training split as one GridFit, lane g on the samples that mask[g] keeps
+    (see fit_grid)."""
 
     name = "cl1qtsvm"
 
@@ -112,8 +100,9 @@ class CL1Trainer(_GridTrainer):
         return fit_grid(train, [configs[tuple(p.items())] for p in grid], mode, scaler, mask)
 
 
-class LSQTrainer(_GridTrainer):
-    """Grid-searchable wrapper around the least-squares baseline."""
+class LSQTrainer:
+    """Grid-searchable wrapper around the least-squares baseline; fit_split
+    as in CL1Trainer."""
 
     name = "lsqtsvm"
 
@@ -148,8 +137,10 @@ class CvSpec:
     normalize: str = "full"  # "full" | "per-fold"
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise InvalidInputError("folds must be >= 2")
+        if not isinstance(self.folds, (int, np.integer)) or self.folds < 2:
+            raise InvalidInputError(f"folds must be an integer >= 2, got {self.folds!r}")
+        if not isinstance(self.repeats, (int, np.integer)) or self.repeats < 1:
+            raise InvalidInputError(f"repeats must be an integer >= 1, got {self.repeats!r}")
         if not self.grid:
             raise InvalidInputError("hyperparameter grid must be nonempty")
         if self.selection not in ("nested", "flat"):
@@ -198,32 +189,18 @@ def _subset(dataset: Dataset, keep: np.ndarray) -> Dataset:
                    X_neg=dataset.X_neg[keep[dataset.m_pos :]])
 
 
-def _split(dataset: Dataset, assign: np.ndarray, fold: int):
-    held = assign == fold
-    return _subset(dataset, ~held), _subset(dataset, held)
-
-
-def _cv_counts(trainer, dataset, spec: CvSpec, scaler, assign, k):
-    """Confusion counts of every grid point on each of the k folds that
-    assign deals over dataset, one list per fold in grid order.
-
-    With a shared scaler (normalize="full") a fold's training problem is
-    the whole dataset with that fold's samples masked out, so all folds'
-    grids are fit as one stack (see _stack_counts); with per-fold scaling
-    each fold is fit on its own."""
-    if spec.normalize == "per-fold":
-        return [trainer.evaluate(*_split(dataset, assign, fold), spec.grid, spec.mode, scaler)
-                for fold in range(k)]
-    return _stack_counts(trainer, dataset, spec.mode, scaler,
-                         [(spec.grid, assign != fold, assign == fold) for fold in range(k)])
-
-
 def _stack_counts(trainer, dataset, mode, scaler, blocks):
     """Confusion counts of masked fits on the whole dataset, one list per
     block (grid, train, held) in grid order: the block's grid points are fit
     on the samples that the boolean row mask train marks and counted on the
-    rows that held marks.  All blocks' lanes are one stack on the dataset
-    scaled and lifted once, less the samples that no lane trains on."""
+    rows that held marks.  Under a shared scaler all blocks' lanes are one
+    stack on the dataset scaled and lifted once, less the samples that no
+    lane trains on; with per-fold scaling (scaler None) each block is a
+    stack of its own under the scaler of its training split."""
+    if scaler is None:
+        return [counts for block in blocks
+                for counts in _stack_counts(trainer, dataset, mode,
+                                            fit_scaler(_subset(dataset, block[1])), [block])]
     grid = tuple(p for points, _, _ in blocks for p in points)
     mask = np.concatenate([np.broadcast_to(train, (len(points), dataset.m))
                            for points, train, _ in blocks])
@@ -260,12 +237,6 @@ def _best_point(grid, per_fold):
     return grid[int(np.argmax(means))]
 
 
-def _inner_select(trainer, train, spec: CvSpec, scaler, seed_key):
-    """Pick the grid point with the best inner-CV mean accuracy."""
-    assign, k = _inner_folds(train.m_pos, train.m_neg, seed_key)
-    return _best_point(spec.grid, _cv_counts(trainer, train, spec, scaler, assign, k))
-
-
 def cross_validate(dataset: Dataset, trainer, spec: CvSpec) -> EvalResult:
     """Stratified repeated k-fold evaluation with grid search.
 
@@ -278,53 +249,41 @@ def cross_validate(dataset: Dataset, trainer, spec: CvSpec) -> EvalResult:
 
 
 def _cv_tasks(dataset, trainer, spec):
-    """The work of cross_validate in (repeat, fold) order, each task as the
-    arguments of _task_records.  Under a shared scaler (normalize="full")
-    a task is one repeat, whose outer folds are fit together as masked
-    stacks, with flat and with nested selection; with nested selection
-    and per-fold scaling it is one outer fold."""
+    """The work of cross_validate in repeat order, one task per repeat, each
+    as the arguments of _task_records."""
     if dataset.m_pos < spec.folds or dataset.m_neg < spec.folds:
         raise InvalidInputError(
             f"each class needs at least {spec.folds} samples for "
             f"{spec.folds}-fold CV; use a smaller k"
         )
-    full_scaler = fit_scaler(dataset) if spec.normalize == "full" else None
-    per_repeat = spec.selection == "flat" or spec.normalize == "full"
-    folds = [None] if per_repeat else range(spec.folds)
-    tasks = []
-    for rep in range(spec.repeats):
-        assign = _stratified_folds(dataset.m_pos, dataset.m_neg, spec.folds,
-                                   [spec.seed, rep])
-        tasks += [(dataset, trainer, spec, full_scaler, assign, rep, fold) for fold in folds]
-    return tasks
+    scaler = fit_scaler(dataset) if spec.normalize == "full" else None
+    return [(dataset, trainer, spec, scaler,
+             _stratified_folds(dataset.m_pos, dataset.m_neg, spec.folds, [spec.seed, rep]), rep)
+            for rep in range(spec.repeats)]
 
 
-def _task_records(dataset, trainer, spec, full_scaler, assign, rep, fold):
-    """The records of one task, one list per outer fold.  A flat task (fold
-    None) cross-validates the whole grid over all outer folds of repeat
-    rep, one record per grid point and fold; a nested task gives each of
-    its outer folds (all of repeat rep when fold is None, else that one)
-    one record, for the grid point its inner CV picks."""
-    if fold is not None:
-        train, test = _split(dataset, assign, fold)
-        params = _inner_select(trainer, train, spec, full_scaler, [spec.seed, rep, fold, 1])
-        [counts] = trainer.evaluate(train, test, (params,), spec.mode, full_scaler)
-        return [[FoldRecord(repeat=rep, fold=fold, params=params, counts=counts)]]
+def _task_records(dataset, trainer, spec, scaler, assign, rep):
+    """The records of repeat rep, one list per outer fold, fit as masked
+    stacks (see _stack_counts for scaler None).  Flat selection
+    cross-validates the whole grid, one record per grid point and fold;
+    nested selection gives each outer fold one record, for the grid point
+    its inner CV picks."""
     if spec.selection == "nested":
-        return _nested_records(dataset, trainer, spec, full_scaler, assign, rep)
+        return _nested_records(dataset, trainer, spec, scaler, assign, rep)
     return [[FoldRecord(repeat=rep, fold=f, params=params, counts=c)
              for params, c in zip(spec.grid, counts)]
-            for f, counts in enumerate(_cv_counts(trainer, dataset, spec, full_scaler,
-                                                  assign, spec.folds))]
+            for f, counts in enumerate(_stack_counts(
+                trainer, dataset, spec.mode, scaler,
+                [(spec.grid, assign != f, assign == f) for f in range(spec.folds)]))]
 
 
 def _nested_records(dataset, trainer, spec, scaler, assign, rep):
-    """Nested selection over every outer fold of repeat rep under the shared
-    scaler, one record per outer fold, fit as masked stacks on the whole
-    dataset.
+    """Nested selection over every outer fold of repeat rep, one record per
+    outer fold, fit as masked stacks on the whole dataset (see
+    _stack_counts for scaler None).
 
-    Outer fold f deals its training split (assign != f) over inner folds as
-    _inner_select would, seeded [seed, rep, f, 1], so inner lane (f, j, g)
+    Outer fold f deals its training split (assign != f) over inner folds
+    (see _inner_folds), seeded [seed, rep, f, 1], so inner lane (f, j, g)
     is grid point g fit on that split less inner fold j and counted on
     inner fold j.  The inner lanes of consecutive outer folds share a stack
     up to NESTED_STACK_LANES lanes; then each fold's outer fit, at the grid
@@ -385,11 +344,10 @@ def sweep_results(datasets: dict, trainers: list, noise_ratios, spec: CvSpec,
     name order; returns ((dataset, ratio, method), EvalResult) pairs in that
     order.  ``grids`` optionally maps trainer name to its grid (default
     spec.grid).  With jobs > 1 the cells' tasks (see _cv_tasks: one per
-    repeat under the shared scaler, one per outer fold with nested selection
-    and per-fold scaling) run in up to ``jobs`` processes, handed out one at
-    a time so that a worker slowed by other load holds up the sweep by at
-    most one task; each task is seeded on its own, so results do not depend
-    on ``jobs``."""
+    repeat) run in up to ``jobs`` processes, handed out one at a time so
+    that a worker slowed by other load holds up the sweep by at most one
+    task; each task is seeded on its own, so results do not depend on
+    ``jobs``."""
     keys = [(name, ratio, trainer) for name in sorted(datasets)
             for ratio in noise_ratios for trainer in trainers]
     cells = [_cv_tasks(inject_label_noise(datasets[name], ratio, seed=spec.seed + 1),

@@ -38,6 +38,7 @@ from qtsvm.evaluation import (
     sweep_results,
     sweep_rows,
 )
+from qtsvm.model import predict_stack
 from qtsvm.solver_cl1 import SolverConfig
 
 FAST_GRID = ({"c1": 0.01, "c2": 0.01}, {"c1": 1.0, "c2": 0.01})
@@ -95,8 +96,10 @@ def test_default_grid_sizes():
 
 
 def test_cvspec_validation():
-    with pytest.raises(InvalidInputError):
-        CvSpec(folds=1, grid=FAST_GRID)
+    for bad in ({"folds": 1}, {"folds": 2.5}, {"repeats": 0}, {"repeats": -1},
+                {"repeats": 1.5}):
+        with pytest.raises(InvalidInputError):
+            CvSpec(grid=FAST_GRID, **bad)
     with pytest.raises(InvalidInputError):
         CvSpec(grid=())
     with pytest.raises(InvalidInputError):
@@ -200,10 +203,15 @@ def test_best_params_tie_independent_of_hash_seed():
 def test_trainers_evaluate_grid_point_by_point():
     # A grid evaluated at once gives each point's counts as alone.
     train, test = gen_example1(30, seed=7), gen_example1(30, seed=8)
+    X, y = test.stacked()
+
+    def evaluate(trainer, grid):
+        fitted = trainer.fit_split(train, grid, LiftingMode.FULL, None)
+        return counts_stack(y, predict_stack(fitted.scaler, fitted.pos, fitted.neg, X))
+
     for trainer, grid in ((CL1Trainer(), FAST_GRID), (LSQTrainer(), LSQ_GRID)):
-        together = trainer.evaluate(train, test, grid, LiftingMode.FULL, None)
-        alone = [trainer.evaluate(train, test, (p,), LiftingMode.FULL, None)[0]
-                 for p in grid]
+        together = evaluate(trainer, grid)
+        alone = [evaluate(trainer, (p,))[0] for p in grid]
         assert together == alone
 
 
@@ -261,11 +269,10 @@ def test_sweep_caps_processes_at_fold_count(monkeypatch):
                            grids={"lsqtsvm": LSQ_GRID})
     pooled = sweep_results(datasets, [CL1Trainer(), LSQTrainer()], [0.0, 0.1], spec,
                            grids={"lsqtsvm": LSQ_GRID}, jobs=1000)
-    # Under the shared scaler a (cell, repeat) is one task, flat or nested:
+    # A (cell, repeat) is one task, flat or nested, under either scaler:
     # 8 cells x 1 repeat, a cell of 10 folds and 3 repeats gets 3 workers,
-    # and a nested cell of 10 folds and 1 repeat gets 1.  With per-fold
-    # scaling a nested outer fold is one task: that cell gets all 4
-    # workers it asks for.
+    # and a nested cell of 10 folds and 1 repeat gets 1, with per-fold
+    # scaling too.
     sweep_results({"a": datasets["a"]}, [LSQTrainer()], [0.0],
                   CvSpec(folds=10, repeats=3, seed=0, grid=LSQ_GRID, selection="flat"), jobs=4)
     sweep_results({"a": datasets["a"]}, [LSQTrainer()], [0.0],
@@ -273,7 +280,7 @@ def test_sweep_caps_processes_at_fold_count(monkeypatch):
     sweep_results({"a": datasets["a"]}, [LSQTrainer()], [0.0],
                   CvSpec(folds=10, repeats=1, seed=0, grid=LSQ_GRID, selection="nested",
                          normalize="per-fold"), jobs=4)
-    assert sizes == [8, 3, 1, 4]
+    assert sizes == [8, 3, 1, 1]
     keys = [key for key, _ in serial]
     assert keys == [(ds, ratio, method) for ds in "ab" for ratio in (0.0, 0.1)
                     for method in ("cl1qtsvm", "lsqtsvm")]

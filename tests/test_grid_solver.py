@@ -2,8 +2,6 @@
 lane-by-lane least-squares fallback, its training masks against fits on
 the masked subsets, and the stacked CV folds against one fit per fold."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -14,6 +12,7 @@ from qtsvm.data import (
     apply_scaler,
     fit_scaler,
     gen_example1,
+    gen_example3,
     inject_label_noise,
     scale_dataset,
 )
@@ -22,9 +21,9 @@ from qtsvm.evaluation import (
     CL1Trainer,
     CvSpec,
     LSQTrainer,
-    _cv_counts,
-    _inner_select,
-    _split,
+    _best_point,
+    _inner_folds,
+    _stack_counts,
     _stratified_folds,
     accuracy,
     cross_validate,
@@ -367,7 +366,7 @@ def test_cv_stack_forms_no_report_and_fit_still_does(monkeypatch):
     grid = tuple({"c1": a, "c2": b} for a in POWERS for b in POWERS)
     spec = CvSpec(folds=4, grid=grid)
     assign = _stratified_folds(d.m_pos, d.m_neg, spec.folds, 0)
-    _cv_counts(CL1Trainer(), d, spec, fit_scaler(d), assign, spec.folds)
+    _stack_counts(CL1Trainer(), d, spec.mode, fit_scaler(d), fold_blocks(grid, assign, spec.folds))
     assert calls == {"objective_plus": 0, "SubproblemReport": 0}
 
     iterates = []
@@ -417,6 +416,26 @@ def assert_fits_identical(a, b):
 def subset(d, keep):
     """The samples of d that the mask row keep (positives first) keeps."""
     return Dataset(X_pos=d.X_pos[keep[: d.m_pos]], X_neg=d.X_neg[keep[d.m_pos :]])
+
+
+def _split(d, assign, fold):
+    """The training and held-out splits of d at one fold of assign."""
+    held = assign == fold
+    return subset(d, ~held), subset(d, held)
+
+
+def fold_blocks(grid, assign, k):
+    """The _stack_counts blocks of k-fold CV of grid over the folds of
+    assign: fit on all folds but one, counted on that one."""
+    return [(grid, assign != fold, assign == fold) for fold in range(k)]
+
+
+def split_counts(trainer, train, test, grid, mode, scaler):
+    """Confusion counts on test of each grid point fit on train alone, in
+    grid order (scaler None: the scaler of train)."""
+    fitted = trainer.fit_split(train, grid, mode, scaler)
+    X, y = test.stacked()
+    return evaluation.counts_stack(y, predict_stack(fitted.scaler, fitted.pos, fitted.neg, X))
 
 
 def fold_masks(d, k, seed):
@@ -550,13 +569,11 @@ def fold_labels(fitted, lanes, X):
     (CL1Trainer(), tuple({"c1": a, "c2": b} for a in POWERS for b in POWERS)),
     (LSQTrainer(), tuple({"C": c} for c in POWERS)),
 ])
-def test_stacked_inner_cv_matches_fold_loop(monkeypatch, trainer, grid):
+def test_stacked_inner_cv_matches_fold_loop(trainer, grid):
     # One stack for all inner folds against one fit per inner fold: the
     # same labels wherever they are not rounding-decided, hence the same
-    # counts on every lane with no rounding-decided row, and the same grid
-    # point picked.
+    # counts on every lane with no rounding-decided row.
     d = inject_label_noise(gen_example1(40, seed=3), 0.1, seed=3)
-    monkeypatch.setattr(evaluation, "INNER_FOLDS", 4)
     spec = CvSpec(folds=5, grid=grid)
     scaler = fit_scaler(d)
     k, seed = 4, [0, 0, 2, 1]
@@ -564,7 +581,7 @@ def test_stacked_inner_cv_matches_fold_loop(monkeypatch, trainer, grid):
     held = assign == np.arange(k)[:, None]
     stacked = trainer.fit_split(d, grid * k, spec.mode, scaler,
                                 mask=np.repeat(~held, len(grid), axis=0))
-    counts = _cv_counts(trainer, d, spec, scaler, assign, k)
+    counts = _stack_counts(trainer, d, spec.mode, scaler, fold_blocks(grid, assign, k))
     X, _ = d.stacked()
     loop = []
     compared = 0
@@ -576,18 +593,11 @@ def test_stacked_inner_cv_matches_fold_loop(monkeypatch, trainer, grid):
         labels_ref, far_ref = fold_labels(ref, slice(None), X[rows])
         decided = np.maximum(far, far_ref) < FLOOR_DISTANCE
         np.testing.assert_array_equal(labels[decided], labels_ref[decided])
-        loop.append(trainer.evaluate(train, test, grid, spec.mode, scaler))
+        loop.append(split_counts(trainer, train, test, grid, spec.mode, scaler))
         for g in np.flatnonzero(decided.all(axis=1)):
             assert counts[fold][g] == loop[fold][g], (fold, grid[g])
             compared += 1
     assert compared >= k * len(grid) // 2
-    # Sweeps call _inner_select only with nested selection under per-fold
-    # scaling, where each inner fold scales its own training split.
-    per_fold = [trainer.evaluate(*_split(d, assign, fold), grid, spec.mode, None)
-                for fold in range(k)]
-    means = [np.mean([accuracy(c) for c in per_point]) for per_point in zip(*per_fold)]
-    assert (_inner_select(trainer, d, replace(spec, normalize="per-fold"), None, seed)
-            == grid[int(np.argmax(means))])
 
 
 @pytest.mark.parametrize("trainer, grid", [
@@ -607,7 +617,7 @@ def test_flat_cv_stack_matches_fold_loop(trainer, grid):
     held = assign == np.arange(k)[:, None]
     stacked = trainer.fit_split(d, grid * k, spec.mode, scaler,
                                 mask=np.repeat(~held, len(grid), axis=0))
-    counts = _cv_counts(trainer, d, spec, scaler, assign, k)
+    counts = _stack_counts(trainer, d, spec.mode, scaler, fold_blocks(grid, assign, k))
     X, _ = d.stacked()
     loop = []
     compared = 0
@@ -619,7 +629,7 @@ def test_flat_cv_stack_matches_fold_loop(trainer, grid):
         labels_ref, far_ref = fold_labels(ref, slice(None), X[rows])
         decided = np.maximum(far, far_ref) < FLOOR_DISTANCE
         np.testing.assert_array_equal(labels[decided], labels_ref[decided])
-        loop.append(trainer.evaluate(train, test, grid, spec.mode, scaler))
+        loop.append(split_counts(trainer, train, test, grid, spec.mode, scaler))
         for g in np.flatnonzero(decided.all(axis=1)):
             assert counts[fold][g] == loop[fold][g], (fold, grid[g])
             compared += 1
@@ -708,3 +718,54 @@ def test_nested_cell_stack_matches_fold_loop(monkeypatch, trainer, grid, folds_p
             outer_compared += 1
     assert outer_compared >= spec.folds // 2
     assert inner_compared >= spec.folds * evaluation.INNER_FOLDS * len(grid) // 2
+
+
+def per_fold_reference(d, trainer, spec):
+    """The outer folds' records of cross_validate under per-fold scaling,
+    one fit_split per training split, each under its own scaler: for flat
+    selection one record per grid point and fold, for nested selection one
+    per fold at the grid point its inner CV picks."""
+    per_fold = []
+    for rep in range(spec.repeats):
+        assign = _stratified_folds(d.m_pos, d.m_neg, spec.folds, [spec.seed, rep])
+        for fold in range(spec.folds):
+            train, test = _split(d, assign, fold)
+            if spec.selection == "flat":
+                counts = split_counts(trainer, train, test, spec.grid, spec.mode, None)
+                per_fold.append([(rep, fold, p, c) for p, c in zip(spec.grid, counts)])
+                continue
+            inner, k = _inner_folds(train.m_pos, train.m_neg, [spec.seed, rep, fold, 1])
+            params = _best_point(spec.grid, [
+                split_counts(trainer, *_split(train, inner, j), spec.grid, spec.mode, None)
+                for j in range(k)])
+            [counts] = split_counts(trainer, train, test, (params,), spec.mode, None)
+            per_fold.append([(rep, fold, params, counts)])
+    return per_fold
+
+
+@pytest.mark.parametrize("trainer, grid", [
+    (CL1Trainer(), tuple({"c1": a, "c2": b} for a in POWERS for b in POWERS)),
+    (LSQTrainer(), tuple({"C": c} for c in POWERS)),
+])
+@pytest.mark.parametrize("selection", ["flat", "nested"])
+def test_per_fold_cv_matches_fold_loop(trainer, grid, selection):
+    # Under per-fold scaling every block of a stack is a fit of its own, on
+    # its training split under that split's scaler, so cross_validate equals
+    # one fit per fold exactly: the same records, picks and accuracy.
+    # On these data per-fold and shared scaling give other records under
+    # both trainers and both selections.
+    d = inject_label_noise(gen_example3(20, seed=3), 0.1, seed=3)
+    spec = CvSpec(folds=4, repeats=2, seed=3, grid=grid, selection=selection,
+                  normalize="per-fold")
+    ref = per_fold_reference(d, trainer, spec)
+    result = cross_validate(d, trainer, spec)
+    if selection == "flat":
+        means = [np.mean([accuracy(c) for *_, c in per_point]) for per_point in zip(*ref)]
+        best = int(np.argmax(means))
+        assert result.best_params == grid[best]
+        assert result.acc_mean == means[best]
+        expected = [records[best] for records in ref]
+    else:
+        expected = [record for [record] in ref]
+        assert result.acc_mean == np.mean([accuracy(c) for *_, c in expected])
+    assert [(r.repeat, r.fold, r.params, r.counts) for r in result.folds] == expected

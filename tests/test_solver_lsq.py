@@ -117,4 +117,4 @@ def test_singular_system_raises_numeric_error(monkeypatch):
     with pytest.raises(NumericError):
         fit_lsq(d, C=1.0)
     with pytest.raises(NumericError):
-        evaluation.LSQTrainer().evaluate(d, d, ({"C": 1.0},), LiftingMode.FULL, None)
+        evaluation.LSQTrainer().fit_split(d, ({"C": 1.0},), LiftingMode.FULL, None)
