@@ -18,6 +18,7 @@ from . import __version__
 from .data import (
     CSV_BLOCK_ROWS,
     GENERATORS,
+    _load_labelled,
     first_row_width,
     inject_label_noise,
     load_csv,
@@ -153,8 +154,7 @@ def cmd_predict(args) -> int:
         X = load_features(args.data)
         y = None
     elif width == model.n + 1:
-        dataset = load_csv(args.data)
-        X, y = dataset.stacked()
+        X, y = _load_labelled(args.data)
     else:
         raise InvalidInputError(
             f"{args.data} has {width} columns; model expects n={model.n} "

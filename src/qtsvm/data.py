@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, islice
 
 import numpy as np
@@ -99,11 +100,18 @@ def scale_dataset(d: Dataset, params: NormalizationParams) -> Dataset:
     return Dataset(X_pos=apply_scaler(params, d.X_pos), X_neg=apply_scaler(params, d.X_neg))
 
 
-def gen_example1(m_per_class: int, seed: int) -> Dataset:
-    """Two opposing parabolas: x2 = +-0.2222 x1^2 + offset, x1 ~ U[-3,3]."""
+def _rng(seed, m_per_class=1) -> np.random.Generator:
+    """The random generator of an integer seed >= 0, for m_per_class >= 1."""
     if m_per_class < 1:
         raise InvalidInputError("m_per_class must be >= 1")
-    rng = np.random.default_rng(seed)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
+def gen_example1(m_per_class: int, seed: int) -> Dataset:
+    """Two opposing parabolas: x2 = +-0.2222 x1^2 + offset, x1 ~ U[-3,3]."""
+    rng = _rng(seed, m_per_class)
     x1p = rng.uniform(-3.0, 3.0, m_per_class)
     x2p = 0.2222 * x1p**2 + 0.5 + rng.normal(0.0, 0.1, m_per_class)
     x1n = rng.uniform(-3.0, 3.0, m_per_class)
@@ -118,9 +126,7 @@ def gen_example2(m_per_class: int, seed: int) -> Dataset:
     lower half (theta in [pi, 2 pi]); complementary arcs are required for
     the classes to be separable at the reported accuracy level.
     """
-    if m_per_class < 1:
-        raise InvalidInputError("m_per_class must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, m_per_class)
     tp = rng.uniform(0.0, math.pi, m_per_class)
     xp = np.column_stack(
         [3.0 * np.cos(tp), 3.0 * np.sin(tp) + rng.normal(0.0, 0.2, m_per_class)]
@@ -134,9 +140,7 @@ def gen_example2(m_per_class: int, seed: int) -> Dataset:
 
 def gen_example3(m_per_class: int, seed: int) -> Dataset:
     """Mirror-image parabolas 0.75 x1^2 +- 1.5 x1 + 0.75 on shifted supports."""
-    if m_per_class < 1:
-        raise InvalidInputError("m_per_class must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed, m_per_class)
     x1p = rng.uniform(-3.0, 1.0, m_per_class)
     x2p = 0.75 * x1p**2 + 1.5 * x1p + 0.75 + rng.normal(0.0, 0.1, m_per_class)
     x1n = rng.uniform(-1.0, 3.0, m_per_class)
@@ -152,10 +156,9 @@ def inject_label_noise(d: Dataset, ratio: float, seed: int) -> Dataset:
     uniformly without replacement over the pooled dataset."""
     if not 0.0 <= ratio < 1.0:
         raise InvalidInputError(f"noise ratio must be in [0, 1), got {ratio}")
-    n_flip = int(ratio * d.m)
-    if n_flip == 0:
-        return Dataset(X_pos=d.X_pos.copy(), X_neg=d.X_neg.copy())
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
+    # Exact for a decimal ratio: as floats, 0.29 * 100 = 28.999999999999996.
+    n_flip = math.floor(Fraction(str(ratio)) * d.m)
     flip = np.zeros(d.m, dtype=bool)
     flip[rng.choice(d.m, size=n_flip, replace=False)] = True
     flip_pos, flip_neg = flip[: d.m_pos], flip[d.m_pos :]
@@ -318,6 +321,12 @@ def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
     (string comparison after stripping) become the positive class; all other
     rows must share a single second label value.
     """
+    X, y = _load_labelled(path, label_column, positive_label)
+    return Dataset(X_pos=X[y > 0], X_neg=X[y < 0])
+
+
+def _load_labelled(path, label_column=-1, positive_label: str = "1"):
+    """load_csv's rows in file order: the features and +1/-1 labels."""
     head, blocks = _rows(path)
     width = len(head[0])
     if isinstance(label_column, str):
@@ -333,7 +342,7 @@ def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
         _, rows, first = _split_header(head, label_idx)
     numeric = [i for i in range(width) if i != label_idx]
     X, pos = _table(chain([rows], blocks), first, width, numeric, label_idx, positive_label)
-    return Dataset(X_pos=X[pos], X_neg=X[~pos])
+    return X, np.where(pos, 1.0, -1.0)
 
 
 def load_scores(path):

@@ -141,6 +141,8 @@ class CvSpec:
             raise InvalidInputError(f"folds must be an integer >= 2, got {self.folds!r}")
         if not isinstance(self.repeats, (int, np.integer)) or self.repeats < 1:
             raise InvalidInputError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.grid:
             raise InvalidInputError("hyperparameter grid must be nonempty")
         if self.selection not in ("nested", "flat"):
@@ -317,9 +319,7 @@ def _eval_result(selection, per_fold) -> EvalResult:
     """Summarise the outer folds' records, given in (repeat, fold) order."""
     if selection == "flat":
         # One grid point for the whole run, chosen by mean CV accuracy.
-        per_grid = list(zip(*per_fold))
-        means = [float(np.mean([accuracy(r.counts) for r in recs])) for recs in per_grid]
-        records = per_grid[int(np.argmax(means))]
+        records = _best_point(list(zip(*per_fold)), [[r.counts for r in recs] for recs in per_fold])
     else:
         records = [rec for [rec] in per_fold]
     accs = [accuracy(r.counts) for r in records]

@@ -16,7 +16,7 @@ from .errors import (
     ModelInconsistencyError,
     ModelVersionError,
 )
-from .lifting import LiftingMode, dvec, hvec, unpack_weights
+from .lifting import LiftingMode, pack_weights, unpack_weights
 
 MODEL_FORMAT_VERSION = 1
 
@@ -100,9 +100,8 @@ def predict_stack(scaler: NormalizationParams, pos, neg, X: np.ndarray) -> np.nd
     +1 if it is at least as close (in normalized distance) to the positive
     surface of a pair as to its negative one.
     """
-    d = _distances(apply_scaler(scaler, X), *(np.concatenate(p) for p in zip(pos, neg)))
-    G = d.shape[0] // 2
-    return np.where(d[:G] <= d[G:], 1, -1)
+    Xs = apply_scaler(scaler, X)
+    return np.where(_distances(Xs, *pos) <= _distances(Xs, *neg), 1, -1)
 
 
 def predict(m: TrainedModel, x: np.ndarray) -> int:
@@ -128,7 +127,7 @@ def predict_many(m: TrainedModel, X: np.ndarray) -> np.ndarray:
 
 
 def _surface_doc(s: QuadraticSurface, mode: LiftingMode) -> dict:
-    head = hvec(s.W) if mode is LiftingMode.FULL else dvec(s.W)
+    head = pack_weights(s.W, s.b, s.c, mode)[: -s.n - 1]
     return {"w_head": head.tolist(), "b": s.b.tolist(), "c": s.c}
 
 

@@ -11,7 +11,9 @@ The iteration runs over a stack of lanes, one per (c1, c2) setting, on
 data scaled and lifted once: ``fit_grid`` fits a whole hyperparameter grid
 that way and ``fit`` is its one-lane case.  A lane may also train on a
 subset of the samples, given as a mask, so that the folds of a
-cross-validation split are lanes of the same stack.
+cross-validation split are lanes of the same stack.  The schedule is one
+generator, ``_irls_steps``: a fit keeps its iterates, and its reports re-run
+the same generator on them.
 """
 
 from __future__ import annotations
@@ -378,58 +380,36 @@ def _abs_residuals(W, Z_own, Z_other, R=None, S=None):
     return R, S
 
 
-def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=None):
-    """The capped-L1 IRLS of the positive subproblem over a stack of lanes,
-    lane g with penalties (c1[g], c2[g]) and cfg's cap_eps and max_iter;
-    an SMW run takes its sample Gram from ``gram`` when given.
+def _irls_steps(Z_own, Z_other, c1, c2, cfg: SolverConfig, own, other, solve):
+    """The schedule of the capped-L1 IRLS of the positive subproblem over a
+    stack of lanes, lane g with penalties (c1[g], c2[g]) and cfg's cap_eps
+    and max_iter, written once for the fit and for its report replay.
 
     own and other are boolean masks of shapes (G, m_own) and (G, m_other):
     lane g trains on the samples its rows mark, and an unmarked sample gets
-    no weight in any solve, no part in the objective and weight 0 in the
-    final state.
-
-    Each lane keeps its own weights and stops on its own step rule; the
-    lanes still running are solved together, and only their arrays are
-    carried from one iteration to the next.  The loop computes only what
-    the next step needs and keeps each step's (running lanes, iterates)
-    pair.  Returns the weight vectors, shape (G, l), each lane's count of
-    least-squares fallbacks, and a callable that replays the kept iterates
-    into one SubproblemReport per lane (see _replay).
+    weight 0 in every state.  solve(state, c1, c2) gives the running lanes'
+    iterates and fallback flags.  Each step yields (lanes, W_new, fell,
+    state, stop, done): the running lanes, solve's output, the weights it
+    solved with (overwritten once the next step is asked for), the lanes
+    that stop here and those that met the step rule.  A lane stops on its
+    own step rule or at max_iter; only the running lanes' arrays are carried.
     """
-    G, l = c1.size, Z_own.shape[0]
-    W = np.empty((G, l))
-    fallbacks = np.zeros(G, dtype=int)
-    converged = np.zeros(G, dtype=bool)
-    steps = []
-    # Bound to the full stack's inputs; it reads steps, converged and
-    # fallbacks once the loop below has filled them.
-    replay = partial(_replay, steps, converged, fallbacks, Z_own, Z_other, c1, c2, cfg, branch,
-                     own, other)
-    # The state of the lanes still running, row i belonging to lane lanes[i].
-    lanes = np.arange(G)
-    W_old = np.zeros((G, l))
+    lanes = np.arange(c1.size)
+    W_old = np.zeros((c1.size, Z_own.shape[0]))
     # The zero start carries no residual information (own-class
     # reciprocals would all hit the division floor), so the first update
     # is a plain unweighted least-squares step on each lane's samples.
     state = ReweightState(q=own.astype(float), u=other.astype(float))
-    consts = _branch_constants(Z_own, Z_other, branch, gram)
     for t in range(cfg.max_iter):
-        W_new, fell = update_w_plus(Z_own, Z_other, state, c1, c2, branch, consts)
-        if not np.isfinite(W_new).all():
-            raise NumericError(f"non-finite iterate at iteration {t}")
-        steps.append((lanes, W_new))
+        W_new, fell = solve(state, c1, c2)
         step = np.linalg.norm(W_new - W_old, axis=1)
         done = step <= CONV_TOL * (1.0 + np.linalg.norm(W_old, axis=1))
-        fallbacks[lanes] += fell
         stop = done if t + 1 < cfg.max_iter else np.ones_like(done)
-        if stop.any():
-            fin = lanes[stop]
-            W[fin], converged[fin] = W_new[stop], done[stop]
-            if stop.all():
-                break
+        yield lanes, W_new, fell, state, stop, done
+        if stop.all():
+            return
         # The solve is done with the weights, so their buffers take |r|,
-        # which the next weights are written over.  |r| is formed for every
-        # lane of the step, as _replay forms it for the objective.
+        # which the next weights are written over.
         R, S = _abs_residuals(W_new, Z_own, Z_other, state.q, state.u)
         if stop.any():
             run = ~stop
@@ -437,37 +417,49 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=No
             c1, c2, own, other = c1[run], c2[run], own[run], other[run]
         W_old = W_new
         state = compute_weights_pos(R, S, cfg.cap_eps, own, other)
+
+
+def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=None):
+    """_irls_steps solved by update_w_plus on the given branch (an SMW run
+    takes its sample Gram from ``gram`` when given), keeping each step's
+    solve output.  Returns the weight vectors, shape (G, l), each lane's
+    count of least-squares fallbacks, and a callable that replays the kept
+    iterates into one SubproblemReport per lane (see _replay).
+    """
+    W = np.empty((c1.size, Z_own.shape[0]))
+    fallbacks = np.zeros(c1.size, dtype=int)
+    kept = []
+    consts = _branch_constants(Z_own, Z_other, branch, gram)
+    steps = _irls_steps(Z_own, Z_other, c1, c2, cfg, own, other, lambda state, *penalties:
+                        update_w_plus(Z_own, Z_other, state, *penalties, branch, consts))
+    for t, (lanes, W_new, fell, _, stop, _) in enumerate(steps):
+        if not np.isfinite(W_new).all():
+            raise NumericError(f"non-finite iterate at iteration {t}")
+        kept.append((W_new, fell))
+        fallbacks[lanes] += fell
+        W[lanes[stop]] = W_new[stop]
+    replay = partial(_replay, kept, fallbacks, Z_own, Z_other, c1, c2, cfg, branch, own, other)
     return W, fallbacks, replay
 
 
-def _replay(steps, converged, fallbacks, Z_own, Z_other, c1, c2, cfg, branch, own, other):
-    """One SubproblemReport per lane of an _irls run, from the (running
-    lanes, iterates) pair it kept of each step: its objective trace, final
-    state and peak weight.
-
-    Each step is replayed in the loop's own lane order and array shapes,
-    through the same _abs_residuals, objective_plus and compute_weights_pos,
-    so every value has the bits that forming it inside the loop gives.
-    """
+def _replay(kept, fallbacks, Z_own, Z_other, c1, c2, cfg, branch, own, other):
+    """One SubproblemReport per lane of an _irls run: _irls_steps re-run with
+    the kept solve outputs in place of the solves, so each lane stops where
+    it stopped and each weight has its bits, recording each lane's objective
+    trace, final state (the weights of its last solve) and peak weight."""
     G = c1.size
-    trace = np.empty((len(steps), G))
-    iters = np.zeros(G, dtype=int)
-    peak = np.zeros(G)
+    trace = np.empty((len(kept), G))
+    iters, converged, peak = np.zeros(G, dtype=int), np.zeros(G, dtype=bool), np.zeros(G)
     Q, U = np.empty(own.shape), np.empty(other.shape)
-    state = ReweightState(q=own.astype(float), u=other.astype(float))
-    for t, (lanes, W) in enumerate(steps):
-        # state holds the weights of this step's solve, one row per lane.
+    outputs = iter(kept)
+    steps = _irls_steps(Z_own, Z_other, c1, c2, cfg, own, other, lambda *_: next(outputs))
+    for t, (lanes, W, _, state, stop, done) in enumerate(steps):
         peak[lanes] = np.maximum(peak[lanes], np.maximum(state.q.max(axis=1), state.u.max(axis=1)))
-        following = steps[t + 1][0] if t + 1 < len(steps) else lanes[:0]
-        run = np.isin(lanes, following, assume_unique=True)
-        fin = lanes[~run]
-        Q[fin], U[fin], iters[fin] = state.q[~run], state.u[~run], t + 1
+        fin = lanes[stop]
+        Q[fin], U[fin], iters[fin], converged[fin] = state.q[stop], state.u[stop], t + 1, done[stop]
         R, S = _abs_residuals(W, Z_own, Z_other)
         trace[t, lanes] = objective_plus(W, R, S, c1[lanes], c2[lanes], cfg.cap_eps,
                                          own[lanes], other[lanes])
-        if run.any():
-            state = compute_weights_pos(R[run], S[run], cfg.cap_eps, own[following],
-                                        other[following])
     return [
         SubproblemReport(
             objective_trace=trace[: iters[g], g].copy(),

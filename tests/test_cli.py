@@ -105,6 +105,32 @@ def test_predict_unlabeled_matrix(tmp_path):
     assert len(preds.read_text().strip().splitlines()) == 61
 
 
+def test_predict_keeps_file_order_of_labelled_rows(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    run(["generate", "--example", 1, "--m", 30, "--seed", 3, "--out", data])
+    model = tmp_path / "model.json"
+    run(["train", "--data", data, "--method", "cl1qtsvm",
+         "--c1", 0.01, "--c2", 0.01, "--model-out", model])
+    # Labels -1, 1, -1, 1, ...: the generated file holds its positives first.
+    header, *rows = data.read_text().splitlines()
+    mixed = [row for pair in zip(rows[30:], rows[:30]) for row in pair]
+    labelled, bare = tmp_path / "mixed.csv", tmp_path / "bare.csv"
+    labelled.write_text("\n".join([header, *mixed]) + "\n")
+    bare.write_text("".join(row.rsplit(",", 1)[0] + "\n" for row in mixed))
+    accuracies = []
+    for path in (data, labelled, bare):
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--data", path,
+                    "--out", tmp_path / f"{path.stem}.pred.csv"]) == 0
+        accuracies.append(capsys.readouterr().out)
+    assert accuracies[0] == accuracies[1] and accuracies[0].startswith("accuracy")
+    # Labelled and unlabelled input come back in file order, row for row.
+    preds = (tmp_path / "mixed.pred.csv").read_text()
+    assert preds == (tmp_path / "bare.pred.csv").read_text()
+    np.testing.assert_array_equal(np.loadtxt(labelled, delimiter=",", skiprows=1)[:, :2],
+                                  np.loadtxt(preds.splitlines()[1:], delimiter=",")[:, :2])
+
+
 def test_train_reduced_mode(tmp_path):
     data = tmp_path / "d.csv"
     run(["generate", "--example", 1, "--m", 40, "--seed", 4, "--out", data])
@@ -340,7 +366,7 @@ def test_replay_rejects_a_document_that_is_not_a_manifest(tmp_path, doc, capsys)
     assert capsys.readouterr().err == f"error: {manifest} is not a qtsvm manifest\n"
 
 
-def test_exit_code_usage_errors(tmp_path):
+def test_exit_code_usage_errors(tmp_path, capsys):
     # Missing input file -> data-format error -> exit 2.
     assert run(["train", "--data", tmp_path / "missing.csv",
                 "--method", "cl1qtsvm", "--model-out", tmp_path / "m.json"]) == 2
@@ -350,6 +376,13 @@ def test_exit_code_usage_errors(tmp_path):
     scores = tmp_path / "empty.csv"
     scores.write_text("")
     assert run(["nemenyi", "--results", scores]) == 2
+    # A negative seed is one error: line, not numpy's traceback.
+    for noise in ("0.0", "0.2"):
+        capsys.readouterr()
+        assert run(["generate", "--example", 1, "--seed", -1, "--noise-ratio", noise,
+                    "--out", tmp_path / "g.csv"]) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_exit_code_model_file_errors(tmp_path):

@@ -57,6 +57,17 @@ def test_generators_reject_empty(gen):
         gen(0, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+def test_generators_and_noise_reject_bad_seeds(seed):
+    for make in (gen_example1, gen_example2, gen_example3):
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
+            make(5, seed=seed)
+    # Checked even where no label is flipped.
+    for ratio in (0.0, 0.2):
+        with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):
+            inject_label_noise(gen_example1(5, seed=0), ratio, seed=seed)
+
+
 def test_example1_curve_and_noise_scale():
     d = gen_example1(20000, seed=0)
     resid = d.X_pos[:, 1] - (0.2222 * d.X_pos[:, 0] ** 2 + 0.5)
@@ -138,10 +149,12 @@ def _flip_count(original: Dataset, noisy: Dataset) -> int:
 
 def test_label_noise_flip_count():
     d = gen_example1(100, seed=4)
-    for ratio in (0.05, 0.1, 0.3):
+    # floor(ratio * 200) of the decimal ratio: the float product 0.29 * 200
+    # is 57.99999999999999.
+    for ratio, flips in ((0.05, 10), (0.1, 20), (0.29, 58), (0.3, 60)):
         noisy = inject_label_noise(d, ratio, seed=11)
         assert noisy.m == d.m and noisy.n == d.n
-        assert _flip_count(d, noisy) == int(ratio * d.m)
+        assert _flip_count(d, noisy) == flips
 
 
 def test_label_noise_zero_ratio_is_copy():

@@ -97,7 +97,7 @@ def test_default_grid_sizes():
 
 def test_cvspec_validation():
     for bad in ({"folds": 1}, {"folds": 2.5}, {"repeats": 0}, {"repeats": -1},
-                {"repeats": 1.5}):
+                {"repeats": 1.5}, {"seed": -1}, {"seed": 1.5}):
         with pytest.raises(InvalidInputError):
             CvSpec(grid=FAST_GRID, **bad)
     with pytest.raises(InvalidInputError):

@@ -397,6 +397,43 @@ def test_cv_stack_forms_no_report_and_fit_still_does(monkeypatch):
         start += rep.iterations_used
 
 
+def test_reports_hold_the_weights_each_lane_was_solved_with(monkeypatch):
+    # Reports re-run the IRLS schedule on the iterates the fit kept.  In a
+    # masked stack whose lanes stop at different steps, on either branch
+    # and at a max_iter cut, each lane's final state must be, bit for bit,
+    # the weights its last solve received, and its peak weight the largest
+    # weight any of its solves received.
+    base = inject_label_noise(gen_example1(30, seed=7), 0.1, seed=7)
+    d = Dataset(X_pos=base.X_pos, X_neg=base.X_neg[:24])
+    cfgs = [SolverConfig(c1=a, c2=b, branch=branch) for branch in ("direct", "smw")
+            for a in POWERS for b in POWERS] + [SolverConfig(c1=3.0, c2=0.3, max_iter=3)]
+    mask = np.random.default_rng(2).random((len(cfgs), d.m)) < 0.8
+    mask[:, [0, -1]] = True
+    solves = {}
+    update = solver_cl1.update_w_plus
+
+    def spy(Z_own, Z_other, state, c1, c2, branch, *args):
+        for i in range(len(c1)):
+            key = (Z_own.shape[1], branch, c1[i], c2[i])
+            solves.setdefault(key, []).append((state.q[i].copy(), state.u[i].copy()))
+        return update(Z_own, Z_other, state, c1, c2, branch, *args)
+
+    monkeypatch.setattr(solver_cl1, "update_w_plus", spy)
+    fitted = fit_grid(d, cfgs, LiftingMode.FULL, fit_scaler(d), mask)
+    iterations = set()
+    for cfg, report in zip(cfgs, fitted.reports):
+        for m_own, rep in ((d.m_pos, report.pos), (d.m_neg, report.neg)):
+            weights = solves[(m_own, rep.branch_used, cfg.c1, cfg.c2)]
+            assert len(weights) == rep.iterations_used
+            iterations.add(rep.iterations_used)
+            q, u = weights[-1]
+            assert rep.final_state.q.tobytes() == q.tobytes()
+            assert rep.final_state.u.tobytes() == u.tobytes()
+            assert rep.peak_weight == max(max(q.max(), u.max()) for q, u in weights)
+    assert len(iterations) > 3 and 3 in iterations
+    assert not fitted.reports[-1].pos.converged
+
+
 def assert_fits_identical(a, b):
     """Two GridFits are bit-identical: surfaces, traces, states and counts."""
     for side in ("pos", "neg"):
