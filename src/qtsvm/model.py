@@ -77,19 +77,43 @@ def _distances(Xs: np.ndarray, W: np.ndarray, b: np.ndarray, c: np.ndarray):
     (W (S, n, n), b (S, n), c (S,)); shape (S, rows).
 
     W is symmetric, so Xs W serves both the quadratic term and the
-    gradient Wx + b.
+    gradient Wx + b.  W may also be given as its diagonals (S, n) when every
+    W of the stack is diagonal, as under reduced lifting: Xs W is then
+    Xs * diag(W), O(n) per row and surface.  That is Xs @ W bit for bit,
+    since the matrix product only adds exact zeros to each x_j w_jj.
+
+    The temporaries are (S, rows, n), so callers pass a block of at most
+    PREDICT_BLOCK_ROWS rows.  The bits of a dense Xs @ W can depend on the
+    row count when BLAS picks another kernel for a short block; the
+    einsum and the Xs @ b products do not.
     """
-    XW = Xs @ W
+    XW = Xs @ W if W.ndim == 3 else Xs * W[:, None, :]
     vals = np.einsum("sij,ij->si", XW, Xs)
     vals *= 0.5
     vals += (Xs @ b[..., None])[..., 0]
     vals += c[:, None]
-    # These arrays are as large as the batch, so they are reused in place;
+    # These arrays are as large as the block, so they are reused in place;
     # the gradient norm is summed as np.linalg.norm sums it.
     grads = np.add(XW, b[:, None, :], out=XW)
     norms = np.sqrt(np.add.reduce(np.square(grads, out=grads), axis=2))
     np.maximum(norms, GRADIENT_NORM_FLOOR, out=norms)
     return np.divide(np.abs(vals, out=vals), norms, out=vals)
+
+
+def _diagonal_if_diagonal(W: np.ndarray) -> np.ndarray:
+    """The diagonals (S, n) of a stack W (S, n, n) whose matrices are all
+    diagonal, for _distances' O(n) path; otherwise W itself."""
+    diagonals = np.diagonal(W, axis1=1, axis2=2)
+    return diagonals if np.count_nonzero(W) == np.count_nonzero(diagonals) else W
+
+
+# Rows that predict_stack scales, checks and labels at a time, so that
+# _distances' (surfaces, rows, n) temporaries stay near 4096 * n * 8 bytes
+# per surface (2.6 MB at n = 80) whatever the batch size.  A CV fold's
+# held-out rows are far fewer, so each is one block.  With OpenBLAS, blocks
+# of 2048 rows or fewer changed the last bits of Xs @ W at n = 20 against
+# the whole batch; 4096 did not.
+PREDICT_BLOCK_ROWS = 4096
 
 
 def predict_stack(scaler: NormalizationParams, pos, neg, X: np.ndarray) -> np.ndarray:
@@ -98,10 +122,22 @@ def predict_stack(scaler: NormalizationParams, pos, neg, X: np.ndarray) -> np.nd
     pos and neg are (W, b, c) stacks of shapes (G, n, n), (G, n) and (G,),
     as unpack_weights returns them for a stack of weight vectors.  A row is
     +1 if it is at least as close (in normalized distance) to the positive
-    surface of a pair as to its negative one.
+    surface of a pair as to its negative one.  The rows are labelled in
+    blocks of PREDICT_BLOCK_ROWS; a row with a NaN or infinite feature
+    raises InvalidInputError naming its index in X.
     """
-    Xs = apply_scaler(scaler, X)
-    return np.where(_distances(Xs, *pos) <= _distances(Xs, *neg), 1, -1)
+    pos, neg = ((_diagonal_if_diagonal(W), b, c) for W, b, c in (pos, neg))
+    labels = np.empty((len(pos[2]), len(X)), dtype=int)
+    for start in range(0, len(X), PREDICT_BLOCK_ROWS):
+        block = X[start : start + PREDICT_BLOCK_ROWS]
+        # A NaN distance compares false, so such a row would be labelled -1.
+        if not np.isfinite(block).all():
+            row = start + int(np.argmin(np.isfinite(block).all(axis=1)))
+            raise InvalidInputError(f"row {row} has a NaN or infinite feature")
+        Xs = apply_scaler(scaler, block)
+        labels[:, start : start + len(block)] = np.where(
+            _distances(Xs, *pos) <= _distances(Xs, *neg), 1, -1)
+    return labels
 
 
 def predict(m: TrainedModel, x: np.ndarray) -> int:
@@ -116,12 +152,10 @@ def predict(m: TrainedModel, x: np.ndarray) -> int:
 def predict_many(m: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Vectorized predict over rows of a raw feature matrix."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2:
+        raise InvalidInputError(f"expected a matrix of feature rows, got shape {X.shape}")
     if X.shape[1] != m.n:
         raise InvalidInputError(f"expected {m.n} features, got {X.shape[1]}")
-    # A NaN distance compares false, so such a row would be labelled -1.
-    if not np.isfinite(X).all():
-        row = int(np.argmin(np.isfinite(X).all(axis=1)))
-        raise InvalidInputError(f"row {row} has a NaN or infinite feature")
     pos, neg = ((s.W[None], s.b[None], np.array([s.c])) for s in (m.surface_pos, m.surface_neg))
     return predict_stack(m.scaler, pos, neg, X)[0]
 

@@ -218,9 +218,11 @@ def _psd_solve_stack(B, rhs):
     if B.shape[-1] > STACKED_SOLVE_MAX_DIM:
         from scipy.linalg import cho_factor, cho_solve
 
+        # _irls rejects a non-finite iterate, so scipy need not scan B.
         for g, A in enumerate(B):
             try:
-                X[g] = cho_solve(cho_factor(A, lower=True), rhs[g])
+                X[g] = cho_solve(cho_factor(A, lower=True, check_finite=False), rhs[g],
+                                 check_finite=False)
             except LinAlgError:
                 fell[g] = True
     else:

@@ -1,6 +1,7 @@
 """Decision rule, surface evaluation, and model persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from qtsvm.errors import (
 )
 from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights
 from qtsvm.model import (
+    PREDICT_BLOCK_ROWS,
     QuadraticSurface,
     TrainedModel,
+    _diagonal_if_diagonal,
     _distances,
     load_model,
     predict,
@@ -123,6 +126,9 @@ def test_predict_rejects_wrong_dimension():
         predict(m, np.zeros(3))
     with pytest.raises(InvalidInputError):
         predict_many(m, np.zeros((4, 3)))
+    # This once passed the feature-count check and failed inside einsum.
+    with pytest.raises(InvalidInputError, match="matrix of feature rows"):
+        predict_many(m, np.zeros((2, 2, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -140,6 +146,85 @@ def test_predict_rejects_nonfinite_rows(bad):
     with pytest.raises(InvalidInputError, match="row 0 "):
         predict(m, X[3])
     assert predict_many(m, X[:3]).tolist() == [1, 1, 1]
+
+
+def random_model(n, mode, rng):
+    """A model of two random surfaces (diagonal W under reduced lifting)
+    behind a scaler that is not the identity."""
+    def surface():
+        A = rng.standard_normal((n, n))
+        W = A + A.T if mode is LiftingMode.FULL else np.diag(rng.standard_normal(n))
+        return QuadraticSurface(W=W, b=rng.standard_normal(n), c=float(rng.standard_normal()))
+
+    scaler = NormalizationParams(minimum=-1.0 - rng.random(n), maximum=1.0 + rng.random(n))
+    return TrainedModel(surface(), surface(), mode, scaler, n)
+
+
+@pytest.mark.parametrize("mode", list(LiftingMode))
+def test_blocked_labels_match_row_by_row_predict(mode):
+    B = PREDICT_BLOCK_ROWS
+    rng = np.random.default_rng(5)
+    m = random_model(3, mode, rng)
+    X = rng.standard_normal((2 * B + 3, 3))
+    reference = np.array([predict(m, x) for x in X])
+    # Both labels occur, so a block labelled wholesale would show.
+    assert set(reference) == {-1, 1}
+    for rows in (0, 1, B - 1, B, B + 1, 2 * B + 3):
+        labels = predict_many(m, X[:rows])
+        assert labels.shape == (rows,)
+        np.testing.assert_array_equal(labels, reference[:rows])
+
+
+def test_diagonal_path_is_bitwise_the_dense_product():
+    # Under reduced lifting every W is diagonal: Xs * diag(W) must give the
+    # distances of the dense Xs @ W bit for bit, zero diagonal entries too.
+    rng = np.random.default_rng(6)
+    S, n = 3, 7
+    diagonals = rng.standard_normal((S, n))
+    diagonals[1, 2] = 0.0
+    W = np.zeros((S, n, n))
+    W[:, np.arange(n), np.arange(n)] = diagonals
+    b, c = rng.standard_normal((S, n)), rng.standard_normal(S)
+    Xs = rng.uniform(-1.0, 1.0, (PREDICT_BLOCK_ROWS, n))
+    compact = _diagonal_if_diagonal(W)
+    assert compact.shape == (S, n)
+    dense = _distances(Xs, W, b, c)
+    assert _distances(Xs, compact, b, c).tobytes() == dense.tobytes()
+    # One off-diagonal entry anywhere in the stack keeps the dense product.
+    W[2, 0, 1] = W[2, 1, 0] = 0.5
+    assert _diagonal_if_diagonal(W) is W
+
+
+def test_nonfinite_row_in_a_later_block_is_named_by_its_index():
+    B = PREDICT_BLOCK_ROWS
+    rng = np.random.default_rng(7)
+    m = random_model(2, LiftingMode.FULL, rng)
+    X = rng.standard_normal((2 * B + 3, 2))
+    X[B + 5, 1] = np.nan
+    X[2 * B + 1, 0] = np.inf
+    with pytest.raises(InvalidInputError, match=f"row {B + 5} "):
+        predict_many(m, X)
+    X[B + 5, 1] = 0.0
+    with pytest.raises(InvalidInputError, match=f"row {2 * B + 1} "):
+        predict_many(m, X)
+
+
+def test_predict_many_peak_memory_is_a_few_blocks():
+    # The whole 20k x 80 batch at once peaked 26 MB above its input; one
+    # block's (rows, n) temporaries are 4096 * 80 * 8 bytes = 2.6 MB each,
+    # and the blocked path peaks near 5.5 MB.
+    rng = np.random.default_rng(8)
+    m = random_model(80, LiftingMode.FULL, rng)
+    X = rng.standard_normal((20_000, 80))
+    predict_many(m, X[:10])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        predict_many(m, X)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
 
 
 def test_surface_rejects_asymmetric_or_nonfinite():
