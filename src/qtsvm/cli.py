@@ -18,11 +18,11 @@ from . import __version__
 from .data import (
     CSV_BLOCK_ROWS,
     GENERATORS,
-    _load_labelled,
     first_row_width,
     inject_label_noise,
     load_csv,
     load_features,
+    load_labelled,
     load_scores,
 )
 from .errors import DataFormatError, InvalidInputError, QtsvmError
@@ -154,7 +154,7 @@ def cmd_predict(args) -> int:
         X = load_features(args.data)
         y = None
     elif width == model.n + 1:
-        X, y = _load_labelled(args.data)
+        X, y = load_labelled(args.data)
     else:
         raise InvalidInputError(
             f"{args.data} has {width} columns; model expects n={model.n} "

@@ -84,14 +84,31 @@ def fit_scaler(d: Dataset) -> NormalizationParams:
 
 
 def apply_scaler(params: NormalizationParams, X: np.ndarray) -> np.ndarray:
-    """Map each feature to [-1, 1]; constant features map to 0."""
+    """Map each feature to [-1, 1]; constant features map to 0.  The last
+    dimension of X must be the scaler's feature count."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[-1:] != params.minimum.shape:
+        raise InvalidInputError(f"expected {params.minimum.size} features per row, "
+                                f"got an input of shape {X.shape}")
     span = params.maximum - params.minimum
     safe = np.where(span > 0, span, 1.0)
-    # 2 (X - min) / safe - 1, one operation at a time in one array.
-    out = np.subtract(np.asarray(X, dtype=float), params.minimum)
-    out *= 2.0
-    out /= safe
-    out -= 1.0
+
+    def scaled(x, low, width):
+        # 2 (x - low) / width - 1, one operation at a time in one array.
+        out = np.subtract(x, low)
+        out *= 2.0
+        out /= width
+        out -= 1.0
+        return out
+
+    if X.ndim == 2 and X.shape[1] <= 2:
+        # Broadcast over a last axis this short, numpy would loop per row;
+        # a column at a time, each operation runs over contiguous rows.
+        out = np.empty(X.shape)
+        for j in range(X.shape[1]):
+            out[:, j] = scaled(X[:, j], params.minimum[j], safe[j])
+    else:
+        out = scaled(X, params.minimum, safe)
     out[..., span <= 0] = 0.0
     return out
 
@@ -184,13 +201,15 @@ CSV_BLOCK_ROWS = 1024
 def _row_blocks(path, size=None):
     """The nonblank rows of a CSV file in lists of up to ``size`` rows
     (default ``CSV_BLOCK_ROWS``).  A read error is raised when the reader
-    reaches it, after the blocks before it have been handed out."""
+    reaches it, after the blocks before it have been handed out.  No block
+    is kept here while the next one is parsed."""
     size = size or CSV_BLOCK_ROWS
     try:
         with open(path, newline="") as fh:
             rows = (row for row in csv.reader(fh) if "".join(row).strip())
             while block := list(islice(rows, size)):
                 yield block
+                del block
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
@@ -291,15 +310,17 @@ def _table(blocks, first, width, numeric, label_idx=None, positive_label=None):
     blocks before it have passed.
     """
     k = len(numeric)
-    parts, masks, other_label = [np.empty((0, k))], [np.zeros(0, dtype=bool)], None
+    X, masks, other_label = np.empty((0, k)), [np.zeros(0, dtype=bool)], None
     for rows in filter(None, blocks):
-        X, pos, other_label = _block(rows, first, width, numeric, label_idx,
-                                     positive_label, other_label)
-        parts.append(X)
+        part, pos, other_label = _block(rows, first, width, numeric, label_idx,
+                                        positive_label, other_label)
+        # X grows in place by one block, so the matrix is held once.  The
+        # copy into X puts the block, a transposed view, in C order.
+        X.resize((len(X) + len(part), k), refcheck=False)
+        X[len(X) - len(part):] = part
         masks.append(pos)
         first += len(rows)
-    # ``out`` keeps the result C-ordered: the blocks are transposed views.
-    X = np.concatenate(parts, out=np.empty((sum(map(len, parts)), k)))
+        del rows  # not held while the next block is read
     return X, None if label_idx is None else np.concatenate(masks)
 
 
@@ -321,12 +342,13 @@ def load_csv(path, label_column=-1, positive_label: str = "1") -> Dataset:
     (string comparison after stripping) become the positive class; all other
     rows must share a single second label value.
     """
-    X, y = _load_labelled(path, label_column, positive_label)
+    X, y = load_labelled(path, label_column, positive_label)
     return Dataset(X_pos=X[y > 0], X_neg=X[y < 0])
 
 
-def _load_labelled(path, label_column=-1, positive_label: str = "1"):
-    """load_csv's rows in file order: the features and +1/-1 labels."""
+def load_labelled(path, label_column=-1, positive_label: str = "1"):
+    """The rows of a labelled CSV in file order, read as load_csv reads
+    them: an (m, n) feature matrix and its +1/-1 labels."""
     head, blocks = _rows(path)
     width = len(head[0])
     if isinstance(label_column, str):

@@ -82,20 +82,47 @@ def _distances(Xs: np.ndarray, W: np.ndarray, b: np.ndarray, c: np.ndarray):
     Xs * diag(W), O(n) per row and surface.  That is Xs @ W bit for bit,
     since the matrix product only adds exact zeros to each x_j w_jj.
 
+    With n <= 2 features the quadratic term, the gradient and its norm are
+    formed one feature column at a time into contiguous (S, rows) arrays,
+    with no reduction over a last axis of length n.  That gives the bits of
+    the row-major form below exactly, not within a tolerance: each sum over
+    features then has at most two terms, and a sum of two floats is the
+    same in either order.  (The quadratic term can differ in the sign of a
+    zero, which the absolute value removes.)  From three terms on, the
+    order of numpy's reductions depends on the shape, so n >= 3 keeps the
+    row-major form.  Xs @ W and Xs @ b stay BLAS products either way, since
+    BLAS may fuse their multiply-adds.
+
     The temporaries are (S, rows, n), so callers pass a block of at most
     PREDICT_BLOCK_ROWS rows.  The bits of a dense Xs @ W can depend on the
     row count when BLAS picks another kernel for a short block; the
     einsum and the Xs @ b products do not.
     """
-    XW = Xs @ W if W.ndim == 3 else Xs * W[:, None, :]
-    vals = np.einsum("sij,ij->si", XW, Xs)
+    n = Xs.shape[1]
+    if 0 < n <= 2:
+        XW = Xs @ W if W.ndim == 3 else None
+        # Column j of XW as an (S, rows) array: x_j w_jj when W is diagonal.
+        cols = [XW[..., j] if W.ndim == 3 else W[:, j, None] * Xs[:, j] for j in range(n)]
+        vals = cols[0] * Xs[:, 0]
+        norms = np.add(cols[0], b[:, :1])
+        norms *= norms
+        if n == 2:
+            term = cols[1] * Xs[:, 1]
+            vals += term
+            grad = np.add(cols[1], b[:, 1:], out=term)
+            grad *= grad
+            norms += grad
+    else:
+        XW = Xs @ W if W.ndim == 3 else Xs * W[:, None, :]
+        vals = np.einsum("sij,ij->si", XW, Xs)
+        # These arrays are as large as the block, so they are reused in
+        # place; the gradient norm is summed as np.linalg.norm sums it.
+        grads = np.add(XW, b[:, None, :], out=XW)
+        norms = np.add.reduce(np.square(grads, out=grads), axis=2)
     vals *= 0.5
     vals += (Xs @ b[..., None])[..., 0]
     vals += c[:, None]
-    # These arrays are as large as the block, so they are reused in place;
-    # the gradient norm is summed as np.linalg.norm sums it.
-    grads = np.add(XW, b[:, None, :], out=XW)
-    norms = np.sqrt(np.add.reduce(np.square(grads, out=grads), axis=2))
+    np.sqrt(norms, out=norms)
     np.maximum(norms, GRADIENT_NORM_FLOOR, out=norms)
     return np.divide(np.abs(vals, out=vals), norms, out=vals)
 

@@ -1,9 +1,10 @@
-"""Reference computations that the solver tests check against, written
-independently of the solver's stacked code, and one-lane wrappers of the
-solver's stacked step functions."""
+"""Reference computations that the solver and prediction tests check
+against, written independently of the stacked and column-wise code, and
+one-lane wrappers of the solver's stacked step functions."""
 
 import numpy as np
 
+from qtsvm.model import GRADIENT_NORM_FLOOR
 from qtsvm.solver_cl1 import (
     ReweightState,
     _sample_gram,
@@ -47,3 +48,27 @@ def objective_at(w_plus, Zp, Zm, cfg) -> float:
     """Objective of the positive-surface subproblem at one iterate w_plus."""
     return float(objective_plus(w_plus, np.abs(w_plus @ Zp), np.abs(1.0 + w_plus @ Zm),
                                 cfg.c1, cfg.c2, cfg.cap_eps))
+
+
+def scaled_row_major(params, X) -> np.ndarray:
+    """apply_scaler's [-1, 1] map, broadcast over whole rows."""
+    span = params.maximum - params.minimum
+    out = np.subtract(X, params.minimum)
+    out *= 2.0
+    out /= np.where(span > 0, span, 1.0)
+    out -= 1.0
+    out[..., span <= 0] = 0.0
+    return out
+
+
+def distances_row_major(Xs, W, b, c) -> np.ndarray:
+    """Normalized distances of the rows Xs to a stack of surfaces, each row
+    as one (n,) vector: an einsum for x'Wx and a reduction over the last
+    axis for |Wx + b|.  W is (S, n, n), or its diagonals (S, n)."""
+    XW = Xs @ W if W.ndim == 3 else Xs * W[:, None, :]
+    vals = np.einsum("sij,ij->si", XW, Xs)
+    vals *= 0.5
+    vals += (Xs @ b[..., None])[..., 0]
+    vals += c[:, None]
+    norms = np.sqrt(np.add.reduce(np.square(XW + b[:, None, :]), axis=2))
+    return np.abs(vals) / np.maximum(norms, GRADIENT_NORM_FLOOR)

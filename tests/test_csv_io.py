@@ -124,6 +124,29 @@ def test_load_csv_peak_memory_stays_near_its_result(tmp_path):
     assert d.m == 20_000 and peak < 6 * result, (peak, result)
 
 
+def test_load_features_peak_is_the_matrix_plus_a_few_blocks(tmp_path):
+    # Beyond its matrix, a read holds the block being parsed and converted,
+    # however long the file.  Joining per-block parts held the matrix twice:
+    # 33.8 MiB for a 12.2 MiB matrix of 20k x 80, so that twice the rows
+    # added twice the matrix's growth to the peak.
+    rng = np.random.default_rng(0)
+    extra = []
+    for blocks in (10, 20):
+        path = tmp_path / f"wide{blocks}.csv"
+        np.savetxt(path, rng.normal(size=(blocks * data.CSV_BLOCK_ROWS, 40)), fmt="%.17g",
+                   delimiter=",")
+        data.load_features(path)
+        tracemalloc.start()
+        try:
+            X = data.load_features(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - X.nbytes)
+    # 20 blocks: a 6.25 MiB matrix, 6.8 MiB more at either length.
+    assert extra[1] < 1.1 * extra[0], extra
+
+
 @pytest.mark.parametrize("tail, read_error", [
     (b"1,2,\xff\n", "codec can't decode byte 0xff"),
     (b'1,"' + b"2" * 200_000 + b'",1\n', "field larger than field limit"),

@@ -120,6 +120,15 @@ def test_scaler_applies_to_unseen_points():
     np.testing.assert_allclose(apply_scaler(params, np.array([[20.0]])), [[3.0]])
 
 
+@pytest.mark.parametrize("bounds", [1, 3])
+def test_apply_scaler_rejects_a_width_mismatch(bounds):
+    # Broadcasting raised a bare IndexError (1 bound) or ValueError (3), and
+    # a column at a time would have scaled with the wrong bounds.
+    params = NormalizationParams(minimum=np.zeros(bounds), maximum=np.ones(bounds))
+    with pytest.raises(InvalidInputError, match=f"expected {bounds} features"):
+        apply_scaler(params, np.zeros((4, 2)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_scaler_rejects_non_finite_bounds(bad):
     # A model file's null bound reads as NaN, which no min > max check sees.

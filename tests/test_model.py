@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtsvm.data import NormalizationParams
+from qtsvm.data import NormalizationParams, apply_scaler
 from qtsvm.errors import (
     InvalidInputError,
     MalformedModelFileError,
@@ -15,6 +15,7 @@ from qtsvm.errors import (
 )
 from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights
 from qtsvm.model import (
+    GRADIENT_NORM_FLOOR,
     PREDICT_BLOCK_ROWS,
     QuadraticSurface,
     TrainedModel,
@@ -23,8 +24,11 @@ from qtsvm.model import (
     load_model,
     predict,
     predict_many,
+    predict_stack,
     save_model,
 )
+
+from oracles import distances_row_major, scaled_row_major
 
 IDENTITY_SCALER = NormalizationParams(minimum=[-1.0, -1.0], maximum=[1.0, 1.0])
 
@@ -193,6 +197,69 @@ def test_diagonal_path_is_bitwise_the_dense_product():
     # One off-diagonal entry anywhere in the stack keeps the dense product.
     W[2, 0, 1] = W[2, 1, 0] = 0.5
     assert _diagonal_if_diagonal(W) is W
+
+
+def random_stack(rng, S, n, diagonal):
+    """A stack of S surfaces as predict_stack takes it: dense symmetric W,
+    or W with only its diagonal set.  The linear terms range from 1e-12 to
+    1e2; with S > 1 the last surface has W = 0 and b = 0, so its gradient
+    norm is GRADIENT_NORM_FLOOR."""
+    if diagonal:
+        W = np.zeros((S, n, n))
+        W[:, np.arange(n), np.arange(n)] = rng.standard_normal((S, n))
+    else:
+        A = rng.standard_normal((S, n, n))
+        W = A + A.transpose(0, 2, 1)
+    b = rng.standard_normal((S, n)) * 10.0 ** rng.uniform(-12, 2, (S, 1))
+    if S > 1:
+        W[-1], b[-1] = 0.0, 0.0
+    return W, b, rng.standard_normal(S)
+
+
+def random_rows(rng, rows, n, constant):
+    """Raw rows and a scaler wider than them; with ``constant`` the last
+    feature has span 0 and the rows take other values there too."""
+    low, high = -3.0 - rng.random(n), 3.0 + rng.random(n)
+    X = rng.uniform(low, high, (rows, n))
+    if constant:
+        low[-1] = high[-1] = 0.25
+        X[::2, -1] = 0.25
+    return NormalizationParams(minimum=low, maximum=high), X
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["spans", "constant-feature"])
+@pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
+@pytest.mark.parametrize("rows", [1, 80, 904, PREDICT_BLOCK_ROWS])
+@pytest.mark.parametrize("surfaces", [1, 121])
+@pytest.mark.parametrize("n", [1, 2])
+def test_low_dimensional_path_is_bitwise_the_row_major_form(n, surfaces, rows, diagonal,
+                                                            constant):
+    # At n <= 2 scaling and distances run a feature column at a time; every
+    # sum over features has at most two terms, so the bits must be those of
+    # the row-major formulas exactly.
+    rng = np.random.default_rng([n, surfaces, rows, diagonal, constant])
+    scaler, X = random_rows(rng, rows, n, constant)
+    Xs = apply_scaler(scaler, X)
+    assert Xs.flags.c_contiguous
+    assert Xs.tobytes() == scaled_row_major(scaler, X).tobytes()
+    W, b, c = random_stack(rng, surfaces, n, diagonal)
+    for stack in (W, _diagonal_if_diagonal(W)) if diagonal else (W,):
+        distances = _distances(Xs, stack, b, c)
+        assert distances.tobytes() == distances_row_major(Xs, stack, b, c).tobytes()
+    if surfaces > 1:
+        np.testing.assert_array_equal(distances[-1], abs(c[-1]) / GRADIENT_NORM_FLOOR)
+
+
+@pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_predict_stack_labels_match_the_row_major_form(n, diagonal):
+    rng = np.random.default_rng([n, diagonal, 1])
+    scaler, X = random_rows(rng, 904, n, constant=False)
+    pos, neg = (random_stack(rng, 121, n, diagonal) for _ in range(2))
+    Xs = scaled_row_major(scaler, X)
+    reference = np.where(distances_row_major(Xs, *pos) <= distances_row_major(Xs, *neg), 1, -1)
+    assert set(reference.ravel()) == {-1, 1}
+    np.testing.assert_array_equal(predict_stack(scaler, pos, neg, X), reference)
 
 
 def test_nonfinite_row_in_a_later_block_is_named_by_its_index():
