@@ -113,12 +113,11 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = load_csv(args.data)
-    mode = LiftingMode(args.mode)
-    report: dict = {"method": args.method, "mode": mode.value}
+    report: dict = {"method": args.method, "mode": args.mode}
     if args.method == "cl1qtsvm":
         cfg = SolverConfig(c1=args.c1, c2=args.c2, cap_eps=args.eps,
                            max_iter=args.max_iter)
-        model, fit_report = fit(dataset, cfg, mode=mode)
+        model, fit_report = fit(dataset, cfg, mode=args.mode)
         report["subproblems"] = {
             name: {
                 "iterations": rep.iterations_used,
@@ -131,7 +130,7 @@ def cmd_train(args) -> int:
             for name, rep in (("pos", fit_report.pos), ("neg", fit_report.neg))
         }
     else:
-        model = fit_lsq(dataset, C=args.c2, mode=mode)
+        model = fit_lsq(dataset, C=args.c2, mode=args.mode)
         report["C"] = args.c2
     save_model(model, args.model_out)
 
@@ -268,7 +267,7 @@ def _benchmark_config(path):
                   repeats=_get(cfg, "repeats", 2, _int_from(1), "an integer >= 1"),
                   seed=_get(cfg, "seed", 0, _int_from(0), "an integer >= 0"),
                   grid=grids[methods[0]],
-                  mode=LiftingMode(_get(cfg, "mode", "full", *_one_of(_MODES))),
+                  mode=_get(cfg, "mode", "full", *_one_of(_MODES)),
                   selection=_get(cfg, "selection", "nested", *_one_of(("nested", "flat"))),
                   normalize=_get(cfg, "normalize", "full", *_one_of(("full", "per-fold"))))
     return entries, [_TRAINERS[m]() for m in methods], ratios, spec, grids

@@ -11,7 +11,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidInputError
+from .errors import DataFormatError, InvalidInputError, check_int
 
 
 @dataclass
@@ -119,10 +119,8 @@ def scale_dataset(d: Dataset, params: NormalizationParams) -> Dataset:
 
 def _rng(seed, m_per_class=1) -> np.random.Generator:
     """The random generator of an integer seed >= 0, for m_per_class >= 1."""
-    if m_per_class < 1:
-        raise InvalidInputError("m_per_class must be >= 1")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+    check_int(m_per_class, "m_per_class", 1)
+    check_int(seed, "seed", 0)
     return np.random.default_rng(seed)
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
+
+from numbers import Integral
 
 
 class QtsvmError(Exception):
@@ -31,3 +33,10 @@ class ModelVersionError(ModelFileError):
 
 class ModelInconsistencyError(ModelFileError):
     """The model file parsed, but its fields disagree on dimensions."""
+
+
+def check_int(value, name: str, low: int) -> None:
+    """Raise InvalidInputError unless value is an integer >= low: a Python
+    or numpy integer, not a bool, a float such as 2.0 or a string."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise InvalidInputError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -4,13 +4,13 @@ Nemenyi critical-difference test."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .data import Dataset, fit_scaler, inject_label_noise
-from .errors import InvalidInputError
-from .lifting import LiftingMode
+from .errors import InvalidInputError, check_int
+from .lifting import LiftingMode, lifting_mode
 from .model import predict_stack
 from .solver_cl1 import SolverConfig, fit_grid
 from .solver_lsq import fit_lsq_grid
@@ -96,6 +96,10 @@ class CL1Trainer:
         # A CV stack repeats its grid once per fold; each distinct point is
         # made and validated once.
         points = {tuple(p.items()): p for p in grid}
+        allowed = {f.name for f in fields(SolverConfig)}
+        unknown = sorted({key for p in points.values() for key in p} - allowed)
+        if unknown:
+            raise InvalidInputError(f"unknown grid key {unknown[0]!r} (allowed: {sorted(allowed)})")
         configs = {key: SolverConfig(**p) for key, p in points.items()}
         return fit_grid(train, [configs[tuple(p.items())] for p in grid], mode, scaler, mask)
 
@@ -137,18 +141,16 @@ class CvSpec:
     normalize: str = "full"  # "full" | "per-fold"
 
     def __post_init__(self):
-        if not isinstance(self.folds, (int, np.integer)) or self.folds < 2:
-            raise InvalidInputError(f"folds must be an integer >= 2, got {self.folds!r}")
-        if not isinstance(self.repeats, (int, np.integer)) or self.repeats < 1:
-            raise InvalidInputError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_int(self.folds, "folds", 2)
+        check_int(self.repeats, "repeats", 1)
+        check_int(self.seed, "seed", 0)
         if not self.grid:
             raise InvalidInputError("hyperparameter grid must be nonempty")
         if self.selection not in ("nested", "flat"):
             raise InvalidInputError(f"unknown selection {self.selection!r}")
         if self.normalize not in ("full", "per-fold"):
             raise InvalidInputError(f"unknown normalize mode {self.normalize!r}")
+        object.__setattr__(self, "mode", lifting_mode(self.mode))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Vectorization operators for quadratic surfaces.
 
-A quadratic surface 1/2 x'Wx + b'x + c becomes the linear functional w.z
-once samples are lifted into monomial space.  Two pairings are supported:
-the full lifting keeps every cross term of W, the reduced lifting keeps
-only the diagonal (axis-aligned quadric), which shrinks the lifted
-dimension from (n^2+3n+2)/2 to 2n+1 for high-dimensional data.
+A quadratic surface 1/2 x'Wx + b'x + c is the linear functional w.z of a
+sample lifted to z = [head(x); x; 1], with w = [head(W); b; c]: one entry
+per index pair (r, c) of W that the lifting keeps, W_rc and x_r x_c (halved
+where r = c).  The full lifting keeps W's upper triangle, the reduced
+lifting its diagonal (an axis-aligned quadric): 2n+1 lifted coordinates in
+place of (n^2+3n+2)/2 for high-dimensional data.
 """
 
 from __future__ import annotations
@@ -23,94 +24,87 @@ class LiftingMode(str, Enum):
     REDUCED = "reduced"
 
 
+def lifting_mode(mode) -> LiftingMode:
+    """``mode`` as a LiftingMode, given as a member or its value."""
+    try:
+        return LiftingMode(mode)
+    except ValueError:
+        raise InvalidInputError(
+            f"unknown lifting mode {mode!r}: expected 'full' or 'reduced'") from None
+
+
+def _pairs(n: int, mode):
+    """The index pairs (rows, cols) of W that the lifting keeps, in head
+    order: the row-major upper triangle (full) or the diagonal (reduced).
+    The one place where the two liftings differ."""
+    if lifting_mode(mode) is LiftingMode.FULL:
+        return np.triu_indices(n)
+    return np.diag_indices(n)
+
+
 def lifted_dim(n: int, mode: LiftingMode) -> int:
     """Length of a lifted sample for feature dimension ``n``."""
-    if mode is LiftingMode.FULL:
-        return n * (n + 1) // 2 + n + 1
-    return 2 * n + 1
+    return _pairs(n, mode)[0].size + n + 1
 
 
-def _triu_indices(n: int):
-    """Row-major upper-triangular index pair, shared by hvec and lvec.
-
-    hvec and lvec must agree on ordering for the contraction identity
-    hvec(W).lvec(x) = 1/2 x'Wx to hold, so both go through here.
-    """
-    return np.triu_indices(n)
+def _head(A, mode) -> np.ndarray:
+    """The kept entries of a square matrix A.  Raises InvalidInputError
+    unless A is the matrix they rebuild, within SYMMETRY_TOL: symmetric
+    (full) or diagonal (reduced)."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
+    rows, cols = _pairs(A.shape[0], mode)
+    head = A[rows, cols]
+    rebuilt = np.zeros_like(A)
+    rebuilt[rows, cols] = rebuilt[cols, rows] = head
+    gap = np.max(np.abs(A - rebuilt), initial=0.0)
+    if gap > SYMMETRY_TOL:
+        raise InvalidInputError(f"matrix does not fit {lifting_mode(mode).value} lifting: "
+                                f"it is {gap:.3e} off the matrix its kept entries rebuild")
+    return head
 
 
 def hvec(A: np.ndarray) -> np.ndarray:
-    """Stack the upper triangle of a symmetric matrix row-major.
-
-    Raises InvalidInputError if A is not square or not symmetric within
-    an absolute tolerance of 1e-10.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
-    asym = np.max(np.abs(A - A.T)) if A.size else 0.0
-    if asym > SYMMETRY_TOL:
-        raise InvalidInputError(
-            f"matrix is not symmetric: max |A_ij - A_ji| = {asym:.3e}"
-        )
-    return A[_triu_indices(A.shape[0])].copy()
+    """Upper triangle of a symmetric matrix, row-major."""
+    return _head(A, LiftingMode.FULL)
 
 
 def dvec(A: np.ndarray) -> np.ndarray:
-    """Diagonal of a diagonal matrix.
+    """Diagonal of a diagonal matrix."""
+    return _head(A, LiftingMode.REDUCED)
 
-    Raises InvalidInputError if any off-diagonal entry exceeds 1e-10.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
-    off = A - np.diag(np.diag(A))
-    if A.size and np.max(np.abs(off)) > SYMMETRY_TOL:
-        raise InvalidInputError(
-            f"matrix is not diagonal: max off-diagonal = {np.max(np.abs(off)):.3e}"
-        )
-    return np.diag(A).copy()
+
+def _row_head(x, mode) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise InvalidInputError("expected a nonempty 1-d vector")
+    return lift_matrix(x, mode)[0, : -x.size - 1]
 
 
 def lvec(x: np.ndarray) -> np.ndarray:
-    """Quadratic monomials of x: diagonal slots halved, cross terms plain.
-
-    Ordering matches hvec, so hvec(W).lvec(x) = 1/2 x'Wx.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidInputError("expected a nonempty 1-d vector")
-    outer = np.outer(x, x)
-    outer[np.diag_indices(x.size)] *= 0.5
-    return outer[_triu_indices(x.size)]
+    """Head of the full lifting of x, so hvec(W).lvec(x) = 1/2 x'Wx."""
+    return _row_head(x, LiftingMode.FULL)
 
 
 def qvec(x: np.ndarray) -> np.ndarray:
-    """Halved squares of x (cross-term-free counterpart of lvec)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidInputError("expected a nonempty 1-d vector")
-    return 0.5 * x * x
+    """Halved squares of x, so dvec(D).qvec(x) = 1/2 x'Dx."""
+    return _row_head(x, LiftingMode.REDUCED)
 
 
 def lift_matrix(X: np.ndarray, mode: LiftingMode = LiftingMode.FULL) -> np.ndarray:
     """Lift every row x of X to [lvec(x); x; 1] (full) or [qvec(x); x; 1]
     (reduced); returns an (m, lifted_dim) array."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    m, n = X.shape
-    if mode is LiftingMode.FULL:
-        rows, cols = _triu_indices(n)
-        head = X[:, rows] * X[:, cols]
-        head[:, rows == cols] *= 0.5
-    else:
-        head = 0.5 * X * X
-    return np.hstack([head, X, np.ones((m, 1))])
+    rows, cols = _pairs(X.shape[1], mode)
+    head = X[:, rows] * X[:, cols]
+    head[:, rows == cols] *= 0.5
+    return np.hstack([head, X, np.ones((X.shape[0], 1))])
 
 
 def pack_weights(W: np.ndarray, b: np.ndarray, c: float, mode: LiftingMode) -> np.ndarray:
     """Flatten a surface (W, b, c) into the lifted weight vector."""
-    head = hvec(W) if mode is LiftingMode.FULL else dvec(W)
-    return np.concatenate([head, np.asarray(b, dtype=float), [float(c)]])
+    return np.concatenate([_head(W, mode), np.asarray(b, dtype=float), [float(c)]])
 
 
 def unpack_weights(w: np.ndarray, n: int, mode: LiftingMode):
@@ -121,22 +115,14 @@ def unpack_weights(w: np.ndarray, n: int, mode: LiftingMode):
     b (G, n) and c (G,).
     """
     w = np.asarray(w, dtype=float)
-    expected = lifted_dim(n, mode)
-    if w.ndim not in (1, 2) or w.shape[-1] != expected:
+    rows, cols = _pairs(n, mode)
+    k = rows.size
+    if w.ndim not in (1, 2) or w.shape[-1] != k + n + 1:
         length = w.shape[-1] if w.ndim else w.size
-        raise InvalidInputError(
-            f"weight vector has length {length}, expected {expected} "
-            f"for n={n} in {mode.value} mode"
-        )
+        raise InvalidInputError(f"weight vector has length {length}, expected {k + n + 1} "
+                                f"for n={n} in {lifting_mode(mode).value} mode")
     W = np.zeros(w.shape[:-1] + (n, n))
-    if mode is LiftingMode.FULL:
-        k = n * (n + 1) // 2
-        rows, cols = _triu_indices(n)
-        W[..., rows, cols] = w[..., :k]
-        W[..., cols, rows] = w[..., :k]
-    else:
-        k = n
-        W[..., np.arange(n), np.arange(n)] = w[..., :k]
+    W[..., rows, cols] = W[..., cols, rows] = w[..., :k]
     b = w[..., k : k + n].copy()
     c = float(w[-1]) if w.ndim == 1 else w[:, -1].copy()
     return W, b, c

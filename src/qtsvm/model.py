@@ -16,7 +16,7 @@ from .errors import (
     ModelInconsistencyError,
     ModelVersionError,
 )
-from .lifting import LiftingMode, pack_weights, unpack_weights
+from .lifting import SYMMETRY_TOL, LiftingMode, lifting_mode, pack_weights, unpack_weights
 
 MODEL_FORMAT_VERSION = 1
 
@@ -42,7 +42,7 @@ class QuadraticSurface:
             )
         if not (np.isfinite(W).all() and np.isfinite(b).all() and np.isfinite(self.c)):
             raise InvalidInputError("surface has non-finite entries")
-        if np.max(np.abs(W - W.T), initial=0.0) > 1e-10:
+        if np.max(np.abs(W - W.T), initial=0.0) > SYMMETRY_TOL:
             raise InvalidInputError("surface matrix must be symmetric")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
@@ -56,7 +56,8 @@ class QuadraticSurface:
 @dataclass(frozen=True)
 class TrainedModel:
     """Pair of surfaces plus the preprocessing state needed to predict
-    directly on raw (unnormalized) inputs."""
+    directly on raw (unnormalized) inputs.  Both surfaces must fit mode, a
+    LiftingMode or its value."""
 
     surface_pos: QuadraticSurface
     surface_neg: QuadraticSurface
@@ -65,11 +66,14 @@ class TrainedModel:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", lifting_mode(self.mode))
         if not (
             self.surface_pos.n == self.surface_neg.n == self.n
             and self.scaler.minimum.size == self.n
         ):
             raise InvalidInputError("model components disagree on feature dimension")
+        for s in (self.surface_pos, self.surface_neg):
+            pack_weights(s.W, s.b, s.c, self.mode)  # raises unless W fits the mode
 
 
 def _distances(Xs: np.ndarray, W: np.ndarray, b: np.ndarray, c: np.ndarray):

@@ -26,8 +26,8 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .data import Dataset, NormalizationParams, fit_scaler, scale_dataset
-from .errors import InvalidInputError, NumericError
-from .lifting import LiftingMode, lift_matrix, unpack_weights
+from .errors import InvalidInputError, NumericError, check_int
+from .lifting import LiftingMode, lift_matrix, lifting_mode, unpack_weights
 from .model import QuadraticSurface, TrainedModel
 
 
@@ -57,8 +57,7 @@ class SolverConfig:
         # infinite cap would make the saturated loss inf - inf.
         if not all(0 < v < math.inf for v in (self.c1, self.c2, self.cap_eps)):
             raise InvalidInputError("c1, c2 and cap_eps must be finite and > 0")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise InvalidInputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        check_int(self.max_iter, "max_iter", 1)
         if self.branch not in ("auto", "smw", "direct"):
             raise InvalidInputError(f"unknown branch {self.branch!r}")
 
@@ -496,6 +495,7 @@ def fit_grid(
     subset with the given ``scaler``, which a mask requires.  Each lane
     takes its solve branch from its own training count of the other class.
     """
+    mode = lifting_mode(mode)
     if dataset.m_pos == 0 or dataset.m_neg == 0:
         raise InvalidInputError("both classes must be nonempty")
     if mask is None:

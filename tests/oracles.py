@@ -72,3 +72,52 @@ def distances_row_major(Xs, W, b, c) -> np.ndarray:
     vals += c[:, None]
     norms = np.sqrt(np.add.reduce(np.square(XW + b[:, None, :]), axis=2))
     return np.abs(vals) / np.maximum(norms, GRADIENT_NORM_FLOOR)
+
+
+# The lifting written per mode, as references for the one index-pair path:
+# the full head from an outer product, the reduced head as (0.5 x) x, and
+# one gather per mode.
+
+
+def full_head_outer(X) -> np.ndarray:
+    """Upper-triangle monomials of each row of X, row-major, from the outer
+    product x x' with its diagonal halved."""
+    X = np.atleast_2d(X)
+    rows, cols = np.triu_indices(X.shape[1])
+    outer = X[:, :, None] * X[:, None, :]
+    diag = np.arange(X.shape[1])
+    outer[:, diag, diag] *= 0.5
+    return outer[:, rows, cols]
+
+
+def reduced_head_halved(X) -> np.ndarray:
+    """Halved squares of each row of X, halving x before the product."""
+    return 0.5 * np.atleast_2d(X) * X
+
+
+def lift_per_mode(X, full: bool) -> np.ndarray:
+    X = np.atleast_2d(X)
+    head = full_head_outer(X) if full else reduced_head_halved(X)
+    return np.hstack([head, X, np.ones((X.shape[0], 1))])
+
+
+def hvec_gather(A) -> np.ndarray:
+    return A[np.triu_indices(A.shape[0])].copy()
+
+
+def dvec_gather(A) -> np.ndarray:
+    return np.diag(A).copy()
+
+
+def unpack_per_mode(w, n, full: bool):
+    """(W, b, c) from one lifted weight vector, W filled by index pair per mode."""
+    W = np.zeros((n, n))
+    if full:
+        k = n * (n + 1) // 2
+        rows, cols = np.triu_indices(n)
+        W[rows, cols] = w[:k]
+        W[cols, rows] = w[:k]
+    else:
+        k = n
+        W[np.arange(n), np.arange(n)] = w[:k]
+    return W, w[k : k + n].copy(), float(w[-1])

@@ -57,7 +57,17 @@ def test_generators_reject_empty(gen):
         gen(0, seed=0)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+@pytest.mark.parametrize("gen", [gen_example1, gen_example2, gen_example3])
+def test_generators_reject_non_integer_counts(gen):
+    # numpy raised its own TypeError for these, or drew one sample per class
+    # for True.
+    for bad in (2.5, True, "5"):
+        with pytest.raises(InvalidInputError, match="m_per_class must be an integer >= 1"):
+            gen(bad, seed=0)
+    assert gen(np.int64(5), seed=np.int32(0)).m == 10
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "1", True])
 def test_generators_and_noise_reject_bad_seeds(seed):
     for make in (gen_example1, gen_example2, gen_example3):
         with pytest.raises(InvalidInputError, match="seed must be an integer >= 0"):

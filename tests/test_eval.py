@@ -96,8 +96,10 @@ def test_default_grid_sizes():
 
 
 def test_cvspec_validation():
+    # A bool is an int subclass, so an isinstance check alone passes True.
     for bad in ({"folds": 1}, {"folds": 2.5}, {"repeats": 0}, {"repeats": -1},
-                {"repeats": 1.5}, {"seed": -1}, {"seed": 1.5}):
+                {"repeats": 1.5}, {"seed": -1}, {"seed": 1.5}, {"repeats": True},
+                {"seed": True}, {"seed": False}, {"mode": "x"}):
         with pytest.raises(InvalidInputError):
             CvSpec(grid=FAST_GRID, **bad)
     with pytest.raises(InvalidInputError):
@@ -106,6 +108,15 @@ def test_cvspec_validation():
         CvSpec(grid=FAST_GRID, selection="greedy")
     with pytest.raises(InvalidInputError):
         CvSpec(grid=FAST_GRID, normalize="zscore")
+    spec = CvSpec(grid=FAST_GRID, repeats=np.int64(1), seed=np.int32(0), mode="reduced")
+    assert spec.mode is LiftingMode.REDUCED
+
+
+def test_cl1_grid_rejects_unknown_key():
+    d = gen_example1(15, seed=0)
+    spec = CvSpec(folds=3, repeats=1, seed=0, grid=({"c1": 1.0, "c3": 1.0},), selection="flat")
+    with pytest.raises(InvalidInputError, match="unknown grid key 'c3'"):
+        cross_validate(d, CL1Trainer(), spec)
 
 
 def test_stratified_folds_balanced_and_deterministic():

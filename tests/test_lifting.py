@@ -6,17 +6,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qtsvm.data import NormalizationParams, gen_example1
 from qtsvm.errors import InvalidInputError
+from qtsvm.evaluation import CL1Trainer, CvSpec, LSQTrainer, cross_validate
 from qtsvm.lifting import (
     LiftingMode,
     dvec,
     hvec,
     lift_matrix,
     lifted_dim,
+    lifting_mode,
     lvec,
     pack_weights,
     qvec,
     unpack_weights,
+)
+from qtsvm.model import QuadraticSurface, TrainedModel, load_model, save_model
+from qtsvm.solver_cl1 import SolverConfig, fit, fit_grid
+from qtsvm.solver_lsq import fit_lsq
+
+from oracles import (
+    dvec_gather,
+    full_head_outer,
+    hvec_gather,
+    lift_per_mode,
+    reduced_head_halved,
+    unpack_per_mode,
 )
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -168,3 +183,126 @@ def test_pack_evaluates_surface_via_lift():
         x = rng.standard_normal(3)
         expected = 0.5 * x @ W @ x + b @ x + c
         assert w @ lift_matrix(x)[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# --- one index set per mode, bit for bit the per-mode formulas ------------
+
+# The lifting halves a square after the product, (x x) 0.5, in both modes;
+# the reduced oracle halves x first, (0.5 x) x.  The two round alike unless
+# x^2 / 2 is subnormal, so for every |x| >= 2^-510.5 = 2.11e-154, and scaled
+# features lie in [-1, 1].
+SMALLEST = 2.2e-154
+
+
+def _entries(rng, shape):
+    """Signed magnitudes log-uniform over [SMALLEST, 1e3], a fifth of them
+    exact zeros."""
+    x = 10.0 ** rng.uniform(np.log10(SMALLEST), 3.0, shape) * rng.choice([-1.0, 1.0], shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lifting_bytes_match_per_mode_formulas(n):
+    rng = np.random.default_rng(n)
+    X = _entries(rng, (9, n))
+    X[0] = 0.0
+    X[1] = SMALLEST
+    for mode, full in ((LiftingMode.FULL, True), (LiftingMode.REDUCED, False)):
+        assert lift_matrix(X, mode).tobytes() == lift_per_mode(X, full).tobytes()
+    for x in X:
+        assert lvec(x).tobytes() == full_head_outer(x)[0].tobytes()
+        assert qvec(x).tobytes() == reduced_head_halved(x)[0].tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_weights_bytes_match_per_mode_gathers(n):
+    rng = np.random.default_rng(100 + n)
+    A = _entries(rng, (n, n))
+    surfaces = ((A + A.T, True, hvec, hvec_gather),
+                (np.diag(_entries(rng, n)), False, dvec, dvec_gather))
+    for W, full, gather, oracle in surfaces:
+        mode = LiftingMode.FULL if full else LiftingMode.REDUCED
+        b, c = _entries(rng, n), float(_entries(rng, 1)[0])
+        assert gather(W).tobytes() == oracle(W).tobytes()
+        w = pack_weights(W, b, c, mode)
+        assert w.tobytes() == np.concatenate([oracle(W), b, [c]]).tobytes()
+        stack = np.stack([w, _entries(rng, w.size)])
+        Ws, bs, cs = unpack_weights(stack, n, mode)
+        for g, row in enumerate(stack):
+            W1, b1, c1 = unpack_weights(row, n, mode)
+            W0, b0, c0 = unpack_per_mode(row, n, full)
+            assert (W1.tobytes(), b1.tobytes(), c1) == (W0.tobytes(), b0.tobytes(), c0)
+            assert (Ws[g].tobytes(), bs[g].tobytes(), cs[g]) == (W0.tobytes(), b0.tobytes(), c0)
+        np.testing.assert_array_equal(unpack_weights(w, n, mode)[0], W)
+
+
+@pytest.mark.parametrize("x", [1e-160, 1.5e-154, 2.0e-154, SMALLEST, 0.5, -3.0])
+def test_reduced_head_is_full_diagonal(x):
+    # The fold itself: the reduced lifting is the full lifting on W's
+    # diagonal pairs, down to subnormal halved squares.
+    X = np.array([[x, -x, 0.0]])
+    full = lift_matrix(X, LiftingMode.FULL)[0, :6]
+    assert full[[0, 3, 5]].tobytes() == lift_matrix(X, LiftingMode.REDUCED)[0, :3].tobytes()
+
+
+@pytest.mark.parametrize("bad", ["x", "FULL", None, 1, ["full"]])
+def test_unknown_modes_raise(bad):
+    rng = np.random.default_rng(6)
+    W = random_symmetric(rng, 2)
+    calls = [lambda: lifting_mode(bad), lambda: lifted_dim(2, bad),
+             lambda: lift_matrix(np.ones((3, 2)), bad),
+             lambda: pack_weights(W, np.zeros(2), 0.0, bad),
+             lambda: unpack_weights(np.zeros(6), 2, bad),
+             lambda: CvSpec(grid=({"C": 1.0},), mode=bad)]
+    d = gen_example1(10, seed=0)
+    calls += [lambda: fit(d, SolverConfig(), mode=bad), lambda: fit_lsq(d, 1.0, mode=bad),
+              lambda: fit_grid(d, [SolverConfig()], bad)]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="unknown lifting mode"):
+            call()
+
+
+def _model_bytes(model):
+    return [a.tobytes() for s in (model.surface_pos, model.surface_neg) for a in (s.W, s.b)] + [
+        model.surface_pos.c, model.surface_neg.c]
+
+
+@pytest.mark.parametrize("mode", list(LiftingMode))
+def test_mode_values_fit_like_members(mode, tmp_path):
+    d = gen_example1(30, seed=0)
+    cfg = SolverConfig(c1=0.01, c2=0.01)
+    by_value, by_member = fit(d, cfg, mode=mode.value)[0], fit(d, cfg, mode=mode)[0]
+    assert by_value.mode is mode
+    assert _model_bytes(by_value) == _model_bytes(by_member)
+    for model, name in ((by_value, "value.json"), (by_member, "member.json")):
+        save_model(model, tmp_path / name)
+    assert (tmp_path / "value.json").read_bytes() == (tmp_path / "member.json").read_bytes()
+    assert load_model(tmp_path / "value.json").mode is mode
+
+    cfgs = [cfg, SolverConfig(c1=1.0, c2=0.1)]
+    grids = [fit_grid(d, cfgs, m) for m in (mode.value, mode)]
+    assert grids[0].mode is mode
+    surfaces = [[a.tobytes() for a in (*g.pos, *g.neg)] for g in grids]
+    assert surfaces[0] == surfaces[1]
+
+    lsq = [fit_lsq(d, 1.0, mode=m) for m in (mode.value, mode)]
+    assert lsq[0].mode is mode and _model_bytes(lsq[0]) == _model_bytes(lsq[1])
+
+    for trainer, grid in ((CL1Trainer(), ({"c1": 0.01, "c2": 0.01}, {"c1": 1.0, "c2": 1.0})),
+                          (LSQTrainer(), ({"C": 0.1}, {"C": 10.0}))):
+        results = [cross_validate(d, trainer, CvSpec(folds=2, repeats=1, grid=grid, mode=m))
+                   for m in (mode.value, mode)]
+        assert results[0] == results[1]
+
+
+def test_reduced_model_rejects_off_diagonal_surface():
+    W = np.array([[1.0, 0.5], [0.5, 2.0]])
+    surface = QuadraticSurface(W, np.zeros(2), 0.0)
+    scaler = NormalizationParams(minimum=np.zeros(2), maximum=np.ones(2))
+    model = TrainedModel(surface, surface, mode="full", scaler=scaler, n=2)
+    assert model.mode is LiftingMode.FULL
+    with pytest.raises(InvalidInputError, match="does not fit reduced lifting"):
+        TrainedModel(surface, surface, mode=LiftingMode.REDUCED, scaler=scaler, n=2)
+    with pytest.raises(InvalidInputError, match="unknown lifting mode"):
+        TrainedModel(surface, surface, mode="x", scaler=scaler, n=2)

@@ -52,11 +52,13 @@ def test_config_validation():
         SolverConfig(cap_eps=-1.0)
     with pytest.raises(InvalidInputError):
         SolverConfig(max_iter=0)
-    # A non-integer budget once passed the check and failed in the loop.
-    for bad in (2.5, "3", math.nan):
+    # A non-integer budget once passed the check and failed in the loop.  A
+    # bool is an int subclass, so an isinstance check alone passes True.
+    for bad in (2.5, "3", math.nan, True, False):
         with pytest.raises(InvalidInputError):
             SolverConfig(max_iter=bad)
     assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
+
     with pytest.raises(InvalidInputError):
         SolverConfig(branch="fancy")
     # NaN compares False with everything; an infinite penalty diverges, and an
