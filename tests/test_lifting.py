@@ -21,7 +21,7 @@ from qtsvm.lifting import (
     qvec,
     unpack_weights,
 )
-from qtsvm.model import QuadraticSurface, TrainedModel, load_model, save_model
+from qtsvm.model import TrainedModel, load_model, save_model
 from qtsvm.solver_cl1 import SolverConfig, fit, fit_grid
 from qtsvm.solver_lsq import fit_lsq
 
@@ -162,7 +162,8 @@ def test_pack_unpack_roundtrip(mode):
         w = pack_weights(W, b, c, mode)
         assert w.size == lifted_dim(n, mode)
         W2, b2, c2 = unpack_weights(w, n, mode)
-        np.testing.assert_allclose(W2, W)
+        # Under reduced lifting W comes back as its diagonal.
+        np.testing.assert_allclose(W2, W if mode is LiftingMode.FULL else np.diag(W))
         np.testing.assert_allclose(b2, b)
         assert c2 == pytest.approx(c)
 
@@ -232,9 +233,11 @@ def test_weights_bytes_match_per_mode_gathers(n):
         for g, row in enumerate(stack):
             W1, b1, c1 = unpack_weights(row, n, mode)
             W0, b0, c0 = unpack_per_mode(row, n, full)
+            # Under reduced lifting unpack_weights gives W as its diagonal.
+            W0 = W0 if full else np.diag(W0).copy()
             assert (W1.tobytes(), b1.tobytes(), c1) == (W0.tobytes(), b0.tobytes(), c0)
             assert (Ws[g].tobytes(), bs[g].tobytes(), cs[g]) == (W0.tobytes(), b0.tobytes(), c0)
-        np.testing.assert_array_equal(unpack_weights(w, n, mode)[0], W)
+        np.testing.assert_array_equal(unpack_weights(w, n, mode)[0], W if full else np.diag(W))
 
 
 @pytest.mark.parametrize("x", [1e-160, 1.5e-154, 2.0e-154, SMALLEST, 0.5, -3.0])
@@ -264,8 +267,7 @@ def test_unknown_modes_raise(bad):
 
 
 def _model_bytes(model):
-    return [a.tobytes() for s in (model.surface_pos, model.surface_neg) for a in (s.W, s.b)] + [
-        model.surface_pos.c, model.surface_neg.c]
+    return [model.w_pos.tobytes(), model.w_neg.tobytes()]
 
 
 @pytest.mark.parametrize("mode", list(LiftingMode))
@@ -283,7 +285,7 @@ def test_mode_values_fit_like_members(mode, tmp_path):
     cfgs = [cfg, SolverConfig(c1=1.0, c2=0.1)]
     grids = [fit_grid(d, cfgs, m) for m in (mode.value, mode)]
     assert grids[0].mode is mode
-    surfaces = [[a.tobytes() for a in (*g.pos, *g.neg)] for g in grids]
+    surfaces = [[g.pos.tobytes(), g.neg.tobytes()] for g in grids]
     assert surfaces[0] == surfaces[1]
 
     lsq = [fit_lsq(d, 1.0, mode=m) for m in (mode.value, mode)]
@@ -297,12 +299,16 @@ def test_mode_values_fit_like_members(mode, tmp_path):
 
 
 def test_reduced_model_rejects_off_diagonal_surface():
+    # An off-diagonal W has no reduced weight vector, and a full one is too
+    # long for a reduced model.
     W = np.array([[1.0, 0.5], [0.5, 2.0]])
-    surface = QuadraticSurface(W, np.zeros(2), 0.0)
-    scaler = NormalizationParams(minimum=np.zeros(2), maximum=np.ones(2))
-    model = TrainedModel(surface, surface, mode="full", scaler=scaler, n=2)
-    assert model.mode is LiftingMode.FULL
     with pytest.raises(InvalidInputError, match="does not fit reduced lifting"):
-        TrainedModel(surface, surface, mode=LiftingMode.REDUCED, scaler=scaler, n=2)
+        pack_weights(W, np.zeros(2), 0.0, LiftingMode.REDUCED)
+    w = pack_weights(W, np.zeros(2), 0.0, "full")
+    scaler = NormalizationParams(minimum=np.zeros(2), maximum=np.ones(2))
+    model = TrainedModel(w, w, mode="full", scaler=scaler)
+    assert model.mode is LiftingMode.FULL and model.n == 2
+    with pytest.raises(InvalidInputError, match=r"expected \(5,\) for n=2 in reduced mode"):
+        TrainedModel(w, w, mode=LiftingMode.REDUCED, scaler=scaler)
     with pytest.raises(InvalidInputError, match="unknown lifting mode"):
-        TrainedModel(surface, surface, mode="x", scaler=scaler, n=2)
+        TrainedModel(w, w, mode="x", scaler=scaler)

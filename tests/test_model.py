@@ -13,13 +13,11 @@ from qtsvm.errors import (
     ModelInconsistencyError,
     ModelVersionError,
 )
-from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights
+from qtsvm.lifting import LiftingMode, lift_matrix, lifted_dim, pack_weights, unpack_weights
 from qtsvm.model import (
     GRADIENT_NORM_FLOOR,
     PREDICT_BLOCK_ROWS,
-    QuadraticSurface,
     TrainedModel,
-    _diagonal_if_diagonal,
     _distances,
     load_model,
     predict,
@@ -33,30 +31,33 @@ from oracles import distances_row_major, scaled_row_major
 IDENTITY_SCALER = NormalizationParams(minimum=[-1.0, -1.0], maximum=[1.0, 1.0])
 
 
+def surface(W, b, c, mode=LiftingMode.FULL):
+    """The lifted weight vector of the surface 1/2 x'Wx + b'x + c."""
+    return pack_weights(np.asarray(W, dtype=float), np.asarray(b, dtype=float), c, mode)
+
+
 def make_model(sp, sn):
-    return TrainedModel(surface_pos=sp, surface_neg=sn, mode=LiftingMode.FULL,
-                        scaler=IDENTITY_SCALER, n=2)
+    return TrainedModel(w_pos=sp, w_neg=sn, mode=LiftingMode.FULL, scaler=IDENTITY_SCALER)
 
 
-def normalized_distance(s, x):
+def normalized_distance(w, x, mode=LiftingMode.FULL):
     """Distance of one point to one surface, through the stacked rule."""
-    return float(_distances(np.atleast_2d(x), s.W[None], s.b[None], np.array([s.c]))[0, 0])
+    x = np.atleast_2d(x)
+    return float(_distances(x, *unpack_weights(w[None], x.shape[1], mode))[0, 0])
 
 
 def test_surface_value():
-    s = QuadraticSurface(W=np.array([[2.0, 0.0], [0.0, 4.0]]),
-                         b=np.array([1.0, -1.0]), c=3.0)
     x = np.array([1.0, 2.0])
-    # 1/2 (2 + 16) + (1 - 2) + 3, as the lifted weights dotted with the lifted point.
     for mode in LiftingMode:
-        value = pack_weights(s.W, s.b, s.c, mode) @ lift_matrix(x[None], mode)[0]
-        assert value == pytest.approx(11.0)
-    # The distance's numerator: |value| over the gradient norm |(3, 7)|.
-    assert normalized_distance(s, x) == pytest.approx(11.0 / np.sqrt(58.0))
+        s = surface([[2.0, 0.0], [0.0, 4.0]], [1.0, -1.0], 3.0, mode)
+        # 1/2 (2 + 16) + (1 - 2) + 3, as the lifted weights dotted with the lifted point.
+        assert s @ lift_matrix(x[None], mode)[0] == pytest.approx(11.0)
+        # The distance's numerator: |value| over the gradient norm |(3, 7)|.
+        assert normalized_distance(s, x, mode) == pytest.approx(11.0 / np.sqrt(58.0))
 
 
 def test_normalized_distance():
-    s = QuadraticSurface(W=np.zeros((2, 2)), b=np.array([3.0, 4.0]), c=1.0)
+    s = surface(np.zeros((2, 2)), [3.0, 4.0], 1.0)
     x = np.array([1.0, 1.0])
     assert normalized_distance(s, x) == pytest.approx(8.0 / 5.0)
 
@@ -64,9 +65,9 @@ def test_normalized_distance():
 def test_normalized_distance_scale_invariant():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((3, 3))
-    s = QuadraticSurface(W=A + A.T, b=rng.standard_normal(3), c=0.3)
+    s = surface(A + A.T, rng.standard_normal(3), 0.3)
     for t in (0.01, 7.0, 1234.5):
-        st = QuadraticSurface(W=t * s.W, b=t * s.b, c=t * s.c)
+        st = t * s
         for _ in range(10):
             x = rng.standard_normal(3)
             assert normalized_distance(st, x) == pytest.approx(
@@ -76,22 +77,22 @@ def test_normalized_distance_scale_invariant():
 
 def test_gradient_norm_floor():
     # Zero gradient everywhere: distance stays finite via the floor.
-    s = QuadraticSurface(W=np.zeros((2, 2)), b=np.zeros(2), c=1.0)
+    s = surface(np.zeros((2, 2)), np.zeros(2), 1.0)
     d = normalized_distance(s, np.array([0.5, -0.5]))
     assert np.isfinite(d)
     assert d == pytest.approx(1.0 / 1e-12)
 
 
 def test_predict_prefers_closer_surface():
-    near = QuadraticSurface(W=np.zeros((2, 2)), b=np.array([0.0, 1.0]), c=0.0)
-    far = QuadraticSurface(W=np.zeros((2, 2)), b=np.array([0.0, 1.0]), c=-5.0)
+    near = surface(np.zeros((2, 2)), [0.0, 1.0], 0.0)
+    far = surface(np.zeros((2, 2)), [0.0, 1.0], -5.0)
     m = make_model(near, far)
     assert predict(m, np.array([0.2, 0.1])) == 1
     assert predict(make_model(far, near), np.array([0.2, 0.1])) == -1
 
 
 def test_predict_tie_goes_to_positive():
-    s = QuadraticSurface(W=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=0.5)
+    s = surface(np.zeros((2, 2)), [1.0, 0.0], 0.5)
     m = make_model(s, s)
     assert predict(m, np.array([0.3, -0.4])) == 1
 
@@ -99,9 +100,9 @@ def test_predict_tie_goes_to_positive():
 def test_predict_many_matches_predict():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((2, 2))
-    sp = QuadraticSurface(W=A + A.T, b=rng.standard_normal(2), c=0.1)
+    sp = surface(A + A.T, rng.standard_normal(2), 0.1)
     B = rng.standard_normal((2, 2))
-    sn = QuadraticSurface(W=B + B.T, b=rng.standard_normal(2), c=-0.2)
+    sn = surface(B + B.T, rng.standard_normal(2), -0.2)
     m = make_model(sp, sn)
     X = rng.standard_normal((40, 2))
     batch = predict_many(m, X)
@@ -112,19 +113,18 @@ def test_predict_many_matches_predict():
 
 def test_predict_applies_scaler():
     # Same raw point, shifted scaler: different normalized location.
-    s_pos = QuadraticSurface(W=np.zeros((1, 1)), b=np.array([1.0]), c=0.0)
-    s_neg = QuadraticSurface(W=np.zeros((1, 1)), b=np.array([1.0]), c=-2.0)
+    s_pos = surface(np.zeros((1, 1)), [1.0], 0.0)
+    s_neg = surface(np.zeros((1, 1)), [1.0], -2.0)
     scaler = NormalizationParams(minimum=[0.0], maximum=[10.0])
-    m = TrainedModel(surface_pos=s_pos, surface_neg=s_neg, mode=LiftingMode.FULL,
-                     scaler=scaler, n=1)
+    m = TrainedModel(w_pos=s_pos, w_neg=s_neg, mode=LiftingMode.FULL, scaler=scaler)
     # x=0 maps to -1: |−1| vs |−3| → positive.
     assert predict(m, np.array([0.0])) == 1
 
 
 def test_predict_rejects_wrong_dimension():
     m = make_model(
-        QuadraticSurface(W=np.zeros((2, 2)), b=np.zeros(2), c=1.0),
-        QuadraticSurface(W=np.zeros((2, 2)), b=np.zeros(2), c=2.0),
+        surface(np.zeros((2, 2)), np.zeros(2), 1.0),
+        surface(np.zeros((2, 2)), np.zeros(2), 2.0),
     )
     with pytest.raises(InvalidInputError):
         predict(m, np.zeros(3))
@@ -139,8 +139,8 @@ def test_predict_rejects_wrong_dimension():
 def test_predict_rejects_nonfinite_rows(bad):
     # A non-finite row once came back labelled -1 with only a RuntimeWarning.
     m = make_model(
-        QuadraticSurface(W=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=0.0),
-        QuadraticSurface(W=np.zeros((2, 2)), b=np.array([1.0, 0.0]), c=-1.0),
+        surface(np.zeros((2, 2)), [1.0, 0.0], 0.0),
+        surface(np.zeros((2, 2)), [1.0, 0.0], -1.0),
     )
     X = np.zeros((5, 2))
     X[3, 1] = bad
@@ -155,13 +155,13 @@ def test_predict_rejects_nonfinite_rows(bad):
 def random_model(n, mode, rng):
     """A model of two random surfaces (diagonal W under reduced lifting)
     behind a scaler that is not the identity."""
-    def surface():
+    def random_surface():
         A = rng.standard_normal((n, n))
         W = A + A.T if mode is LiftingMode.FULL else np.diag(rng.standard_normal(n))
-        return QuadraticSurface(W=W, b=rng.standard_normal(n), c=float(rng.standard_normal()))
+        return surface(W, rng.standard_normal(n), float(rng.standard_normal()), mode)
 
     scaler = NormalizationParams(minimum=-1.0 - rng.random(n), maximum=1.0 + rng.random(n))
-    return TrainedModel(surface(), surface(), mode, scaler, n)
+    return TrainedModel(random_surface(), random_surface(), mode, scaler)
 
 
 @pytest.mark.parametrize("mode", list(LiftingMode))
@@ -179,41 +179,40 @@ def test_blocked_labels_match_row_by_row_predict(mode):
         np.testing.assert_array_equal(labels, reference[:rows])
 
 
-def test_diagonal_path_is_bitwise_the_dense_product():
-    # Under reduced lifting every W is diagonal: Xs * diag(W) must give the
-    # distances of the dense Xs @ W bit for bit, zero diagonal entries too.
-    rng = np.random.default_rng(6)
-    S, n = 3, 7
-    diagonals = rng.standard_normal((S, n))
-    diagonals[1, 2] = 0.0
+def dense(diagonals):
+    """The stack of diagonal matrices (S, n, n) with the given diagonals (S, n)."""
+    S, n = diagonals.shape
     W = np.zeros((S, n, n))
     W[:, np.arange(n), np.arange(n)] = diagonals
-    b, c = rng.standard_normal((S, n)), rng.standard_normal(S)
+    return W
+
+
+def test_diagonal_path_is_bitwise_the_dense_product():
+    # Under reduced lifting unpack_weights gives each W as its diagonal:
+    # Xs * diag(W) must give the distances of the dense Xs @ W bit for bit,
+    # zero diagonal entries too.
+    rng = np.random.default_rng(6)
+    S, n = 3, 7
+    w = rng.standard_normal((S, lifted_dim(n, LiftingMode.REDUCED)))
+    w[1, 2] = 0.0
+    diagonals, b, c = unpack_weights(w, n, LiftingMode.REDUCED)
+    assert diagonals.shape == (S, n) and diagonals[1, 2] == 0.0
     Xs = rng.uniform(-1.0, 1.0, (PREDICT_BLOCK_ROWS, n))
-    compact = _diagonal_if_diagonal(W)
-    assert compact.shape == (S, n)
-    dense = _distances(Xs, W, b, c)
-    assert _distances(Xs, compact, b, c).tobytes() == dense.tobytes()
-    # One off-diagonal entry anywhere in the stack keeps the dense product.
-    W[2, 0, 1] = W[2, 1, 0] = 0.5
-    assert _diagonal_if_diagonal(W) is W
+    assert _distances(Xs, diagonals, b, c).tobytes() == _distances(Xs, dense(diagonals), b,
+                                                                   c).tobytes()
 
 
 def random_stack(rng, S, n, diagonal):
-    """A stack of S surfaces as predict_stack takes it: dense symmetric W,
-    or W with only its diagonal set.  The linear terms range from 1e-12 to
-    1e2; with S > 1 the last surface has W = 0 and b = 0, so its gradient
-    norm is GRADIENT_NORM_FLOOR."""
-    if diagonal:
-        W = np.zeros((S, n, n))
-        W[:, np.arange(n), np.arange(n)] = rng.standard_normal((S, n))
-    else:
-        A = rng.standard_normal((S, n, n))
-        W = A + A.transpose(0, 2, 1)
+    """A stack of S lifted weight vectors as predict_stack takes it, and its
+    lifting mode: full, or reduced (a diagonal W) when ``diagonal``.  The
+    linear terms range from 1e-12 to 1e2; with S > 1 the last surface has
+    W = 0 and b = 0, so its gradient norm is GRADIENT_NORM_FLOOR."""
+    mode = LiftingMode.REDUCED if diagonal else LiftingMode.FULL
+    head = rng.standard_normal((S, lifted_dim(n, mode) - n - 1))
     b = rng.standard_normal((S, n)) * 10.0 ** rng.uniform(-12, 2, (S, 1))
     if S > 1:
-        W[-1], b[-1] = 0.0, 0.0
-    return W, b, rng.standard_normal(S)
+        head[-1], b[-1] = 0.0, 0.0
+    return np.hstack([head, b, rng.standard_normal((S, 1))]), mode
 
 
 def random_rows(rng, rows, n, constant):
@@ -242,8 +241,9 @@ def test_low_dimensional_path_is_bitwise_the_row_major_form(n, surfaces, rows, d
     Xs = apply_scaler(scaler, X)
     assert Xs.flags.c_contiguous
     assert Xs.tobytes() == scaled_row_major(scaler, X).tobytes()
-    W, b, c = random_stack(rng, surfaces, n, diagonal)
-    for stack in (W, _diagonal_if_diagonal(W)) if diagonal else (W,):
+    w, mode = random_stack(rng, surfaces, n, diagonal)
+    W, b, c = unpack_weights(w, n, mode)
+    for stack in (W, dense(W)) if diagonal else (W,):
         distances = _distances(Xs, stack, b, c)
         assert distances.tobytes() == distances_row_major(Xs, stack, b, c).tobytes()
     if surfaces > 1:
@@ -255,11 +255,31 @@ def test_low_dimensional_path_is_bitwise_the_row_major_form(n, surfaces, rows, d
 def test_predict_stack_labels_match_the_row_major_form(n, diagonal):
     rng = np.random.default_rng([n, diagonal, 1])
     scaler, X = random_rows(rng, 904, n, constant=False)
-    pos, neg = (random_stack(rng, 121, n, diagonal) for _ in range(2))
+    (pos, mode), (neg, _) = (random_stack(rng, 121, n, diagonal) for _ in range(2))
     Xs = scaled_row_major(scaler, X)
-    reference = np.where(distances_row_major(Xs, *pos) <= distances_row_major(Xs, *neg), 1, -1)
+    d_pos, d_neg = (distances_row_major(Xs, *unpack_weights(w, n, mode)) for w in (pos, neg))
+    reference = np.where(d_pos <= d_neg, 1, -1)
     assert set(reference.ravel()) == {-1, 1}
-    np.testing.assert_array_equal(predict_stack(scaler, pos, neg, X), reference)
+    np.testing.assert_array_equal(predict_stack(scaler, mode, pos, neg, X), reference)
+
+
+def test_reduced_predict_stack_forms_no_dense_w():
+    # A reduced CV stack at n = 100 over the default flat grid: one dense
+    # (605, 100, 100) W takes 48 MB, its diagonals 0.5 MB.
+    rng = np.random.default_rng(9)
+    n, lanes = 100, 605
+    pos, neg = rng.standard_normal((2, lanes, lifted_dim(n, LiftingMode.REDUCED)))
+    scaler, X = random_rows(rng, 10, n, constant=False)
+    predict_stack(scaler, LiftingMode.REDUCED, pos[:1], neg[:1], X)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        labels = predict_stack(scaler, LiftingMode.REDUCED, pos, neg, X)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (lanes, 10)
+    assert peak < 12e6, peak
 
 
 def test_nonfinite_row_in_a_later_block_is_named_by_its_index():
@@ -294,28 +314,30 @@ def test_predict_many_peak_memory_is_a_few_blocks():
     assert peak < 8e6, peak
 
 
-def test_surface_rejects_asymmetric_or_nonfinite():
-    with pytest.raises(InvalidInputError):
-        QuadraticSurface(W=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.zeros(2), c=0.0)
-    with pytest.raises(InvalidInputError):
-        QuadraticSurface(W=np.zeros((2, 2)), b=np.array([np.nan, 0.0]), c=0.0)
+def test_model_rejects_misshapen_or_nonfinite_weights():
+    w = surface(np.zeros((2, 2)), np.zeros(2), 0.0)
+    bad = w.copy()
+    bad[3] = np.nan
+    with pytest.raises(InvalidInputError, match="w_pos has non-finite entries"):
+        make_model(bad, w)
+    with pytest.raises(InvalidInputError, match=r"w_neg has shape \(5,\), expected \(6,\)"):
+        make_model(w, w[1:])
+    with pytest.raises(InvalidInputError, match=r"w_pos has shape \(1, 6\)"):
+        make_model(w[None], w)
 
 
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     A = rng.standard_normal((2, 2))
     B = rng.standard_normal((2, 2))
-    m = make_model(
-        QuadraticSurface(W=A + A.T, b=rng.standard_normal(2), c=0.25),
-        QuadraticSurface(W=B + B.T, b=rng.standard_normal(2), c=-1.5),
-    )
+    m = make_model(surface(A + A.T, rng.standard_normal(2), 0.25),
+                   surface(B + B.T, rng.standard_normal(2), -1.5))
     path = tmp_path / "model.json"
     save_model(m, path)
     m2 = load_model(path)
     assert m2.mode is m.mode and m2.n == m.n
-    np.testing.assert_allclose(m2.surface_pos.W, m.surface_pos.W)
-    np.testing.assert_allclose(m2.surface_neg.b, m.surface_neg.b)
-    assert m2.surface_neg.c == pytest.approx(m.surface_neg.c)
+    np.testing.assert_array_equal(m2.w_pos, m.w_pos)
+    np.testing.assert_array_equal(m2.w_neg, m.w_neg)
     np.testing.assert_allclose(m2.scaler.minimum, m.scaler.minimum)
     X = rng.standard_normal((30, 2))
     np.testing.assert_array_equal(predict_many(m, X), predict_many(m2, X))
@@ -324,24 +346,24 @@ def test_save_load_roundtrip(tmp_path):
 def test_save_load_roundtrip_reduced(tmp_path):
     rng = np.random.default_rng(3)
     m = TrainedModel(
-        surface_pos=QuadraticSurface(W=np.diag(rng.standard_normal(2)),
-                                     b=rng.standard_normal(2), c=0.1),
-        surface_neg=QuadraticSurface(W=np.diag(rng.standard_normal(2)),
-                                     b=rng.standard_normal(2), c=0.2),
-        mode=LiftingMode.REDUCED, scaler=IDENTITY_SCALER, n=2,
+        w_pos=surface(np.diag(rng.standard_normal(2)), rng.standard_normal(2), 0.1,
+                      LiftingMode.REDUCED),
+        w_neg=surface(np.diag(rng.standard_normal(2)), rng.standard_normal(2), 0.2,
+                      LiftingMode.REDUCED),
+        mode=LiftingMode.REDUCED, scaler=IDENTITY_SCALER,
     )
     path = tmp_path / "model.json"
     save_model(m, path)
+    doc = json.loads(path.read_text())
+    assert len(doc["surface_pos"]["w_head"]) == len(doc["surface_neg"]["w_head"]) == 2
     m2 = load_model(path)
-    np.testing.assert_allclose(m2.surface_pos.W, m.surface_pos.W)
+    np.testing.assert_array_equal(m2.w_pos, m.w_pos)
+    np.testing.assert_array_equal(m2.w_neg, m.w_neg)
     assert m2.mode is LiftingMode.REDUCED
 
 
 def _valid_doc(tmp_path):
-    m = make_model(
-        QuadraticSurface(W=np.eye(2), b=np.zeros(2), c=0.0),
-        QuadraticSurface(W=np.eye(2), b=np.ones(2), c=1.0),
-    )
+    m = make_model(surface(np.eye(2), np.zeros(2), 0.0), surface(np.eye(2), np.ones(2), 1.0))
     path = tmp_path / "model.json"
     save_model(m, path)
     return path, json.loads(path.read_text())
@@ -412,6 +434,17 @@ def test_load_rejects_dimension_mismatch(tmp_path):
     doc["surface_pos"]["b"] = [0.0, 0.0, 0.0]
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelInconsistencyError):
+        load_model(path)
+
+
+def test_load_rejects_a_split_that_only_adds_up(tmp_path):
+    # A head one entry short and a b one entry long still make a vector of
+    # the right length; b must have n entries.
+    path, doc = _valid_doc(tmp_path)
+    neg = doc["surface_neg"]
+    neg["w_head"], neg["b"] = neg["w_head"][:-1], neg["w_head"][-1:] + neg["b"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelInconsistencyError, match="surface_neg.b has 3 entries, expected n=2"):
         load_model(path)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from qtsvm.data import Dataset, fit_scaler, gen_example1, gen_example3, scale_dataset
 from qtsvm.errors import InvalidInputError
-from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights
+from qtsvm.lifting import LiftingMode, lift_matrix
 from qtsvm.model import predict_many
 from qtsvm.solver_cl1 import (
     WEIGHT_FLOOR,
@@ -266,10 +266,7 @@ def test_final_state_stationarity():
     scaled = scale_dataset(d, model.scaler)
     Zp = lift_matrix(scaled.X_pos, model.mode).T
     Zm = lift_matrix(scaled.X_neg, model.mode).T
-    wp = pack_weights(model.surface_pos.W, model.surface_pos.b,
-                      model.surface_pos.c, model.mode)
-    wm = pack_weights(model.surface_neg.W, model.surface_neg.b,
-                      model.surface_neg.c, model.mode)
+    wp, wm = model.w_pos, model.w_neg
     rp = stationarity_residual_plus(wp, Zp, Zm, report.pos.final_state, cfg)
     rm = stationarity_residual_plus(-wm, Zm, Zp, report.neg.final_state, cfg)
     assert rp <= 1e-5 * (1.0 + np.linalg.norm(wp))
@@ -286,9 +283,7 @@ def test_first_step_is_unweighted_least_squares():
     Zm = lift_matrix(scaled.X_neg).T
     ref = dense_oracle(Zp, Zm, np.ones(Zp.shape[1]), np.ones(Zm.shape[1]),
                        cfg.c1, cfg.c2, -1.0)
-    wp = pack_weights(model.surface_pos.W, model.surface_pos.b,
-                      model.surface_pos.c, model.mode)
-    np.testing.assert_allclose(wp, ref, rtol=1e-8, atol=1e-10)
+    np.testing.assert_allclose(model.w_pos, ref, rtol=1e-8, atol=1e-10)
     assert report.pos.iterations_used == 1
 
 
@@ -302,8 +297,9 @@ def test_fit_reduced_mode():
     d = gen_example1(60, seed=10)
     model, report = fit(d, SolverConfig(c1=0.01, c2=0.01), mode=LiftingMode.REDUCED)
     assert model.mode is LiftingMode.REDUCED
-    # Reduced surfaces are axis-aligned: no cross terms.
-    assert model.surface_pos.W[0, 1] == 0.0
+    # Reduced surfaces are axis-aligned: no cross terms, only x1^2, x2^2,
+    # x1, x2 and 1.
+    assert model.w_pos.shape == model.w_neg.shape == (5,)
     X, y = d.stacked()
     acc = float(np.mean(predict_many(model, X) == y))
     assert acc > 0.9
@@ -326,9 +322,8 @@ def test_fit_class_swap_symmetry():
     cfg = SolverConfig(c1=0.01, c2=0.01)
     m1, _ = fit(d, cfg)
     m2, _ = fit(swapped, cfg)
-    np.testing.assert_allclose(m2.surface_pos.W, -m1.surface_neg.W, atol=1e-8)
-    np.testing.assert_allclose(m2.surface_pos.c, -m1.surface_neg.c, atol=1e-8)
-    np.testing.assert_allclose(m2.surface_neg.b, -m1.surface_pos.b, atol=1e-8)
+    np.testing.assert_allclose(m2.w_pos, -m1.w_neg, atol=1e-8)
+    np.testing.assert_allclose(m2.w_neg, -m1.w_pos, atol=1e-8)
 
 
 def test_fit_sample_order_invariance():
@@ -339,8 +334,8 @@ def test_fit_sample_order_invariance():
     cfg = SolverConfig(c1=0.01, c2=0.01)
     m1, _ = fit(d, cfg)
     m2, _ = fit(perm, cfg)
-    np.testing.assert_allclose(m2.surface_pos.W, m1.surface_pos.W, atol=1e-8)
-    np.testing.assert_allclose(m2.surface_neg.c, m1.surface_neg.c, atol=1e-8)
+    np.testing.assert_allclose(m2.w_pos, m1.w_pos, atol=1e-8)
+    np.testing.assert_allclose(m2.w_neg, m1.w_neg, atol=1e-8)
 
 
 def test_fit_deterministic():
@@ -348,7 +343,8 @@ def test_fit_deterministic():
     cfg = SolverConfig(c1=0.1, c2=0.1)
     m1, r1 = fit(d, cfg)
     m2, r2 = fit(d, cfg)
-    np.testing.assert_array_equal(m1.surface_pos.W, m2.surface_pos.W)
+    np.testing.assert_array_equal(m1.w_pos, m2.w_pos)
+    np.testing.assert_array_equal(m1.w_neg, m2.w_neg)
     np.testing.assert_array_equal(r1.pos.objective_trace, r2.pos.objective_trace)
 
 
@@ -383,10 +379,9 @@ def test_smw_final_state_backward_error():
     scaled = scale_dataset(d, model.scaler)
     Zp = lift_matrix(scaled.X_pos).T
     Zm = lift_matrix(scaled.X_neg).T
-    for surface, rep, Z_own, Z_other, sign in ((model.surface_pos, report.pos, Zp, Zm, -1.0),
-                                               (model.surface_neg, report.neg, Zm, Zp, 1.0)):
+    for w, rep, Z_own, Z_other, sign in ((model.w_pos, report.pos, Zp, Zm, -1.0),
+                                         (model.w_neg, report.neg, Zm, Zp, 1.0)):
         assert rep.branch_used == "smw"
-        w = pack_weights(surface.W, surface.b, surface.c, model.mode)
         q, u = rep.final_state.q, rep.final_state.u
         Bw = Z_own @ (q * (w @ Z_own)) + cfg.c1 * w + cfg.c2 * Z_other @ (u * (w @ Z_other))
         rhs = sign * cfg.c2 * Z_other @ u

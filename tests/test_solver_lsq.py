@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 from qtsvm import evaluation, solver_lsq
 from qtsvm.data import Dataset, fit_scaler, gen_example1, gen_example3, scale_dataset
 from qtsvm.errors import InvalidInputError, NumericError
-from qtsvm.lifting import LiftingMode, lift_matrix, pack_weights
+from qtsvm.lifting import LiftingMode, lift_matrix
 from qtsvm.model import predict_many
 from qtsvm.solver_lsq import fit_lsq
 
@@ -17,11 +17,6 @@ from qtsvm.solver_lsq import fit_lsq
 def _lifted(d, mode=LiftingMode.FULL):
     scaled = scale_dataset(d, fit_scaler(d))
     return lift_matrix(scaled.X_pos, mode).T, lift_matrix(scaled.X_neg, mode).T
-
-
-def _packed(model, which):
-    s = getattr(model, f"surface_{which}")
-    return pack_weights(s.W, s.b, s.c, model.mode)
 
 
 def test_matches_dense_normal_equations():
@@ -39,8 +34,8 @@ def test_matches_dense_normal_equations():
         ref_p = np.linalg.solve(Bp, -2 * C * Zm.sum(axis=1))
         Bm = Zm @ Zm.T + 2 * C * Zp @ Zp.T + ridge * np.eye(m_l)
         ref_m = np.linalg.solve(Bm, 2 * C * Zp.sum(axis=1))
-        np.testing.assert_allclose(_packed(model, "pos"), ref_p, rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(_packed(model, "neg"), ref_m, rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(model.w_pos, ref_p, rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(model.w_neg, ref_m, rtol=1e-7, atol=1e-9)
 
 
 def test_matches_numerical_minimizer(monkeypatch):
@@ -60,14 +55,15 @@ def test_matches_numerical_minimizer(monkeypatch):
 
     res = minimize(obj_pos, np.zeros(Zp.shape[0]), method="BFGS",
                    options={"gtol": 1e-12, "maxiter": 10000})
-    np.testing.assert_allclose(_packed(model, "pos"), res.x, rtol=1e-5, atol=1e-7)
+    np.testing.assert_allclose(model.w_pos, res.x, rtol=1e-5, atol=1e-7)
 
 
 def test_reduced_mode_is_axis_aligned():
     d = gen_example1(50, seed=2)
     model = fit_lsq(d, C=1.0, mode=LiftingMode.REDUCED)
     assert model.mode is LiftingMode.REDUCED
-    assert model.surface_pos.W[0, 1] == 0.0
+    # No cross terms: x1^2, x2^2, x1, x2 and 1.
+    assert model.w_pos.shape == model.w_neg.shape == (5,)
 
 
 def test_separates_clean_parabolas():
@@ -83,8 +79,8 @@ def test_deterministic():
     d = gen_example1(40, seed=4)
     m1 = fit_lsq(d, C=0.1)
     m2 = fit_lsq(d, C=0.1)
-    np.testing.assert_array_equal(m1.surface_pos.W, m2.surface_pos.W)
-    np.testing.assert_array_equal(m1.surface_neg.b, m2.surface_neg.b)
+    np.testing.assert_array_equal(m1.w_pos, m2.w_pos)
+    np.testing.assert_array_equal(m1.w_neg, m2.w_neg)
 
 
 def test_class_swap_symmetry():
@@ -92,8 +88,8 @@ def test_class_swap_symmetry():
     swapped = Dataset(X_pos=d.X_neg, X_neg=d.X_pos)
     m1 = fit_lsq(d, C=1.0)
     m2 = fit_lsq(swapped, C=1.0)
-    np.testing.assert_allclose(m2.surface_pos.W, -m1.surface_neg.W, atol=1e-8)
-    np.testing.assert_allclose(m2.surface_neg.c, -m1.surface_pos.c, atol=1e-8)
+    np.testing.assert_allclose(m2.w_pos, -m1.w_neg, atol=1e-8)
+    np.testing.assert_allclose(m2.w_neg, -m1.w_pos, atol=1e-8)
 
 
 def test_input_validation():
