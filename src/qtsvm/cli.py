@@ -16,7 +16,7 @@ import time
 
 from . import __version__
 from .data import (
-    CSV_BLOCK_ROWS,
+    CSV_BLOCK_CELLS,
     GENERATORS,
     first_row_width,
     inject_label_noise,
@@ -63,8 +63,9 @@ def _write_labelled_matrix(path, X, labels, label_name):
     without csv."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join([f"x{i + 1}" for i in range(X.shape[1])] + [label_name]) + "\n")
-        for start in range(0, len(X), CSV_BLOCK_ROWS):
-            block = slice(start, start + CSV_BLOCK_ROWS)
+        rows = max(1, CSV_BLOCK_CELLS // (X.shape[1] + 1))
+        for start in range(0, len(X), rows):
+            block = slice(start, start + rows)
             cols = [map(repr, col) for col in X[block].T.tolist()]
             cols.append(map(str, labels[block].astype(int).tolist()))
             fh.writelines(",".join(row) + "\n" for row in zip(*cols))

@@ -7,7 +7,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -189,34 +189,43 @@ def _float(cell: str) -> float | None:
         return None
 
 
-# Nonblank CSV rows parsed, converted and written per block.  A row of the
-# two-feature files that ``generate`` writes takes about 250 bytes as Python
-# lists and strings, so a block of them holds about 0.25 MB however long the
-# file is.  Blocks of 512 to 8192 such rows parsed at the same speed.
-CSV_BLOCK_ROWS = 1024
+# Cells of nonblank CSV rows parsed, converted and written per block, so
+# that a block's Python lists and strings take about the same memory
+# whatever the file's width, ragged files included.  A three-column file,
+# such as the two-feature files that ``generate`` writes, goes in blocks of
+# 1024 rows, about 0.25 MB; blocks of 512 to 8192 such rows parsed at the
+# same speed.
+CSV_BLOCK_CELLS = 3 * 1024
 
 
-def _row_blocks(path, size=None):
-    """The nonblank rows of a CSV file in lists of up to ``size`` rows
-    (default ``CSV_BLOCK_ROWS``).  A read error is raised when the reader
-    reaches it, after the blocks before it have been handed out.  No block
-    is kept here while the next one is parsed."""
-    size = size or CSV_BLOCK_ROWS
+def _row_blocks(path, cells=None):
+    """The nonblank rows of a CSV file in lists that each end at the row
+    that brings them to ``cells`` cells (default ``CSV_BLOCK_CELLS``).  A
+    read error is raised when the reader reaches it, after the blocks
+    before it have been handed out.  No block is kept here while the next
+    one is parsed."""
+    cells = cells or CSV_BLOCK_CELLS
     try:
         with open(path, newline="") as fh:
-            rows = (row for row in csv.reader(fh) if "".join(row).strip())
-            while block := list(islice(rows, size)):
+            block, size = [], 0
+            for row in csv.reader(fh):
+                if "".join(row).strip():
+                    block.append(row)
+                    size += len(row)
+                    if size >= cells:
+                        yield block
+                        block, size = [], 0
+            if block:
                 yield block
-                del block
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _rows(path, size=None):
+def _rows(path, cells=None):
     """The first block of rows of a nonempty CSV file and an iterator over
     the others.  The first block has a second row whenever the file has
     one: the header rule looks one row ahead."""
-    blocks = _row_blocks(path, size)
+    blocks = _row_blocks(path, cells)
     head = next(blocks, None)
     if head is None:
         raise DataFormatError(f"{path} is empty")

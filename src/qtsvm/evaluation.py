@@ -10,8 +10,8 @@ import numpy as np
 
 from .data import Dataset, fit_scaler, inject_label_noise
 from .errors import InvalidInputError, check_int
-from .lifting import LiftingMode, lifting_mode
-from .model import predict_stack
+from .lifting import LiftingMode, lifting_mode, unpack_weights
+from .model import label_stack
 from .solver_cl1 import SolverConfig, fit_grid
 from .solver_lsq import fit_lsq_grid
 
@@ -221,13 +221,14 @@ def _stack_counts(trainer, dataset, mode, scaler, blocks):
     used = mask.any(axis=0)
     fitted = trainer.fit_split(_subset(dataset, used), grid, mode, scaler, mask=mask[:, used])
     X, y = dataset.stacked()
+    # W is formed once for the whole stack; each block labels a slice of it.
+    surfaces = [unpack_weights(w, dataset.n, fitted.mode) for w in (fitted.pos, fitted.neg)]
     per_block, start = [], 0
     for points, _, rows in blocks:
         lanes = slice(start, start + len(points))
         start += len(points)
-        labels = predict_stack(fitted.scaler, fitted.mode, fitted.pos[lanes], fitted.neg[lanes],
-                               X[rows])
-        per_block.append(counts_stack(y[rows], labels))
+        pos, neg = ([a[lanes] for a in side] for side in surfaces)
+        per_block.append(counts_stack(y[rows], label_stack(fitted.scaler, pos, neg, X[rows])))
     return per_block
 
 

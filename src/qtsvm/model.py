@@ -119,18 +119,17 @@ def _distances(Xs: np.ndarray, W: np.ndarray, b: np.ndarray, c: np.ndarray):
 PREDICT_BLOCK_ROWS = 4096
 
 
-def predict_stack(scaler: NormalizationParams, mode, pos, neg, X: np.ndarray) -> np.ndarray:
-    """Labels of the raw rows X under G surface pairs at once, shape (G, rows).
+def label_stack(scaler: NormalizationParams, pos, neg, X: np.ndarray) -> np.ndarray:
+    """Labels of the raw rows X under G surface pairs, shape (G, rows).
 
-    pos and neg are stacks of lifted weight vectors, shape (G, lifted_dim),
-    under lifting mode.  Their W are formed here, once per call, as
-    unpack_weights gives them: (G, n, n), or the diagonals (G, n) under
-    reduced lifting.  A row is +1 if it is at least as close (in normalized
-    distance) to the positive surface of a pair as to its negative one.  The
-    rows are labelled in blocks of PREDICT_BLOCK_ROWS; a row with a NaN or
-    infinite feature raises InvalidInputError naming its index in X.
+    pos and neg are the (W, b, c) of the positive and the negative surfaces
+    as unpack_weights gives them for a stack of lifted weight vectors: W
+    (G, n, n), or its diagonals (G, n) under reduced lifting.  A row is +1
+    if it is at least as close (in normalized distance) to the positive
+    surface of a pair as to its negative one.  The rows are labelled in
+    blocks of PREDICT_BLOCK_ROWS; a row with a NaN or infinite feature
+    raises InvalidInputError naming its index in X.
     """
-    pos, neg = (unpack_weights(w, scaler.minimum.size, mode) for w in (pos, neg))
     labels = np.empty((len(pos[2]), len(X)), dtype=int)
     for start in range(0, len(X), PREDICT_BLOCK_ROWS):
         block = X[start : start + PREDICT_BLOCK_ROWS]
@@ -142,6 +141,15 @@ def predict_stack(scaler: NormalizationParams, mode, pos, neg, X: np.ndarray) ->
         labels[:, start : start + len(block)] = np.where(
             _distances(Xs, *pos) <= _distances(Xs, *neg), 1, -1)
     return labels
+
+
+def predict_stack(scaler: NormalizationParams, mode, pos, neg, X: np.ndarray) -> np.ndarray:
+    """label_stack of the surface pairs whose lifted weight vectors under
+    lifting mode are the rows of pos and neg, shape (G, lifted_dim).  W is
+    formed here, once per call; a caller that labels several sets of rows
+    under lanes of one stack unpacks it once and calls label_stack."""
+    return label_stack(scaler, *(unpack_weights(w, scaler.minimum.size, mode)
+                                 for w in (pos, neg)), X)
 
 
 def predict(m: TrainedModel, x: np.ndarray) -> int:

@@ -102,7 +102,7 @@ def test_load_csv_in_blocks_matches_one_block(tmp_path_factory, block_rows, tabl
     path = tmp_path_factory.getbasetemp() / "blocks.csv"
     path.write_text(text, encoding="utf-8", newline="")
     one_block = load_csv(path, label_column=label_column, positive_label=pos_label)
-    with mock.patch.object(data, "CSV_BLOCK_ROWS", block_rows):
+    with mock.patch.object(data, "CSV_BLOCK_CELLS", block_rows * data.first_row_width(path)):
         d = load_csv(path, label_column=label_column, positive_label=pos_label)
     assert _bits(d.X_pos) == _bits(one_block.X_pos)
     assert _bits(d.X_neg) == _bits(one_block.X_neg)
@@ -131,10 +131,9 @@ def test_load_features_peak_is_the_matrix_plus_a_few_blocks(tmp_path):
     # added twice the matrix's growth to the peak.
     rng = np.random.default_rng(0)
     extra = []
-    for blocks in (10, 20):
-        path = tmp_path / f"wide{blocks}.csv"
-        np.savetxt(path, rng.normal(size=(blocks * data.CSV_BLOCK_ROWS, 40)), fmt="%.17g",
-                   delimiter=",")
+    for rows in (10_240, 20_480):
+        path = tmp_path / f"wide{rows}.csv"
+        np.savetxt(path, rng.normal(size=(rows, 40)), fmt="%.17g", delimiter=",")
         data.load_features(path)
         tracemalloc.start()
         try:
@@ -143,8 +142,26 @@ def test_load_features_peak_is_the_matrix_plus_a_few_blocks(tmp_path):
         finally:
             tracemalloc.stop()
         extra.append(peak - X.nbytes)
-    # 20 blocks: a 6.25 MiB matrix, 6.8 MiB more at either length.
-    assert extra[1] < 1.1 * extra[0], extra
+    # 20,480 rows: a 6.25 MiB matrix, 0.5 MiB more at either length.  Blocks
+    # of 1024 rows, whatever the width, took 6.8 MiB more.
+    assert extra[1] < 1.1 * extra[0] and extra[1] < 2**20, extra
+
+
+def test_ragged_wide_rows_do_not_fill_a_block(tmp_path):
+    # A block ends at the cell budget, not at a row count fixed by the
+    # first row: a one-cell first row followed by 1000-cell rows stops the
+    # first block after one wide row, where 1024-row blocks held about 8 MiB
+    # of such rows before the check named row 2.
+    path = tmp_path / "ragged.csv"
+    path.write_text("1\n" + (",".join(["1"] * 1000) + "\n") * 1500)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataFormatError, match="row 2: expected 1 fields, got 1000"):
+            data.load_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("tail, read_error", [
@@ -155,7 +172,7 @@ def test_a_fault_comes_before_a_read_error_in_a_later_block(tmp_path, tail, read
     # Blocks are read and checked in file order, so a bad cell is reported
     # although the file's bytes go wrong some blocks further on.
     path = tmp_path / "bad.csv"
-    body = b"1,2,-1\n" * (8 * data.CSV_BLOCK_ROWS)
+    body = b"1,2,-1\n" * (8 * data.CSV_BLOCK_CELLS // 3)
     path.write_bytes(b"1,2,1\n1,abc,-1\n" + body + tail)
     with pytest.raises(DataFormatError) as exc:
         load_csv(path)
@@ -209,7 +226,7 @@ def test_labelled_matrix_in_blocks_matches_one_block(tmp_path, monkeypatch, bloc
     X = np.random.default_rng(2).normal(size=(7, 3))
     labels = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
     _write_labelled_matrix(tmp_path / "one.csv", X, labels, "label")
-    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cli, "CSV_BLOCK_CELLS", block_rows * 4)
     _write_labelled_matrix(tmp_path / "blocks.csv", X, labels, "label")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 

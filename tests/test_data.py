@@ -335,7 +335,7 @@ def test_faults_read_in_blocks_match_one_block(tmp_path, monkeypatch, load, text
     p.write_text(text)
     with pytest.raises(DataFormatError) as one_block:
         load(p)
-    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(data, "CSV_BLOCK_CELLS", block_rows * data.first_row_width(p))
     with pytest.raises(DataFormatError) as blocks:
         load(p)
     assert str(blocks.value) == str(one_block.value)
@@ -346,7 +346,7 @@ def test_load_features_in_blocks_matches_one_block(tmp_path, monkeypatch, block_
     p = tmp_path / "x.csv"
     p.write_text("x1,x2\n 1.5 ,2e-3\n\n1_0,-0.0\n5e-324,1e308\n7,8\n-1,0.5\n")
     one_block = load_features(p)
-    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(data, "CSV_BLOCK_CELLS", block_rows * 2)
     X = load_features(p)
     assert X.flags["C_CONTIGUOUS"] and X.shape == one_block.shape == (5, 2)
     assert X.tobytes() == one_block.tobytes()

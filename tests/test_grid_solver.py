@@ -29,7 +29,7 @@ from qtsvm.evaluation import (
     cross_validate,
 )
 from qtsvm.lifting import LiftingMode, lift_matrix, unpack_weights
-from qtsvm.model import GRADIENT_NORM_FLOOR, _distances, predict_stack
+from qtsvm.model import GRADIENT_NORM_FLOOR, _distances, label_stack, predict_stack
 from qtsvm.solver_cl1 import (
     CONV_TOL,
     WEIGHT_FLOOR,
@@ -189,7 +189,16 @@ def test_fallback_is_lane_wise(l):
         B[g] = A @ A.T + l * np.eye(l)
     B[1] = np.diag(np.arange(l) - 1.5)  # indefinite: Cholesky fails
     rhs = rng.standard_normal((3, l))
+    B_in = B.copy()
     X, fell = _psd_solve_stack(B, rhs)
+    # Without a way to form a lane again, a stack is factored in copies,
+    # never over its own lanes, whether its lanes are in C or in Fortran
+    # order (its transpose, the same symmetric matrices).
+    np.testing.assert_array_equal(B, B_in)
+    X_t, fell_t = _psd_solve_stack(B.transpose(0, 2, 1), rhs)
+    np.testing.assert_array_equal(B, B_in)
+    np.testing.assert_array_equal(X_t, X)
+    np.testing.assert_array_equal(fell_t, fell)
     np.testing.assert_array_equal(fell, [False, True, False])
     np.testing.assert_array_equal(X[1], np.linalg.lstsq(B[1], rhs[1], rcond=None)[0])
     for g in (0, 2):
@@ -326,6 +335,86 @@ def test_singular_smw_lane_falls_back_alone():
     assert np.isfinite(grid.pos).all() and np.isfinite(grid.neg).all()
     _, report = fit(d, cfgs[0])
     assert report.pos.lstsq_fallbacks > 0
+
+
+def _smw_systems(monkeypatch):
+    """Record every stack B that _psd_solve_stack is handed, a copy of it
+    taken before it is factored, and the solutions and flags it returns."""
+    seen = []
+    solve = solver_cl1._psd_solve_stack
+
+    def spy(B, rhs, again=None):
+        entry = {"B": B, "copy": B.copy()}
+        entry["X"], entry["fell"] = solve(B, rhs, again)
+        seen.append(entry)
+        return entry["X"], entry["fell"]
+
+    monkeypatch.setattr(solver_cl1, "_psd_solve_stack", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n, m_per_class, mode", [
+    (2, 30, LiftingMode.FULL), (12, 40, LiftingMode.FULL), (30, 60, LiftingMode.REDUCED)])
+def test_smw_systems_are_exactly_symmetric(monkeypatch, n, m_per_class, mode):
+    # The SMW systems are handed to LAPACK as their transposes, which are
+    # the same matrices only if every bit is symmetric: the sample Gram
+    # (numpy's syrk for Z'Z), its rolled copy for the other side, and each
+    # masked and unmasked lane's system built from it.
+    rng = np.random.default_rng(n)
+    d = Dataset(X_pos=rng.normal(0.5, 1.0, (m_per_class, n)),
+                X_neg=rng.normal(-0.5, 1.0, (m_per_class, n)))
+    scaled = scale_dataset(d, fit_scaler(d))
+    Z_pos, Z_neg = (lift_matrix(X, mode).T for X in (scaled.X_pos, scaled.X_neg))
+    gram = _sample_gram(Z_pos, Z_neg)
+    rolled = np.roll(gram, (-m_per_class,) * 2, axis=(0, 1))
+    for G in (gram, rolled):
+        np.testing.assert_array_equal(G, G.T)
+    cfgs = [SolverConfig(c1=c, c2=1.0, branch="smw", max_iter=3) for c in (0.01, 1.0, 100.0)]
+    mask = np.ones((3, d.m), dtype=bool)
+    mask[1, ::4] = False
+    mask[2, 1::3] = False
+    seen = _smw_systems(monkeypatch)
+    fit_grid(d, cfgs, mode, scaler=fit_scaler(d), mask=mask)
+    assert len(seen) == 2 * 3
+    for entry in seen:
+        B = entry["copy"]
+        np.testing.assert_array_equal(B, B.transpose(0, 2, 1))
+        # Each lane reaches the solve in the Fortran order LAPACK factors.
+        assert all(A.flags.f_contiguous for A in entry["B"])
+
+
+def test_singular_large_smw_lane_falls_back_alone(monkeypatch):
+    # Thirty samples per class give a rank-6 sample Gram of size 60, above
+    # STACKED_SOLVE_MAX_DIM, so every system is factored over its own
+    # buffer.  With c1 = 1e-300 lane 3's system is singular; its buffer is
+    # overwritten by the failed factorization, so the least-squares
+    # fallback must solve the system formed anew: the lstsq of the system
+    # formed here, bit for bit.  Chunks of two lanes put lane 3 second in
+    # its chunk, and lane 3 trains on a subset of the samples.
+    rng = np.random.default_rng(1)
+    d = Dataset(X_pos=rng.standard_normal((30, 2)), X_neg=rng.standard_normal((30, 2)))
+    assert d.m > solver_cl1.STACKED_SOLVE_MAX_DIM
+    cfgs = [SolverConfig(c1=c, c2=2.0, max_iter=1, branch="smw") for c in (1.0, 0.1, 10.0, 1e-300)]
+    mask = np.ones((4, d.m), dtype=bool)
+    mask[3, [0, 7, 40]] = False
+    monkeypatch.setattr(solver_cl1, "LANE_CHUNK_BYTES", 2 * 8 * d.m**2)
+    seen = _smw_systems(monkeypatch)
+    scaler = fit_scaler(d)
+    grid = fit_grid(d, cfgs, scaler=scaler, mask=mask)
+    np.testing.assert_array_equal(grid.lstsq_fallbacks > 0, [False, False, False, True])
+    scaled = scale_dataset(d, scaler)
+    Z_pos, Z_neg = (lift_matrix(X).T for X in (scaled.X_pos, scaled.X_neg))
+    # The positive side's second chunk: lanes 2 and 3.
+    entry = seen[1]
+    np.testing.assert_array_equal(entry["fell"], [False, True])
+    gram, live = _sample_gram(Z_pos, Z_neg), mask[3]
+    B = np.where(np.outer(live, live), gram, 0.0)
+    D = np.concatenate([np.ones(30), 2.0 * np.ones(30)])
+    B[np.diag_indices(d.m)] += np.where(live, 1e-300 / D, 1.0)
+    np.testing.assert_array_equal(B, entry["copy"][1])
+    assert not np.array_equal(entry["B"][1], B)  # factored in place
+    rhs = (live & (np.arange(d.m) >= 30)).astype(float)
+    np.testing.assert_array_equal(entry["X"][1], np.linalg.lstsq(B, rhs, rcond=None)[0])
 
 
 def test_report_counts_fallbacks_and_peak_weight():
@@ -702,20 +791,19 @@ def test_nested_cell_stack_matches_fold_loop(monkeypatch, trainer, grid, folds_p
         stacks.append(len(args[-1]))
         return stack_counts(*args)
 
-    # Each predict_stack call labels one fold's held-out rows under its
+    # Each label_stack call labels one fold's held-out rows under its
     # lanes: the inner folds of every outer fold in order, then the outer
     # folds.  Keep the labels and the larger of each row's two distances.
     labelled = []
 
-    def spy(scaler, mode, pos, neg, X):
+    def spy(scaler, pos, neg, X):
         Xs = apply_scaler(scaler, X)
-        labels = predict_stack(scaler, mode, pos, neg, X)
-        labelled.append((labels, np.maximum(*(_distances(Xs, *unpack_weights(w, X.shape[1], mode))
-                                              for w in (pos, neg)))))
+        labels = label_stack(scaler, pos, neg, X)
+        labelled.append((labels, np.maximum(_distances(Xs, *pos), _distances(Xs, *neg))))
         return labels
 
     monkeypatch.setattr(evaluation, "_stack_counts", count_stacks)
-    monkeypatch.setattr(evaluation, "predict_stack", spy)
+    monkeypatch.setattr(evaluation, "label_stack", spy)
     result = cross_validate(d, trainer, spec)
     # Inner stacks of whole outer folds (one block per inner fold), within
     # the bound, then one outer stack of one block per outer fold.
