@@ -61,7 +61,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Per-feature min/max used for the [-1, 1] rescaling."""
+    """Per-feature min/max used for the [-1, 1] rescaling.  apply_scaler
+    doubles x - min, so twice each feature's span must be a finite float."""
 
     minimum: np.ndarray
     maximum: np.ndarray
@@ -73,6 +74,13 @@ class NormalizationParams:
             raise InvalidInputError("normalization bounds must be finite")
         if np.any(self.minimum > self.maximum):
             raise InvalidInputError("normalization minimum exceeds maximum")
+        with np.errstate(over="ignore"):
+            wide = ~np.isfinite(2.0 * (self.maximum - self.minimum))
+        if wide.any():
+            j = int(np.argmax(wide))
+            raise InvalidInputError(
+                f"feature {j} ranges from {self.minimum.flat[j]:.6g} to "
+                f"{self.maximum.flat[j]:.6g}, too wide to scale to [-1, 1]")
 
 
 def fit_scaler(d: Dataset) -> NormalizationParams:
@@ -83,9 +91,11 @@ def fit_scaler(d: Dataset) -> NormalizationParams:
     return NormalizationParams(minimum=X.min(axis=0), maximum=X.max(axis=0))
 
 
+@np.errstate(over="ignore")
 def apply_scaler(params: NormalizationParams, X: np.ndarray) -> np.ndarray:
     """Map each feature to [-1, 1]; constant features map to 0.  The last
-    dimension of X must be the scaler's feature count."""
+    dimension of X must be the scaler's feature count.  A NaN, an infinity
+    or a value whose scaling overflows gives a non-finite value, silently."""
     X = np.asarray(X, dtype=float)
     if X.shape[-1:] != params.minimum.shape:
         raise InvalidInputError(f"expected {params.minimum.size} features per row, "
@@ -109,7 +119,9 @@ def apply_scaler(params: NormalizationParams, X: np.ndarray) -> np.ndarray:
             out[:, j] = scaled(X[:, j], params.minimum[j], safe[j])
     else:
         out = scaled(X, params.minimum, safe)
-    out[..., span <= 0] = 0.0
+    constant = span <= 0
+    if constant.any():
+        out[..., constant] = np.where(np.isfinite(X[..., constant]), 0.0, X[..., constant])
     return out
 
 

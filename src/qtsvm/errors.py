@@ -8,7 +8,7 @@ class QtsvmError(Exception):
 
 
 class InvalidInputError(QtsvmError):
-    """Caller-supplied data violates a precondition (shape, symmetry, range)."""
+    """Caller-supplied data violates a precondition (shape, range, finiteness)."""
 
 
 class NumericError(QtsvmError):

@@ -110,7 +110,7 @@ def _distances(Xs: np.ndarray, W: np.ndarray, b: np.ndarray, c: np.ndarray):
     return np.divide(np.abs(vals, out=vals), norms, out=vals)
 
 
-# Rows that predict_stack scales, checks and labels at a time, so that
+# Rows that label_stack scales, checks and labels at a time, so that
 # _distances' (surfaces, rows, n) temporaries stay near 4096 * n * 8 bytes
 # per surface (2.6 MB at n = 80) whatever the batch size.  A CV fold's
 # held-out rows are far fewer, so each is one block.  With OpenBLAS, blocks
@@ -127,17 +127,19 @@ def label_stack(scaler: NormalizationParams, pos, neg, X: np.ndarray) -> np.ndar
     (G, n, n), or its diagonals (G, n) under reduced lifting.  A row is +1
     if it is at least as close (in normalized distance) to the positive
     surface of a pair as to its negative one.  The rows are labelled in
-    blocks of PREDICT_BLOCK_ROWS; a row with a NaN or infinite feature
-    raises InvalidInputError naming its index in X.
+    blocks of PREDICT_BLOCK_ROWS; a row with a NaN or infinite feature, or
+    one whose scaling overflows, raises InvalidInputError naming its index in X.
     """
     labels = np.empty((len(pos[2]), len(X)), dtype=int)
     for start in range(0, len(X), PREDICT_BLOCK_ROWS):
         block = X[start : start + PREDICT_BLOCK_ROWS]
-        # A NaN distance compares false, so such a row would be labelled -1.
-        if not np.isfinite(block).all():
-            row = start + int(np.argmin(np.isfinite(block).all(axis=1)))
-            raise InvalidInputError(f"row {row} has a NaN or infinite feature")
         Xs = apply_scaler(scaler, block)
+        # A NaN distance compares false, so such a row would be labelled -1.
+        if not np.isfinite(Xs).all():
+            row = int(np.argmin(np.isfinite(Xs).all(axis=1)))
+            what = ("a NaN or infinite feature" if not np.isfinite(block[row]).all()
+                    else "a feature too far outside the scaler's range to scale")
+            raise InvalidInputError(f"row {start + row} has {what}")
         labels[:, start : start + len(block)] = np.where(
             _distances(Xs, *pos) <= _distances(Xs, *neg), 1, -1)
     return labels

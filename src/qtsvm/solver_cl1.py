@@ -166,7 +166,7 @@ STACKED_SOLVE_MAX_DIM = 50
 # lane; own and other are masks of the samples each lane trains on.
 
 
-def compute_weights_pos(R, S, cap_eps, own=True, other=True) -> ReweightState:
+def compute_weights_pos(R, S, cap_eps, own, other) -> ReweightState:
     """Weights for the positive-surface subproblem from the magnitudes R of
     the own-class residuals and S of the slacks, written over R and S:
     reciprocal below the cap (boundary included), cap_eps above it, and 0
@@ -346,26 +346,24 @@ def _sample_gram(Z_own, Z_other):
     return Z.T @ Z
 
 
-def _branch_constants(Z_own, Z_other, branch, gram=None):
+def _branch_constants(Z_own, Z_other, branch, gram):
     """What update_w_plus's branch takes from the data alone, formed once per
-    fit: for SMW the sample Gram (``gram`` when given, else _sample_gram's),
-    for the direct branch the pair products of Z_own and of Z_other."""
+    fit: for SMW the sample Gram ``gram`` (see _sample_gram), for the direct
+    branch the pair products of Z_own and of Z_other."""
     if branch == "smw":
-        return _sample_gram(Z_own, Z_other) if gram is None else gram
+        return gram
     return _pair_products(Z_own), _pair_products(Z_other)
 
 
-def update_w_plus(Z_own, Z_other, state: ReweightState, c1, c2, branch, consts=None):
+def update_w_plus(Z_own, Z_other, state: ReweightState, c1, c2, branch, consts):
     """Solve (Z_own diag(q) Z_own' + c1 I + c2 Z_other diag(u) Z_other') w
     = -c2 * Z_other u for every lane g (rows of state.q and state.u,
     entries of c1 and c2) by the given branch, with the branch's constants
-    from _branch_constants (formed here when not given).
+    from _branch_constants.
 
     Returns the solutions, shape (G, l), and each lane's count of
     factorizations that fell back to least squares.
     """
-    if consts is None:
-        consts = _branch_constants(Z_own, Z_other, branch)
     if branch == "smw":
         return _solve_sample_space(Z_own, Z_other, state.q, state.u, c1, c2, consts)
     return _solve_direct(Z_own, Z_other, state.q, state.u, c1, c2, consts)
@@ -385,7 +383,7 @@ def _mixed_loss_sum(a: np.ndarray, cap_eps: float, keep) -> np.ndarray:
     return loss.sum(axis=-1)
 
 
-def objective_plus(w, abs_residuals, abs_slacks, c1, c2, cap_eps, own=True, other=True):
+def objective_plus(w, abs_residuals, abs_slacks, c1, c2, cap_eps, own, other):
     """Mixed-loss objective of the positive-surface subproblem for each lane,
     from the magnitudes of its iterate's residuals and slacks, counting the
     samples that the masks own and other mark."""
@@ -444,12 +442,12 @@ def _irls_steps(Z_own, Z_other, c1, c2, cfg: SolverConfig, own, other, solve):
         state = compute_weights_pos(R, S, cfg.cap_eps, own, other)
 
 
-def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram=None):
+def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram):
     """_irls_steps solved by update_w_plus on the given branch (an SMW run
-    takes its sample Gram from ``gram`` when given), keeping each step's
-    solve output.  Returns the weight vectors, shape (G, l), each lane's
-    count of least-squares fallbacks, and a callable that replays the kept
-    iterates into one SubproblemReport per lane (see _replay).
+    takes its sample Gram from ``gram``, a direct run None), keeping each
+    step's solve output.  Returns the weight vectors, shape (G, l), each
+    lane's count of least-squares fallbacks, and a callable that replays the
+    kept iterates into one SubproblemReport per lane (see _replay).
     """
     W = np.empty((c1.size, Z_own.shape[0]))
     fallbacks = np.zeros(c1.size, dtype=int)

@@ -7,6 +7,7 @@ import numpy as np
 from qtsvm.model import GRADIENT_NORM_FLOOR
 from qtsvm.solver_cl1 import (
     ReweightState,
+    _branch_constants,
     _sample_gram,
     compute_weights_pos,
     objective_plus,
@@ -31,23 +32,31 @@ def capped_loss_sum(values, cap_eps) -> float:
     return float(np.minimum(np.abs(values), cap_eps).sum())
 
 
+def _all_samples(Zp, Zm):
+    """Masks own and other that keep every sample of one lane."""
+    return np.ones(Zp.shape[1], dtype=bool), np.ones(Zm.shape[1], dtype=bool)
+
+
 def weights_at(w_plus, Zp, Zm, cap_eps) -> ReweightState:
-    """The positive-surface weights at one iterate w_plus."""
-    return compute_weights_pos(np.abs(w_plus @ Zp), np.abs(1.0 + w_plus @ Zm), cap_eps)
+    """The positive-surface weights at one iterate w_plus, on every sample."""
+    return compute_weights_pos(np.abs(w_plus @ Zp), np.abs(1.0 + w_plus @ Zm), cap_eps,
+                               *_all_samples(Zp, Zm))
 
 
 def solve_one(Zp, Zm, state, cfg) -> np.ndarray:
     """One closed-form positive-surface update under state, by cfg.branch."""
     lane = ReweightState(q=state.q[None], u=state.u[None])
     gram = _sample_gram(Zp, Zm) if cfg.branch == "smw" else None
-    W, _ = update_w_plus(Zp, Zm, lane, np.array([cfg.c1]), np.array([cfg.c2]), cfg.branch, gram)
+    W, _ = update_w_plus(Zp, Zm, lane, np.array([cfg.c1]), np.array([cfg.c2]), cfg.branch,
+                         _branch_constants(Zp, Zm, cfg.branch, gram))
     return W[0]
 
 
 def objective_at(w_plus, Zp, Zm, cfg) -> float:
-    """Objective of the positive-surface subproblem at one iterate w_plus."""
+    """Objective of the positive-surface subproblem at one iterate w_plus,
+    over every sample."""
     return float(objective_plus(w_plus, np.abs(w_plus @ Zp), np.abs(1.0 + w_plus @ Zm),
-                                cfg.c1, cfg.c2, cfg.cap_eps))
+                                cfg.c1, cfg.c2, cfg.cap_eps, *_all_samples(Zp, Zm)))
 
 
 def scaled_row_major(params, X) -> np.ndarray:

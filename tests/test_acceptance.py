@@ -28,7 +28,7 @@ from qtsvm.evaluation import (
     default_grid,
     nemenyi_cd,
 )
-from qtsvm.lifting import dvec, hvec, lift_matrix, lvec, qvec
+from qtsvm.lifting import LiftingMode, lift_matrix, lifted_dim, unpack_weights
 from qtsvm.solver_cl1 import ReweightState, SolverConfig, fit
 
 from oracles import solve_one, stationarity_residual_plus
@@ -44,24 +44,25 @@ def report(criterion: str, passed: bool, detail: str):
 
 
 def test_criterion_1_operator_identities():
+    # The lifted sample dotted with a weight vector w is the surface that
+    # unpack_weights reads from w: lift_matrix(x) @ w = 1/2 x'Wx + b'x + c.
     rng = np.random.default_rng(0)
     t0 = time.perf_counter()
     worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 9))
-        A = rng.standard_normal((n, n))
-        W = A + A.T
-        x = rng.standard_normal(n)
-        quad = 0.5 * x @ W @ x
-        worst = max(worst, abs(hvec(W) @ lvec(x) - quad) / (1 + abs(quad)))
-        D = np.diag(np.diag(W))
-        quad_d = 0.5 * x @ D @ x
-        worst = max(worst, abs(dvec(D) @ qvec(x) - quad_d) / (1 + abs(quad_d)))
+    for mode in LiftingMode:
+        for _ in range(1000):
+            n = int(rng.integers(1, 9))
+            w = rng.standard_normal(lifted_dim(n, mode))
+            x = rng.standard_normal(n)
+            W, b, c = unpack_weights(w, n, mode)
+            Wx = W @ x if mode is LiftingMode.FULL else W * x
+            value = 0.5 * x @ Wx + b @ x + c
+            worst = max(worst, abs(lift_matrix(x, mode)[0] @ w - value) / (1 + abs(value)))
     elapsed = time.perf_counter() - t0
     report(
         "criterion 1 (operator identities)",
         worst <= 1e-12 and elapsed < 1.0,
-        f"1000 full+reduced pairs, worst rel err {worst:.2e} (<=1e-12), "
+        f"1000 full+reduced pairs each, worst rel err {worst:.2e} (<=1e-12), "
         f"{elapsed:.2f}s (<1s)",
     )
 

@@ -570,6 +570,18 @@ def _curves(m_per_class):
     return [{"name": "curves", "example": 3, "m_per_class": m_per_class}]
 
 
+def _train_wide(method):
+    """argv of a train on 20 rows whose feature x2 holds finite values of
+    +-(0.75-1.5)e308, alternating in sign: twice its span overflows."""
+    def argv(tmp_path, model):
+        rows = [f"{0.1 * i},{(0.75 + 0.75 * i / 19) * 1e308 * (-1) ** i!r},{(-1) ** (i // 10)}\n"
+                for i in range(20)]
+        (tmp_path / "wide.csv").write_text("x1,x2,label\n" + "".join(rows))
+        return ["train", "--data", tmp_path / "wide.csv", "--method", method,
+                "--model-out", tmp_path / "t.json"]
+    return argv
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli_failures")
@@ -647,6 +659,11 @@ def trained(tmp_path_factory):
     (_bench(datasets=_curves(2), folds=2, selection="nested"), 2),
     (_nemenyi(b"dataset,method,noise_ratio,acc\n"), 2),
     (_replay_without_input, 2),
+    (_train_wide("cl1qtsvm"), 2),
+    (_train_wide("lsqtsvm"), 2),
+    (_predict_with_model(lambda doc: doc["scaler"].update(min=[-1e308, 0.0], max=[1e308, 1.0])),
+     1),
+    (_predict_on(b"x1,x2\n1e308,0.5\n0.1,0.5\n"), 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
         "model-n-inf", "model-c-string", "model-b-bool", "model-min-string", "model-max-bool",
         "model-version",
@@ -662,10 +679,12 @@ def trained(tmp_path_factory):
         "nemenyi-q-alpha-negative", "generate-noise-nan", "generate-noise-negative",
         "config-label-column-out-of-range", "predict-width", "config-not-json",
         "config-array", "config-dataset-no-source", "nested-split-too-small",
-        "nemenyi-results-no-rows", "replay-input-gone"])
+        "nemenyi-results-no-rows", "replay-input-gone", "train-cl1-span-overflows",
+        "train-lsq-span-overflows", "model-scaler-span-overflows", "predict-scaling-overflows"])
 def test_cli_failures_are_clean(trained, argv, code):
     # Each input exits with its code, and on failure with one error: line
-    # and no traceback.  Most of them once ended otherwise.
+    # and nothing else on stderr, such as a traceback or a RuntimeWarning.
+    # Most of them once ended otherwise.
     src = str(Path(qtsvm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -674,9 +693,10 @@ def test_cli_failures_are_clean(trained, argv, code):
     # under a relative name.
     proc = subprocess.run([sys.executable, "-m", "qtsvm.cli", *args], env=env, cwd=trained,
                           capture_output=True, text=True, timeout=120)
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
     assert proc.returncode == code, proc.stderr
-    assert len(errors) == (1 if code else 0), proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == (1 if code else 0), proc.stderr
+    assert all(line.startswith("error:") for line in lines), proc.stderr
     assert "Traceback" not in proc.stderr
     if code == 0:
         assert len((trained / "p.csv").read_text().splitlines()) == 41

@@ -148,6 +148,40 @@ def test_scaler_rejects_non_finite_bounds(bad):
         NormalizationParams(minimum=[0.0, 0.0], maximum=[1.0, bad])
 
 
+def test_scaler_rejects_a_span_whose_scaling_overflows():
+    # apply_scaler doubles x - min: twice the span must be finite.  A span of
+    # half the largest float scales its whole range to [-1, 1]; one ulp more
+    # and the CSV of finite values below read as NaN after three warnings.
+    half = np.finfo(float).max / 2
+    params = NormalizationParams(minimum=[0.0, -half / 2], maximum=[1.0, half / 2])
+    X = np.array([[0.0, -half / 2], [1.0, half / 2], [0.5, 0.0]])
+    np.testing.assert_array_equal(apply_scaler(params, X), [[-1.0, -1.0], [1.0, 1.0], [0.0, 0.0]])
+    over = np.nextafter(half, np.inf)
+    for low, high in ((0.0, over), (-over / 2, over / 2), (-1.5e308, 1.5e308)):
+        with pytest.raises(InvalidInputError, match=r"^feature 1 ranges from .*too wide"):
+            NormalizationParams(minimum=[0.0, low], maximum=[1.0, high])
+    X = np.array([[0.0, 1.5e308], [1.0, -1.5e308]])
+    with pytest.raises(InvalidInputError, match="feature 1 .* too wide"):
+        fit_scaler(Dataset(X_pos=X, X_neg=X))
+
+
+def test_apply_scaler_keeps_non_finite_and_overflowing_values_non_finite():
+    # Every non-finite output marks a row that predict refuses: a NaN or an
+    # infinity stays one even in a constant feature, which maps to 0, and a
+    # value too far outside the range overflows to an infinity, silently.
+    params = NormalizationParams(minimum=[0.0, 2.0, -1.0], maximum=[1.0, 2.0, 1.0])
+    X = np.array([[0.5, 2.0, 0.0], [np.nan, 7.0, 1.0], [0.5, np.inf, 1.0], [1e308, np.nan, 0.0],
+                  [0.5, -np.inf, -1e308]])
+    out = apply_scaler(params, X)
+    np.testing.assert_array_equal(out[0], [0.0, 0.0, 0.0])
+    assert np.isnan(out[1, 0]) and out[1, 1:].tolist() == [0.0, 1.0]
+    assert out[2, 1] == np.inf and out[3, 0] == np.inf and np.isnan(out[3, 1])
+    assert out[4].tolist() == [0.0, -np.inf, -np.inf]
+    # The two-feature column path agrees.
+    np.testing.assert_array_equal(apply_scaler(NormalizationParams([0.0, 2.0], [1.0, 2.0]),
+                                               X[:, :2]), out[:, :2])
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**31), st.integers(2, 40))
 def test_scaler_range_property(seed, m):

@@ -35,6 +35,7 @@ from qtsvm.solver_cl1 import (
     WEIGHT_FLOOR,
     ReweightState,
     SolverConfig,
+    _branch_constants,
     _irls,
     _psd_solve_stack,
     _sample_gram,
@@ -64,7 +65,9 @@ def serial_subproblem(Z_own, Z_other, sign, cfg):
             q, u = np.ones(Z_own.shape[1]), np.ones(Z_other.shape[1])
         else:
             state = compute_weights_pos(np.abs(Z_own.T @ w),
-                                        np.abs(1.0 - sign * (Z_other.T @ w)), cfg.cap_eps)
+                                        np.abs(1.0 - sign * (Z_other.T @ w)), cfg.cap_eps,
+                                        np.ones(Z_own.shape[1], bool),
+                                        np.ones(Z_other.shape[1], bool))
             q, u = state.q, state.u
         B = (Z_own * q) @ Z_own.T + cfg.c2 * (Z_other * u) @ Z_other.T
         B[np.diag_indices(l)] += cfg.c1
@@ -108,7 +111,7 @@ def test_stacked_irls_matches_serial_loop(split, side):
     # minus that solve on swapped classes.
     W, fallbacks, replay = _irls(Z_own, Z_other, c1, c2, SolverConfig(), "direct",
                                  np.ones((c1.size, Z_own.shape[1]), bool),
-                                 np.ones((c1.size, Z_other.shape[1]), bool))
+                                 np.ones((c1.size, Z_other.shape[1]), bool), None)
     reports = replay()
     np.testing.assert_array_equal(fallbacks, [rep.lstsq_fallbacks for rep in reports])
     W = -sign * W
@@ -249,7 +252,8 @@ def test_fallback_counted_on_its_lane_only():
     Q[1, 0] = -1e6
     U = np.ones((3, 12))
     c = np.array([0.1, 0.1, 0.1])
-    W, fell = update_w_plus(Z_own, Z_other, ReweightState(q=Q, u=U), c, c, "direct")
+    W, fell = update_w_plus(Z_own, Z_other, ReweightState(q=Q, u=U), c, c, "direct",
+                            _branch_constants(Z_own, Z_other, "direct", None))
     np.testing.assert_array_equal(fell, [0, 1, 0])
     B = (Z_own * Q[1]) @ Z_own.T + 0.1 * (Z_other * U[1]) @ Z_other.T + 0.1 * np.eye(6)
     ref = -0.1 * np.linalg.lstsq(B, Z_other @ U[1], rcond=None)[0]

@@ -13,7 +13,7 @@ from qtsvm.errors import (
     ModelInconsistencyError,
     ModelVersionError,
 )
-from qtsvm.lifting import LiftingMode, lift_matrix, lifted_dim, pack_weights, unpack_weights
+from qtsvm.lifting import LiftingMode, lift_matrix, lifted_dim, unpack_weights
 from qtsvm.model import (
     GRADIENT_NORM_FLOOR,
     PREDICT_BLOCK_ROWS,
@@ -26,14 +26,16 @@ from qtsvm.model import (
     save_model,
 )
 
-from oracles import distances_row_major, scaled_row_major
+from oracles import distances_row_major, dvec_gather, hvec_gather, scaled_row_major
 
 IDENTITY_SCALER = NormalizationParams(minimum=[-1.0, -1.0], maximum=[1.0, 1.0])
 
 
 def surface(W, b, c, mode=LiftingMode.FULL):
-    """The lifted weight vector of the surface 1/2 x'Wx + b'x + c."""
-    return pack_weights(np.asarray(W, dtype=float), np.asarray(b, dtype=float), c, mode)
+    """The lifted weight vector of the surface 1/2 x'Wx + b'x + c, W
+    symmetric (full) or diagonal (reduced)."""
+    gather = hvec_gather if mode is LiftingMode.FULL else dvec_gather
+    return np.concatenate([gather(np.asarray(W, dtype=float)), np.asarray(b, dtype=float), [c]])
 
 
 def make_model(sp, sn):
@@ -135,9 +137,10 @@ def test_predict_rejects_wrong_dimension():
         predict_many(m, np.zeros((2, 2, 2)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -1e308])
 def test_predict_rejects_nonfinite_rows(bad):
-    # A non-finite row once came back labelled -1 with only a RuntimeWarning.
+    # A non-finite row, or one whose scaling overflows, once came back
+    # labelled -1 with only a RuntimeWarning.
     m = make_model(
         surface(np.zeros((2, 2)), [1.0, 0.0], 0.0),
         surface(np.zeros((2, 2)), [1.0, 0.0], -1.0),
@@ -150,6 +153,12 @@ def test_predict_rejects_nonfinite_rows(bad):
     with pytest.raises(InvalidInputError, match="row 0 "):
         predict(m, X[3])
     assert predict_many(m, X[:3]).tolist() == [1, 1, 1]
+    # A constant feature scales any finite value to 0, but not a NaN or an
+    # infinity.
+    scaler = NormalizationParams(minimum=[-1.0, 0.0], maximum=[1.0, 0.0])
+    constant = TrainedModel(m.w_pos, m.w_neg, m.mode, scaler)
+    with pytest.raises(InvalidInputError, match="row 4 " if np.isfinite(bad) else "row 3 "):
+        predict_many(constant, X)
 
 
 def random_model(n, mode, rng):
