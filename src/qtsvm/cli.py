@@ -258,8 +258,9 @@ def _benchmark_config(path):
         entries[name] = entry
     ratios = _get(cfg, "noise_ratios", [0.0], _list_of(lambda r: _number(r) and 0 <= r < 1),
                   "a nonempty list of numbers in [0, 1)")
-    grid_cfg = _get(cfg, "grid", {}, lambda v: isinstance(v, dict) and set(v) <= set(_TRAINERS),
-                    f"an object keyed by methods {sorted(_TRAINERS)}")
+    grid_cfg = _get(cfg, "grid", {}, lambda v: isinstance(v, dict), "an object keyed by method")
+    # The grid of a method not in 'methods' would otherwise go unused.
+    _known_keys(grid_cfg, set(methods), " in 'grid'")
     grids = {m: tuple(_get(grid_cfg, m, default_grid(m), _grid_of(_GRID_KEYS[m]),
                            f"a nonempty grid of objects with exactly the keys "
                            f"{sorted(_GRID_KEYS[m])}, each a positive number"))

@@ -128,7 +128,8 @@ def label_stack(scaler: NormalizationParams, pos, neg, X: np.ndarray) -> np.ndar
     if it is at least as close (in normalized distance) to the positive
     surface of a pair as to its negative one.  The rows are labelled in
     blocks of PREDICT_BLOCK_ROWS; a row with a NaN or infinite feature, or
-    one whose scaling overflows, raises InvalidInputError naming its index in X.
+    one whose scaling or distance to a surface overflows, raises
+    InvalidInputError naming its index in X.
     """
     labels = np.empty((len(pos[2]), len(X)), dtype=int)
     for start in range(0, len(X), PREDICT_BLOCK_ROWS):
@@ -140,8 +141,16 @@ def label_stack(scaler: NormalizationParams, pos, neg, X: np.ndarray) -> np.ndar
             what = ("a NaN or infinite feature" if not np.isfinite(block[row]).all()
                     else "a feature too far outside the scaler's range to scale")
             raise InvalidInputError(f"row {start + row} has {what}")
-        labels[:, start : start + len(block)] = np.where(
-            _distances(Xs, *pos) <= _distances(Xs, *neg), 1, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_pos, d_neg = _distances(Xs, *pos), _distances(Xs, *neg)
+            # Not finite if any distance is not: one test clears the block.
+            total = d_pos.sum() + d_neg.sum()
+        if not np.isfinite(total):
+            finite = np.isfinite(d_pos).all(axis=0) & np.isfinite(d_neg).all(axis=0)
+            if not finite.all():
+                raise InvalidInputError(f"row {start + int(np.argmin(finite))} is too far "
+                                        "outside the scaler's range for a finite distance")
+        labels[:, start : start + len(block)] = np.where(d_pos <= d_neg, 1, -1)
     return labels
 
 

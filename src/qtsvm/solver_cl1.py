@@ -150,10 +150,8 @@ LANE_CHUNK_BYTES = 64 * 2**20
 # plus LU solve (at l = 201, 0.22 ms against 0.61 ms with one OpenBLAS
 # thread on a 2.1 GHz Xeon; the two break even near l = 50).  Only that
 # path imports scipy.linalg, which takes about 0.3 s and 28 MB, most of a
-# cold start; small systems never load it.  LAPACK factors in Fortran
-# order: SMW systems, exactly symmetric, are handed over as their
-# transposes and factored in place, while direct systems, symmetric only
-# to rounding, are copied (see _solve_sample_space and _solve_direct).
+# cold start; small systems never load it.  Every large lane is factored
+# with overwrite_a, in place where it is in Fortran order (_psd_solve_stack).
 STACKED_SOLVE_MAX_DIM = 50
 
 
@@ -200,58 +198,67 @@ def _pick_branch(m_l: int, m_other: int, requested: str) -> str:
     return "smw" if m_l > m_other else "direct"
 
 
-def _psd_solve_stack(B, rhs, again=None):
-    """Solve a stack of symmetric systems B[g] x = rhs[g]: a lane whose
-    matrix Cholesky rejects gets least squares instead.
+def _psd_solve_stack(G, per_lane, system):
+    """Solve the G lanes' symmetric systems B[g] x = rhs[g], formed as
+    (B, rhs) = system(sl) for chunks of lanes sl of at most LANE_CHUNK_BYTES
+    (per_lane bytes a lane); a lane whose matrix Cholesky rejects gets least
+    squares instead.
 
     Every system is positive definite in exact arithmetic (c1 > 0), but
     reciprocal weights spanning many orders of magnitude can push one past
     what Cholesky tolerates in floating point.  Systems up to
-    STACKED_SOLVE_MAX_DIM take numpy's stacked Cholesky test and LU solve;
-    when the stacked test fails, numpy's Cholesky of each lane finds the
-    lanes it rejects.  Larger systems take scipy's Cholesky solve per lane,
-    which copies a lane into Fortran order unless it already is.  Given
-    ``again``, a Fortran-ordered lane is factored over its own buffer, and a
-    lane that falls back is solved on again(g), its matrix formed anew.
+    STACKED_SOLVE_MAX_DIM take numpy's stacked Cholesky test and LU solve,
+    which leave B intact for least squares; when the stacked test fails,
+    numpy's Cholesky of each lane finds the lanes it rejects.  Larger
+    systems take scipy's Cholesky solve lane by lane with overwrite_a,
+    which factors a lane in Fortran order over its own buffer (one in C
+    order is copied), so a large lane that falls back is formed again.
 
     Returns the solutions and a per-lane flag of the lanes that fell back.
     """
-    X = np.empty_like(rhs)
-    fell = np.zeros(len(B), dtype=bool)
-    if B.shape[-1] > STACKED_SOLVE_MAX_DIM:
-        from scipy.linalg import cho_factor, cho_solve
+    chunk = max(1, LANE_CHUNK_BYTES // per_lane)
+    parts = []
+    for s in range(0, G, chunk):
+        B, rhs = system(slice(s, s + chunk))
+        X = np.empty_like(rhs)
+        fell = np.zeros(len(B), dtype=bool)
+        large = B.shape[-1] > STACKED_SOLVE_MAX_DIM
+        if large:
+            from scipy.linalg import cho_factor, cho_solve
 
-        # _irls rejects a non-finite iterate, so scipy need not scan B.
-        for g, A in enumerate(B):
-            try:
-                X[g] = cho_solve(cho_factor(A, lower=True, overwrite_a=again is not None,
-                                            check_finite=False), rhs[g], check_finite=False)
-            except LinAlgError:
-                fell[g] = True
-    else:
-        try:
-            np.linalg.cholesky(B)
-        except LinAlgError:
-            # The stacked factorization fails as a whole; find the lanes.
+            # _irls rejects a non-finite iterate, so scipy need not scan B.
             for g, A in enumerate(B):
                 try:
-                    np.linalg.cholesky(A)
+                    X[g] = cho_solve(cho_factor(A, lower=True, overwrite_a=True,
+                                                check_finite=False), rhs[g], check_finite=False)
                 except LinAlgError:
                     fell[g] = True
-        ok = ~fell
-        try:
-            X[ok] = np.linalg.solve(B[ok], rhs[ok, :, None])[..., 0]
-        except LinAlgError:
-            # LU found a matrix exactly singular that Cholesky passed (pivots
-            # rounded to tiny positives); such lanes fall back too.
-            for g in np.flatnonzero(ok):
-                try:
-                    X[g] = np.linalg.solve(B[g], rhs[g])
-                except LinAlgError:
-                    fell[g] = True
-    for g in np.flatnonzero(fell):
-        X[g] = np.linalg.lstsq(B[g] if again is None else again(g), rhs[g], rcond=None)[0]
-    return X, fell
+        else:
+            try:
+                np.linalg.cholesky(B)
+            except LinAlgError:
+                # The stacked factorization fails as a whole; find the lanes.
+                for g, A in enumerate(B):
+                    try:
+                        np.linalg.cholesky(A)
+                    except LinAlgError:
+                        fell[g] = True
+            ok = ~fell
+            try:
+                X[ok] = np.linalg.solve(B[ok], rhs[ok, :, None])[..., 0]
+            except LinAlgError:
+                # LU found a matrix exactly singular that Cholesky passed
+                # (pivots rounded to tiny positives); such lanes fall back too.
+                for g in np.flatnonzero(ok):
+                    try:
+                        X[g] = np.linalg.solve(B[g], rhs[g])
+                    except LinAlgError:
+                        fell[g] = True
+        for g in np.flatnonzero(fell):
+            A = system(slice(s + g, s + g + 1))[0][0] if large else B[g]
+            X[g] = np.linalg.lstsq(A, rhs[g], rcond=None)[0]
+        parts.append((X, fell))
+    return np.concatenate([x for x, _ in parts]), np.concatenate([f for _, f in parts])
 
 
 def _pair_products(Z):
@@ -275,24 +282,11 @@ def _gram_stack(Z, Q, P):
     return (Z * Q[:, None, :]) @ Z.T
 
 
-def _solve_chunked(G, per_lane, system, in_place=False):
-    """Solve the G lanes' systems (B, rhs) = system(sl) with _psd_solve_stack,
-    formed for chunks of lanes sl of at most LANE_CHUNK_BYTES.  in_place lets
-    the factorization overwrite B, forming a lane again where it falls back."""
-    chunk = max(1, LANE_CHUNK_BYTES // per_lane)
-    parts = []
-    for s in range(0, G, chunk):
-        B, rhs = system(slice(s, s + chunk))
-        again = (lambda g: system(slice(s + g, s + g + 1))[0][0]) if in_place else None
-        parts.append(_psd_solve_stack(B, rhs, again))
-    return np.concatenate([x for x, _ in parts]), np.concatenate([f for _, f in parts])
-
-
 def _solve_direct(Z_own, Z_other, Q, U, c1, c2, pairs):
     """The stacked solves in lifted space: w = -c2 x for B x = Z_other u,
     the Grams formed from the pair products pairs = (own, other).  A Gram
-    (Z q) Z' is symmetric only to rounding, so B stays in C order and a
-    large lane is factored in a copy: factoring its transpose instead
+    (Z q) Z' is symmetric only to rounding, so B stays in C order, which
+    LAPACK factors in a copy: factoring its transpose instead
     changed every weight of a 100-feature reduced fit, by up to 2.9e-6
     relative."""
     l = Z_own.shape[0]
@@ -305,7 +299,8 @@ def _solve_direct(Z_own, Z_other, Q, U, c1, c2, pairs):
         B[:, diag, diag] += c1[sl, None]
         return B, U[sl] @ Z_other.T
 
-    X, fell = _solve_chunked(len(Q), 8 * l * (l + max(Z_own.shape[1], Z_other.shape[1])), system)
+    X, fell = _psd_solve_stack(len(Q), 8 * l * (l + max(Z_own.shape[1], Z_other.shape[1])),
+                               system)
     return -c2[:, None] * X, fell
 
 
@@ -318,9 +313,8 @@ def _solve_sample_space(Z_own, Z_other, Q, U, c1, c2, gram):
     Each system is exactly symmetric, since gram is numpy's syrk product
     Z'Z or its rolled copy and the masking and the ridge keep it so.  Its
     transpose is then the same matrix in the Fortran order LAPACK works in,
-    so a large lane is factored in place, with no copy; a lane that falls
-    back is formed again for least squares.  A chunk whose samples are all
-    live copies gram instead of masking it."""
+    so a large lane is factored in place, with no copy.  A chunk whose
+    samples are all live copies gram instead of masking it."""
     a = Z_own.shape[1]
     D = np.hstack([Q, c2[:, None] * U])
     live = D != 0
@@ -335,7 +329,7 @@ def _solve_sample_space(Z_own, Z_other, Q, U, c1, c2, gram):
         B[:, idx, idx] += ridge[sl]
         return B.transpose(0, 2, 1), (live[sl] & (idx >= a)).astype(float)
 
-    A, fell = _solve_chunked(len(D), 8 * D.shape[1] ** 2, system, in_place=True)
+    A, fell = _psd_solve_stack(len(D), 8 * D.shape[1] ** 2, system)
     return -(A[:, :a] @ Z_own.T + A[:, a:] @ Z_other.T), fell
 
 
@@ -346,27 +340,18 @@ def _sample_gram(Z_own, Z_other):
     return Z.T @ Z
 
 
-def _branch_constants(Z_own, Z_other, branch, gram):
-    """What update_w_plus's branch takes from the data alone, formed once per
-    fit: for SMW the sample Gram ``gram`` (see _sample_gram), for the direct
-    branch the pair products of Z_own and of Z_other."""
-    if branch == "smw":
-        return gram
-    return _pair_products(Z_own), _pair_products(Z_other)
-
-
 def update_w_plus(Z_own, Z_other, state: ReweightState, c1, c2, branch, consts):
     """Solve (Z_own diag(q) Z_own' + c1 I + c2 Z_other diag(u) Z_other') w
     = -c2 * Z_other u for every lane g (rows of state.q and state.u,
-    entries of c1 and c2) by the given branch, with the branch's constants
-    from _branch_constants.
+    entries of c1 and c2) by the given branch, on what it takes from the
+    data alone, formed once per fit: consts is the sample Gram for SMW (see
+    _sample_gram), the pair products (own, other) for the direct branch.
 
     Returns the solutions, shape (G, l), and each lane's count of
     factorizations that fell back to least squares.
     """
-    if branch == "smw":
-        return _solve_sample_space(Z_own, Z_other, state.q, state.u, c1, c2, consts)
-    return _solve_direct(Z_own, Z_other, state.q, state.u, c1, c2, consts)
+    solve = _solve_sample_space if branch == "smw" else _solve_direct
+    return solve(Z_own, Z_other, state.q, state.u, c1, c2, consts)
 
 
 def _mixed_loss_sum(a: np.ndarray, cap_eps: float, keep) -> np.ndarray:
@@ -442,17 +427,16 @@ def _irls_steps(Z_own, Z_other, c1, c2, cfg: SolverConfig, own, other, solve):
         state = compute_weights_pos(R, S, cfg.cap_eps, own, other)
 
 
-def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, gram):
-    """_irls_steps solved by update_w_plus on the given branch (an SMW run
-    takes its sample Gram from ``gram``, a direct run None), keeping each
-    step's solve output.  Returns the weight vectors, shape (G, l), each
-    lane's count of least-squares fallbacks, and a callable that replays the
-    kept iterates into one SubproblemReport per lane (see _replay).
+def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, consts):
+    """_irls_steps solved by update_w_plus on the given branch with its
+    constants consts, keeping each step's solve output.  Returns the weight
+    vectors, shape (G, l), each lane's count of least-squares fallbacks, and
+    a callable that replays the kept iterates into one SubproblemReport per
+    lane (see _replay).
     """
     W = np.empty((c1.size, Z_own.shape[0]))
     fallbacks = np.zeros(c1.size, dtype=int)
     kept = []
-    consts = _branch_constants(Z_own, Z_other, branch, gram)
     steps = _irls_steps(Z_own, Z_other, c1, c2, cfg, own, other, lambda state, *penalties:
                         update_w_plus(Z_own, Z_other, state, *penalties, branch, consts))
     for t, (lanes, W_new, fell, _, stop, _) in enumerate(steps):
@@ -544,7 +528,7 @@ def fit_grid(
     w = {side: np.empty((len(cfgs), l)) for side in Z}
     fallbacks = np.zeros(len(cfgs), dtype=int)
     replays = []
-    grams = {}
+    consts = {}  # each branch's constants by side (see update_w_plus)
     for idx in groups.values():
         shared = cfgs[idx[0]]
         idx = np.array(idx)
@@ -555,13 +539,17 @@ def fit_grid(
             for branch in dict.fromkeys(branches):
                 sel = np.array(branches) == branch
                 lanes = idx[sel]
-                if branch == "smw" and not grams:
-                    grams["pos"] = _sample_gram(Z["pos"], Z["neg"])
+                if branch == "smw" and branch not in consts:
+                    gram = _sample_gram(Z["pos"], Z["neg"])
                     # Swapping the classes swaps the Gram's blocks.
-                    grams["neg"] = np.roll(grams["pos"], (-Z["pos"].shape[1],) * 2, axis=(0, 1))
+                    rolled = np.roll(gram, (-Z["pos"].shape[1],) * 2, axis=(0, 1))
+                    consts[branch] = {"pos": gram, "neg": rolled}
+                elif branch not in consts:
+                    P = _pair_products(Z["pos"]), _pair_products(Z["neg"])
+                    consts[branch] = {"pos": P, "neg": P[::-1]}
                 w[own][lanes], fell, replay = _irls(Z[own], Z[other], c1[sel], c2[sel], shared,
                                                     branch, masks[own][lanes],
-                                                    masks[other][lanes], grams.get(own))
+                                                    masks[other][lanes], consts[branch][own])
                 fallbacks[lanes] += fell
                 replays.append((own, lanes, replay))
     return GridFit(

@@ -7,7 +7,7 @@ import numpy as np
 from qtsvm.model import GRADIENT_NORM_FLOOR
 from qtsvm.solver_cl1 import (
     ReweightState,
-    _branch_constants,
+    _pair_products,
     _sample_gram,
     compute_weights_pos,
     objective_plus,
@@ -46,9 +46,10 @@ def weights_at(w_plus, Zp, Zm, cap_eps) -> ReweightState:
 def solve_one(Zp, Zm, state, cfg) -> np.ndarray:
     """One closed-form positive-surface update under state, by cfg.branch."""
     lane = ReweightState(q=state.q[None], u=state.u[None])
-    gram = _sample_gram(Zp, Zm) if cfg.branch == "smw" else None
+    consts = (_sample_gram(Zp, Zm) if cfg.branch == "smw"
+              else (_pair_products(Zp), _pair_products(Zm)))
     W, _ = update_w_plus(Zp, Zm, lane, np.array([cfg.c1]), np.array([cfg.c2]), cfg.branch,
-                         _branch_constants(Zp, Zm, cfg.branch, gram))
+                         consts)
     return W[0]
 
 

@@ -1,9 +1,10 @@
 """What the benchmark harness under bench/ reads from the package.
 
 bench/tracing.py computes its per-layer metrics from the calls of named
-public functions, and bench/workloads.py checks a fit's final reweighting
-state.  A name that goes missing makes a traced run report its metrics as
-absent, and the run still exits 0; these tests fail instead.
+public functions and the fields of a fit's report; bench/workloads.py
+checks a fit's final reweighting state and objective trace.  A name that
+goes missing makes a traced run report its metrics as absent, and the run
+still exits 0; these tests fail instead.
 """
 
 from pathlib import Path
@@ -42,6 +43,15 @@ def test_fit_report_keeps_the_final_weights_of_each_side():
     assert report.neg.final_state.q.shape == (5,)
     assert report.neg.final_state.u.shape == (7,)
     assert np.isfinite(report.pos.final_state.q).all()
+    # The descent check and the per-layer counts read these on both sides;
+    # seven own samples against five other put one side on each branch.
+    for sub in (report.pos, report.neg):
+        assert isinstance(sub.objective_trace, np.ndarray)
+        assert sub.objective_trace.dtype == float and sub.objective_trace.ndim == 1
+        assert type(sub.iterations_used) is int and sub.iterations_used >= 1
+        assert len(sub.objective_trace) == sub.iterations_used
+        assert type(sub.converged) is bool
+    assert {report.pos.branch_used, report.neg.branch_used} == {"smw", "direct"}
 
 
 def test_tracer_sees_every_solve_of_a_fit(tracing):

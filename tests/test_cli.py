@@ -213,7 +213,10 @@ def test_nemenyi_rejects_other_alpha_without_override(tmp_path):
     ({"inner_folds": 2}, "'inner_folds'"),
     ({"datasets": [{"name": "curves", "example": 3, "m_per_clas": 30}]},
      "'m_per_clas' in dataset 'curves'"),
-], ids=["noise_ratio", "grids", "inner_folds", "m_per_clas"])
+    # A grid for a method that 'methods' does not list.
+    ({"methods": ["cl1qtsvm"], "grid": {**BENCH_CONFIG["grid"], "lsqtsvm": [{"C": -5}]}},
+     "'lsqtsvm' in 'grid'"),
+], ids=["noise_ratio", "grids", "inner_folds", "m_per_clas", "grid-of-unlisted-method"])
 def test_benchmark_config_names_an_unknown_key(tmp_path, capsys, changes, key):
     # Each key was once ignored, and the sweep ran on the defaults.
     cfg = tmp_path / "bench.json"
@@ -664,6 +667,7 @@ def trained(tmp_path_factory):
     (_predict_with_model(lambda doc: doc["scaler"].update(min=[-1e308, 0.0], max=[1e308, 1.0])),
      1),
     (_predict_on(b"x1,x2\n1e308,0.5\n0.1,0.5\n"), 2),
+    (_predict_on(b"x1,x2\n1e200,0.5\n1e150,0.5\n0.1,0.5\n"), 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
         "model-n-inf", "model-c-string", "model-b-bool", "model-min-string", "model-max-bool",
         "model-version",
@@ -680,7 +684,8 @@ def trained(tmp_path_factory):
         "config-label-column-out-of-range", "predict-width", "config-not-json",
         "config-array", "config-dataset-no-source", "nested-split-too-small",
         "nemenyi-results-no-rows", "replay-input-gone", "train-cl1-span-overflows",
-        "train-lsq-span-overflows", "model-scaler-span-overflows", "predict-scaling-overflows"])
+        "train-lsq-span-overflows", "model-scaler-span-overflows", "predict-scaling-overflows",
+         "predict-distance-overflows"])
 def test_cli_failures_are_clean(trained, argv, code):
     # Each input exits with its code, and on failure with one error: line
     # and nothing else on stderr, such as a traceback or a RuntimeWarning.

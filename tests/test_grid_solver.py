@@ -35,8 +35,8 @@ from qtsvm.solver_cl1 import (
     WEIGHT_FLOOR,
     ReweightState,
     SolverConfig,
-    _branch_constants,
     _irls,
+    _pair_products,
     _psd_solve_stack,
     _sample_gram,
     compute_weights_pos,
@@ -111,7 +111,8 @@ def test_stacked_irls_matches_serial_loop(split, side):
     # minus that solve on swapped classes.
     W, fallbacks, replay = _irls(Z_own, Z_other, c1, c2, SolverConfig(), "direct",
                                  np.ones((c1.size, Z_own.shape[1]), bool),
-                                 np.ones((c1.size, Z_other.shape[1]), bool), None)
+                                 np.ones((c1.size, Z_other.shape[1]), bool),
+                                 (_pair_products(Z_own), _pair_products(Z_other)))
     reports = replay()
     np.testing.assert_array_equal(fallbacks, [rep.lstsq_fallbacks for rep in reports])
     W = -sign * W
@@ -193,12 +194,12 @@ def test_fallback_is_lane_wise(l):
     B[1] = np.diag(np.arange(l) - 1.5)  # indefinite: Cholesky fails
     rhs = rng.standard_normal((3, l))
     B_in = B.copy()
-    X, fell = _psd_solve_stack(B, rhs)
-    # Without a way to form a lane again, a stack is factored in copies,
-    # never over its own lanes, whether its lanes are in C or in Fortran
-    # order (its transpose, the same symmetric matrices).
+    # Each call forms its lanes anew, in C order or in Fortran order (the
+    # transposes, the same symmetric matrices), so that the solve may
+    # factor them over their own buffers and form a lane again to fall back.
+    X, fell = _psd_solve_stack(3, 1, lambda sl: (B[sl].copy(), rhs[sl]))
     np.testing.assert_array_equal(B, B_in)
-    X_t, fell_t = _psd_solve_stack(B.transpose(0, 2, 1), rhs)
+    X_t, fell_t = _psd_solve_stack(3, 1, lambda sl: (B[sl].copy().transpose(0, 2, 1), rhs[sl]))
     np.testing.assert_array_equal(B, B_in)
     np.testing.assert_array_equal(X_t, X)
     np.testing.assert_array_equal(fell_t, fell)
@@ -232,7 +233,7 @@ def test_small_stack_flags_the_lanes_numpy_cholesky_rejects():
     rhs = np.ones((2, 6))
     for seed in range(400):
         A = _borderline(np.random.default_rng(seed))
-        X, fell = _psd_solve_stack(np.stack([np.eye(6), A]), rhs)
+        X, fell = _psd_solve_stack(2, 1, lambda sl: (np.stack([np.eye(6), A])[sl], rhs[sl]))
         flag = (_rejects(np.linalg.cholesky, A)
                 or _rejects(lambda A: np.linalg.solve(A, rhs[1]), A))
         np.testing.assert_array_equal(fell, [False, flag], err_msg=f"seed {seed}")
@@ -253,7 +254,7 @@ def test_fallback_counted_on_its_lane_only():
     U = np.ones((3, 12))
     c = np.array([0.1, 0.1, 0.1])
     W, fell = update_w_plus(Z_own, Z_other, ReweightState(q=Q, u=U), c, c, "direct",
-                            _branch_constants(Z_own, Z_other, "direct", None))
+                            (_pair_products(Z_own), _pair_products(Z_other)))
     np.testing.assert_array_equal(fell, [0, 1, 0])
     B = (Z_own * Q[1]) @ Z_own.T + 0.1 * (Z_other * U[1]) @ Z_other.T + 0.1 * np.eye(6)
     ref = -0.1 * np.linalg.lstsq(B, Z_other @ U[1], rcond=None)[0]
@@ -342,16 +343,25 @@ def test_singular_smw_lane_falls_back_alone():
 
 
 def _smw_systems(monkeypatch):
-    """Record every stack B that _psd_solve_stack is handed, a copy of it
-    taken before it is factored, and the solutions and flags it returns."""
+    """Record every stack B that _psd_solve_stack forms, a copy of it
+    taken before it is factored, and the solutions and flags it returns for
+    those lanes."""
     seen = []
     solve = solver_cl1._psd_solve_stack
 
-    def spy(B, rhs, again=None):
-        entry = {"B": B, "copy": B.copy()}
-        entry["X"], entry["fell"] = solve(B, rhs, again)
-        seen.append(entry)
-        return entry["X"], entry["fell"]
+    def spy(G, per_lane, system):
+        formed = []
+
+        def recorded(sl):
+            B, rhs = system(sl)
+            formed.append((sl, {"B": B, "copy": B.copy()}))
+            return B, rhs
+
+        X, fell = solve(G, per_lane, recorded)
+        for sl, entry in formed:
+            entry["X"], entry["fell"] = X[sl], fell[sl]
+            seen.append(entry)
+        return X, fell
 
     monkeypatch.setattr(solver_cl1, "_psd_solve_stack", spy)
     return seen
@@ -419,6 +429,31 @@ def test_singular_large_smw_lane_falls_back_alone(monkeypatch):
     assert not np.array_equal(entry["B"][1], B)  # factored in place
     rhs = (live & (np.arange(d.m) >= 30)).astype(float)
     np.testing.assert_array_equal(entry["X"][1], np.linalg.lstsq(B, rhs, rcond=None)[0])
+
+
+def test_singular_large_direct_lane_falls_back_alone():
+    # Reduced lifting of 30 features gives l = 61 lifted dimensions, above
+    # STACKED_SOLVE_MAX_DIM, against 40 samples: with c1 = 1e-300 lane 0's
+    # direct systems are singular on both sides and fall back, lane 1's do
+    # not.  The fallback solves by least squares the matrix formed again,
+    # bit for bit the one formed here, on the chunk's right-hand side: both
+    # lanes' U Z_other' from one product, which a one-row product need not
+    # give bit for bit.
+    rng = np.random.default_rng(3)
+    d = Dataset(X_pos=rng.standard_normal((20, 30)), X_neg=rng.standard_normal((20, 30)))
+    cfgs = [SolverConfig(c1=c, c2=2.0, max_iter=1, branch="direct") for c in (1e-300, 1.0)]
+    grid = fit_grid(d, cfgs, LiftingMode.REDUCED)
+    assert grid.pos.shape[1] > solver_cl1.STACKED_SOLVE_MAX_DIM
+    np.testing.assert_array_equal(grid.lstsq_fallbacks, [2, 0])
+    scaled = scale_dataset(d, fit_scaler(d))
+    Z_pos, Z_neg = (lift_matrix(X, LiftingMode.REDUCED).T for X in (scaled.X_pos, scaled.X_neg))
+    # The negative surface is minus the positive solve on swapped classes.
+    for w, Z_own, Z_other in ((grid.pos[0], Z_pos, Z_neg), (-grid.neg[0], Z_neg, Z_pos)):
+        ones = np.ones((2, 20))
+        B = ((Z_own * ones[:1, None]) @ Z_own.T + 2.0 * ((Z_other * ones[:1, None]) @ Z_other.T))[0]
+        B[np.diag_indices(61)] += 1e-300
+        rhs = (ones @ Z_other.T)[0]
+        np.testing.assert_array_equal(w, -2.0 * np.linalg.lstsq(B, rhs, rcond=None)[0])
 
 
 def test_report_counts_fallbacks_and_peak_weight():

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qtsvm.model import (
     PREDICT_BLOCK_ROWS,
     TrainedModel,
     _distances,
+    label_stack,
     load_model,
     predict,
     predict_many,
@@ -289,6 +291,29 @@ def test_reduced_predict_stack_forms_no_dense_w():
         tracemalloc.stop()
     assert labels.shape == (lanes, 10)
     assert peak < 12e6, peak
+
+
+def test_label_stack_names_the_first_row_whose_distance_overflows():
+    # Every row scales to a finite value, but x'Wx overflows at 1e200 under
+    # either pair and at 1e150 only under the second pair's W = 1e10 I.  Such
+    # a row once came back labelled -1 from a NaN distance, with four
+    # RuntimeWarnings.
+    W, b, c = np.array([np.eye(2), 1e10 * np.eye(2)]), np.zeros((2, 2)), np.zeros(2)
+    X = np.array([[0.1, 0.5], [1e150, 0.5], [1e200, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="row 1 .* finite distance"):
+            label_stack(IDENTITY_SCALER, (W, b, c), (W, b, c - 1.0), X)
+        first = (W[:1], b[:1], c[:1])
+        with pytest.raises(InvalidInputError, match="row 2 "):
+            label_stack(IDENTITY_SCALER, first, first, X)
+        assert label_stack(IDENTITY_SCALER, first, first, X[:2]).tolist() == [[1, 1]]
+        # Finite distances of 1e308 and 1e307 (a constant surface at the
+        # gradient floor) whose sum overflows are labelled.
+        W0, b0 = np.zeros((1, 2, 2)), np.zeros((1, 2))
+        far = label_stack(IDENTITY_SCALER, (W0, b0, np.array([1e296])),
+                          (W0, b0, np.array([1e295])), X[:2])
+        assert far.tolist() == [[-1, -1]]
 
 
 def test_nonfinite_row_in_a_later_block_is_named_by_its_index():
