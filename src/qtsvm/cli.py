@@ -305,10 +305,6 @@ def cmd_benchmark(args) -> int:
 
 def cmd_nemenyi(args) -> int:
     scores, names = load_scores(args.results)
-    if args.q_alpha is None and args.alpha != 0.05:
-        raise InvalidInputError(
-            "only alpha=0.05 is tabulated; pass --q-alpha for other levels"
-        )
     ranks, cd, sig = nemenyi_test(scores, q_alpha=args.q_alpha)
     print(f"k={scores.shape[1]} N={scores.shape[0]} CD={cd:.4f}")
     for name, rank in sorted(zip(names, ranks), key=lambda p: p[1]):
@@ -405,7 +401,6 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
     p = sub.add_parser("nemenyi", help="critical-difference test on a score matrix")
     p.add_argument("--results", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--q-alpha", type=float, default=None,
                    help="override the tabulated critical value")
     p.set_defaults(func=cmd_nemenyi)
@@ -426,6 +421,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         usage = isinstance(exc, (DataFormatError, InvalidInputError))
         return USAGE_EXIT if usage else RUNTIME_EXIT
+    except OSError as exc:
+        # Every input is read under a QtsvmError, so this is an output path.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -154,32 +154,16 @@ def label_stack(scaler: NormalizationParams, pos, neg, X: np.ndarray) -> np.ndar
     return labels
 
 
-def predict_stack(scaler: NormalizationParams, mode, pos, neg, X: np.ndarray) -> np.ndarray:
-    """label_stack of the surface pairs whose lifted weight vectors under
-    lifting mode are the rows of pos and neg, shape (G, lifted_dim).  W is
-    formed here, once per call; a caller that labels several sets of rows
-    under lanes of one stack unpacks it once and calls label_stack."""
-    return label_stack(scaler, *(unpack_weights(w, scaler.minimum.size, mode)
-                                 for w in (pos, neg)), X)
-
-
-def predict(m: TrainedModel, x: np.ndarray) -> int:
-    """Label one raw sample: +1 if it is at least as close (in normalized
-    distance) to the positive surface as to the negative one."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m.n,):
-        raise InvalidInputError(f"expected a vector of length {m.n}, got {x.shape}")
-    return int(predict_many(m, x[None, :])[0])
-
-
 def predict_many(m: TrainedModel, X: np.ndarray) -> np.ndarray:
-    """Vectorized predict over rows of a raw feature matrix."""
+    """Labels of the rows of a raw feature matrix (one row may be given as
+    a vector): label_stack under the model's one surface pair."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2:
         raise InvalidInputError(f"expected a matrix of feature rows, got shape {X.shape}")
     if X.shape[1] != m.n:
         raise InvalidInputError(f"expected {m.n} features, got {X.shape[1]}")
-    return predict_stack(m.scaler, m.mode, m.w_pos[None], m.w_neg[None], X)[0]
+    return label_stack(m.scaler, *(unpack_weights(w[None], m.n, m.mode)
+                                   for w in (m.w_pos, m.w_neg)), X)[0]
 
 
 def _surface_doc(w: np.ndarray, n: int) -> dict:

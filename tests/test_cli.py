@@ -199,12 +199,10 @@ def test_nemenyi_names_the_faulty_cell(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_nemenyi_rejects_other_alpha_without_override(tmp_path):
+def test_nemenyi_takes_a_critical_value_of_its_own(tmp_path):
     scores = tmp_path / "scores.csv"
     scores.write_text("0.9,0.8\n0.7,0.6\n")
-    assert run(["nemenyi", "--results", scores, "--alpha", 0.01]) == 2
-    assert run(["nemenyi", "--results", scores, "--alpha", 0.01,
-                "--q-alpha", 2.5]) == 0
+    assert run(["nemenyi", "--results", scores, "--q-alpha", 2.5]) == 0
 
 
 @pytest.mark.parametrize("changes, key", [
@@ -569,6 +567,17 @@ def _replay_without_input(tmp_path, model):
     return ["replay", tmp_path / "gone.json.manifest.json"]
 
 
+def _unwritable(make):
+    """argv of make with its output path moved into a directory that does
+    not exist."""
+    def argv(tmp_path, model):
+        args = make(tmp_path, model)
+        i = max(i for i, a in enumerate(args) if a in ("--out", "--model-out")) + 1
+        args[i] = tmp_path / "missing" / Path(args[i]).name
+        return args
+    return argv
+
+
 def _curves(m_per_class):
     return [{"name": "curves", "example": 3, "m_per_class": m_per_class}]
 
@@ -668,6 +677,10 @@ def trained(tmp_path_factory):
      1),
     (_predict_on(b"x1,x2\n1e308,0.5\n0.1,0.5\n"), 2),
     (_predict_on(b"x1,x2\n1e200,0.5\n1e150,0.5\n0.1,0.5\n"), 2),
+    (_unwritable(_generate()), 2),
+    (_unwritable(_train("lsqtsvm")), 2),
+    (_unwritable(_predict_on(b"x1,x2\n0.1,0.5\n")), 2),
+    (_unwritable(_bench()), 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
         "model-n-inf", "model-c-string", "model-b-bool", "model-min-string", "model-max-bool",
         "model-version",
@@ -685,7 +698,8 @@ def trained(tmp_path_factory):
         "config-array", "config-dataset-no-source", "nested-split-too-small",
         "nemenyi-results-no-rows", "replay-input-gone", "train-cl1-span-overflows",
         "train-lsq-span-overflows", "model-scaler-span-overflows", "predict-scaling-overflows",
-         "predict-distance-overflows"])
+         "predict-distance-overflows", "generate-out-unwritable", "train-out-unwritable",
+        "predict-out-unwritable", "benchmark-out-unwritable"])
 def test_cli_failures_are_clean(trained, argv, code):
     # Each input exits with its code, and on failure with one error: line
     # and nothing else on stderr, such as a traceback or a RuntimeWarning.

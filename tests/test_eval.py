@@ -19,7 +19,7 @@ import qtsvm
 import qtsvm.evaluation
 from qtsvm.data import gen_example1, gen_example3
 from qtsvm.errors import InvalidInputError
-from qtsvm.lifting import LiftingMode
+from qtsvm.lifting import LiftingMode, unpack_weights
 from qtsvm.evaluation import (
     CL1Trainer,
     ConfusionCounts,
@@ -38,7 +38,7 @@ from qtsvm.evaluation import (
     sweep_results,
     sweep_rows,
 )
-from qtsvm.model import predict_stack
+from qtsvm.model import label_stack
 from qtsvm.solver_cl1 import SolverConfig
 
 FAST_GRID = ({"c1": 0.01, "c2": 0.01}, {"c1": 1.0, "c2": 0.01})
@@ -232,7 +232,8 @@ def test_trainers_evaluate_grid_point_by_point():
 
     def evaluate(trainer, grid):
         fitted = trainer.fit_split(train, grid, LiftingMode.FULL, None)
-        return counts_stack(y, predict_stack(fitted.scaler, fitted.mode, fitted.pos, fitted.neg, X))
+        surfaces = (unpack_weights(w, train.n, fitted.mode) for w in (fitted.pos, fitted.neg))
+        return counts_stack(y, label_stack(fitted.scaler, *surfaces, X))
 
     for trainer, grid in ((CL1Trainer(), FAST_GRID), (LSQTrainer(), LSQ_GRID)):
         together = evaluate(trainer, grid)

@@ -29,7 +29,7 @@ from qtsvm.evaluation import (
     cross_validate,
 )
 from qtsvm.lifting import LiftingMode, lift_matrix, unpack_weights
-from qtsvm.model import GRADIENT_NORM_FLOOR, _distances, label_stack, predict_stack
+from qtsvm.model import GRADIENT_NORM_FLOOR, _distances, label_stack
 from qtsvm.solver_cl1 import (
     CONV_TOL,
     WEIGHT_FLOOR,
@@ -132,7 +132,8 @@ def test_stacked_labels_match_serial_labels(split):
     d, test, scaler, Zp, Zm = split
     grid = fit_grid(d, GRID, scaler=scaler)
     X, _ = test.stacked()
-    labels = predict_stack(grid.scaler, grid.mode, grid.pos, grid.neg, X)
+    labels = label_stack(grid.scaler, *(unpack_weights(w, 2, grid.mode)
+                                        for w in (grid.pos, grid.neg)), X)
     scaled = scale_dataset(test, scaler)
     Xs = np.vstack([scaled.X_pos, scaled.X_neg])
     compared = 0
@@ -594,8 +595,8 @@ def split_counts(trainer, train, test, grid, mode, scaler):
     grid order (scaler None: the scaler of train)."""
     fitted = trainer.fit_split(train, grid, mode, scaler)
     X, y = test.stacked()
-    return evaluation.counts_stack(y, predict_stack(fitted.scaler, fitted.mode, fitted.pos,
-                                                    fitted.neg, X))
+    surfaces = (unpack_weights(w, train.n, fitted.mode) for w in (fitted.pos, fitted.neg))
+    return evaluation.counts_stack(y, label_stack(fitted.scaler, *surfaces, X))
 
 
 def fold_masks(d, k, seed):

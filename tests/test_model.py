@@ -22,9 +22,7 @@ from qtsvm.model import (
     _distances,
     label_stack,
     load_model,
-    predict,
     predict_many,
-    predict_stack,
     save_model,
 )
 
@@ -91,17 +89,17 @@ def test_predict_prefers_closer_surface():
     near = surface(np.zeros((2, 2)), [0.0, 1.0], 0.0)
     far = surface(np.zeros((2, 2)), [0.0, 1.0], -5.0)
     m = make_model(near, far)
-    assert predict(m, np.array([0.2, 0.1])) == 1
-    assert predict(make_model(far, near), np.array([0.2, 0.1])) == -1
+    assert predict_many(m, np.array([0.2, 0.1]))[0] == 1
+    assert predict_many(make_model(far, near), np.array([0.2, 0.1]))[0] == -1
 
 
 def test_predict_tie_goes_to_positive():
     s = surface(np.zeros((2, 2)), [1.0, 0.0], 0.5)
     m = make_model(s, s)
-    assert predict(m, np.array([0.3, -0.4])) == 1
+    assert predict_many(m, np.array([0.3, -0.4]))[0] == 1
 
 
-def test_predict_many_matches_predict():
+def test_predict_many_matches_row_by_row():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((2, 2))
     sp = surface(A + A.T, rng.standard_normal(2), 0.1)
@@ -112,7 +110,7 @@ def test_predict_many_matches_predict():
     batch = predict_many(m, X)
     assert set(np.unique(batch)) <= {-1, 1}
     for i, x in enumerate(X):
-        assert batch[i] == predict(m, x)
+        assert batch[i] == predict_many(m, x)[0]
 
 
 def test_predict_applies_scaler():
@@ -122,7 +120,7 @@ def test_predict_applies_scaler():
     scaler = NormalizationParams(minimum=[0.0], maximum=[10.0])
     m = TrainedModel(w_pos=s_pos, w_neg=s_neg, mode=LiftingMode.FULL, scaler=scaler)
     # x=0 maps to -1: |−1| vs |−3| → positive.
-    assert predict(m, np.array([0.0])) == 1
+    assert predict_many(m, np.array([0.0]))[0] == 1
 
 
 def test_predict_rejects_wrong_dimension():
@@ -131,7 +129,7 @@ def test_predict_rejects_wrong_dimension():
         surface(np.zeros((2, 2)), np.zeros(2), 2.0),
     )
     with pytest.raises(InvalidInputError):
-        predict(m, np.zeros(3))
+        predict_many(m, np.zeros(3))
     with pytest.raises(InvalidInputError):
         predict_many(m, np.zeros((4, 3)))
     # This once passed the feature-count check and failed inside einsum.
@@ -153,7 +151,7 @@ def test_predict_rejects_nonfinite_rows(bad):
     with pytest.raises(InvalidInputError, match="row 3 "):
         predict_many(m, X)
     with pytest.raises(InvalidInputError, match="row 0 "):
-        predict(m, X[3])
+        predict_many(m, X[3])
     assert predict_many(m, X[:3]).tolist() == [1, 1, 1]
     # A constant feature scales any finite value to 0, but not a NaN or an
     # infinity.
@@ -181,7 +179,7 @@ def test_blocked_labels_match_row_by_row_predict(mode):
     rng = np.random.default_rng(5)
     m = random_model(3, mode, rng)
     X = rng.standard_normal((2 * B + 3, 3))
-    reference = np.array([predict(m, x) for x in X])
+    reference = np.array([predict_many(m, x)[0] for x in X])
     # Both labels occur, so a block labelled wholesale would show.
     assert set(reference) == {-1, 1}
     for rows in (0, 1, B - 1, B, B + 1, 2 * B + 3):
@@ -214,7 +212,7 @@ def test_diagonal_path_is_bitwise_the_dense_product():
 
 
 def random_stack(rng, S, n, diagonal):
-    """A stack of S lifted weight vectors as predict_stack takes it, and its
+    """A stack of S lifted weight vectors, shape (S, lifted_dim), and its
     lifting mode: full, or reduced (a diagonal W) when ``diagonal``.  The
     linear terms range from 1e-12 to 1e2; with S > 1 the last surface has
     W = 0 and b = 0, so its gradient norm is GRADIENT_NORM_FLOOR."""
@@ -271,21 +269,27 @@ def test_predict_stack_labels_match_the_row_major_form(n, diagonal):
     d_pos, d_neg = (distances_row_major(Xs, *unpack_weights(w, n, mode)) for w in (pos, neg))
     reference = np.where(d_pos <= d_neg, 1, -1)
     assert set(reference.ravel()) == {-1, 1}
-    np.testing.assert_array_equal(predict_stack(scaler, mode, pos, neg, X), reference)
+    labels = label_stack(scaler, *(unpack_weights(w, n, mode) for w in (pos, neg)), X)
+    np.testing.assert_array_equal(labels, reference)
 
 
-def test_reduced_predict_stack_forms_no_dense_w():
+def test_reduced_label_stack_forms_no_dense_w():
     # A reduced CV stack at n = 100 over the default flat grid: one dense
     # (605, 100, 100) W takes 48 MB, its diagonals 0.5 MB.
     rng = np.random.default_rng(9)
     n, lanes = 100, 605
     pos, neg = rng.standard_normal((2, lanes, lifted_dim(n, LiftingMode.REDUCED)))
     scaler, X = random_rows(rng, 10, n, constant=False)
-    predict_stack(scaler, LiftingMode.REDUCED, pos[:1], neg[:1], X)
+
+    def label(pos, neg):
+        return label_stack(scaler, *(unpack_weights(w, n, LiftingMode.REDUCED)
+                                     for w in (pos, neg)), X)
+
+    label(pos[:1], neg[:1])
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        labels = predict_stack(scaler, LiftingMode.REDUCED, pos, neg, X)
+        labels = label(pos, neg)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
