@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
+from dataclasses import fields
 
 from . import __version__
 from .data import (
@@ -174,8 +176,8 @@ def cmd_predict(args) -> int:
 _TRAINERS = {trainer.name: trainer for trainer in (CL1Trainer, LSQTrainer)}
 _GRID_KEYS = {method: set(default_grid(method)[0]) for method in _TRAINERS}
 _MODES = [mode.value for mode in LiftingMode]
-_CONFIG_KEYS = {"seed", "folds", "repeats", "selection", "normalize", "mode", "methods",
-                "datasets", "noise_ratios", "grid"}
+_CV_KEYS = [f.name for f in fields(CvSpec) if f.name != "grid"]
+_CONFIG_KEYS = {*_CV_KEYS, "methods", "datasets", "noise_ratios", "grid"}
 _DATASET_KEYS = {"example": {"name", "example", "m_per_class"},
                  "path": {"name", "path", "label_column", "positive_label"}}
 
@@ -197,10 +199,6 @@ def _list_of(ok):
     return lambda v: isinstance(v, list) and bool(v) and all(ok(x) for x in v)
 
 
-def _one_of(values):
-    return (lambda v: v in values), " or ".join(map(repr, values))
-
-
 def _grid_of(keys):
     return _list_of(lambda p: isinstance(p, dict) and set(p) == keys
                     and all(_number(x) and x > 0 for x in p.values()))
@@ -214,15 +212,15 @@ def _known_keys(doc, allowed, where):
 
 
 def _get(doc, key, default, ok, what):
-    value = doc.get(key, default)
+    value = doc.setdefault(key, default)
     if not ok(value):
         _config_error(f"{key!r} must be {what}, got {value!r}")
     return value
 
 
 def _benchmark_config(path):
-    """Read and check a benchmark config before any work starts; returns
-    (dataset entries by name, trainers, noise ratios, CvSpec, grids)."""
+    """Read and check a benchmark config before any work starts; returns (dataset
+    entries by name with defaults filled in, trainers, noise ratios, CvSpec, grids)."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -265,21 +263,18 @@ def _benchmark_config(path):
                            f"a nonempty grid of objects with exactly the keys "
                            f"{sorted(_GRID_KEYS[m])}, each a positive number"))
              for m in methods}
-    spec = CvSpec(folds=_get(cfg, "folds", 5, _int_from(2), "an integer >= 2"),
-                  repeats=_get(cfg, "repeats", 2, _int_from(1), "an integer >= 1"),
-                  seed=_get(cfg, "seed", 0, _int_from(0), "an integer >= 0"),
-                  grid=grids[methods[0]],
-                  mode=_get(cfg, "mode", "full", *_one_of(_MODES)),
-                  selection=_get(cfg, "selection", "nested", *_one_of(("nested", "flat"))),
-                  normalize=_get(cfg, "normalize", "full", *_one_of(("full", "per-fold"))))
+    try:
+        spec = CvSpec(grid=grids[methods[0]], **{k: cfg[k] for k in _CV_KEYS if k in cfg})
+    except InvalidInputError as exc:
+        _config_error(exc)
     return entries, [_TRAINERS[m]() for m in methods], ratios, spec, grids
 
 
 def _benchmark_dataset(entry, seed):
     if "example" in entry:
-        return GENERATORS[entry["example"]](entry.get("m_per_class", 200), seed)
-    return load_csv(entry["path"], label_column=entry.get("label_column", -1),
-                    positive_label=str(entry.get("positive_label", "1")))
+        return GENERATORS[entry["example"]](entry["m_per_class"], seed)
+    return load_csv(entry["path"], label_column=entry["label_column"],
+                    positive_label=str(entry["positive_label"]))
 
 
 def cmd_benchmark(args) -> int:
@@ -413,9 +408,12 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        # An output that cannot be written is refused before any work.
+        for path in filter(None, (getattr(args, "out", None), getattr(args, "model_out", None))):
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+                raise OSError(f"{path}: not a file path in an existing directory")
         return args.func(args)
     except QtsvmError as exc:
         print(f"error: {exc}", file=sys.stderr)

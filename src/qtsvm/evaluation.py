@@ -154,10 +154,10 @@ class CvSpec:
         check_int(self.seed, "seed", 0)
         if not self.grid:
             raise InvalidInputError("hyperparameter grid must be nonempty")
-        if self.selection not in ("nested", "flat"):
-            raise InvalidInputError(f"unknown selection {self.selection!r}")
-        if self.normalize not in ("full", "per-fold"):
-            raise InvalidInputError(f"unknown normalize mode {self.normalize!r}")
+        for key, values in (("selection", ("nested", "flat")), ("normalize", ("full", "per-fold"))):
+            if (value := getattr(self, key)) not in values:
+                raise InvalidInputError(
+                    f"{key!r} must be {' or '.join(map(repr, values))}, got {value!r}")
         object.__setattr__(self, "mode", lifting_mode(self.mode))
 
 

@@ -439,12 +439,14 @@ def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, consts)
     kept = []
     steps = _irls_steps(Z_own, Z_other, c1, c2, cfg, own, other, lambda state, *penalties:
                         update_w_plus(Z_own, Z_other, state, *penalties, branch, consts))
-    for t, (lanes, W_new, fell, _, stop, _) in enumerate(steps):
-        if not np.isfinite(W_new).all():
-            raise NumericError(f"non-finite iterate at iteration {t}")
-        kept.append((W_new, fell))
-        fallbacks[lanes] += fell
-        W[lanes[stop]] = W_new[stop]
+    # A penalty large enough to overflow gives a non-finite iterate, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (lanes, W_new, fell, _, stop, _) in enumerate(steps):
+            if not np.isfinite(W_new).all():
+                raise NumericError(f"non-finite iterate at iteration {t}")
+            kept.append((W_new, fell))
+            fallbacks[lanes] += fell
+            W[lanes[stop]] = W_new[stop]
     replay = partial(_replay, kept, fallbacks, Z_own, Z_other, c1, c2, cfg, branch, own, other)
     return W, fallbacks, replay
 

@@ -35,8 +35,8 @@ def fit_lsq_grid(
     Raises NumericError when a system is not positive definite in floating
     point, rather than accept the capped-L1 solver's least-squares fallback.
     """
-    if not all(0 < v < math.inf for v in Cs):
-        raise InvalidInputError("C must be finite and > 0")
+    if not all(0 < 2.0 * v < math.inf for v in Cs):
+        raise InvalidInputError("C must be > 0 and 2C finite")
     cfgs = [SolverConfig(c1=RIDGE, c2=2.0 * C, max_iter=1, branch="direct") for C in Cs]
     grid = fit_grid(dataset, cfgs, mode, scaler, mask)
     if grid.lstsq_fallbacks.any():

@@ -6,14 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qtsvm
-from qtsvm.cli import build_parser, main
+from qtsvm.cli import _benchmark_config, build_parser, main
 from qtsvm.data import load_csv
+from qtsvm.evaluation import CvSpec
 from qtsvm.solver_cl1 import SolverConfig
 
 BENCH_CONFIG = {
@@ -236,6 +238,57 @@ def test_benchmark_config_names_the_allowed_values(tmp_path, capsys, key, allowe
     assert run(["benchmark", "--config", cfg, "--out", tmp_path / "r.csv"]) == 2
     assert capsys.readouterr().err == (
         f"error: benchmark config: {key!r} must be {allowed}, got 'x'\n")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called before the input was refused")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("folds", 1), ("repeats", 0), ("seed", -1), ("mode", "x"), ("folds", True),
+], ids=["folds", "repeats", "seed", "mode", "folds-bool"])
+def test_benchmark_config_cv_settings_are_checked_by_cvspec(tmp_path, capsys, monkeypatch,
+                                                            key, value):
+    monkeypatch.setattr("qtsvm.cli._benchmark_dataset", _refuse)
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({**BENCH_CONFIG, key: value}))
+    assert run(["benchmark", "--config", cfg, "--out", tmp_path / "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: benchmark config: ") and key in err, err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_benchmark_config_takes_cv_defaults_from_cvspec(tmp_path):
+    cv_keys = [f.name for f in fields(CvSpec) if f.name != "grid"]
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({k: v for k, v in BENCH_CONFIG.items() if k not in cv_keys}))
+    spec = _benchmark_config(cfg)[3]
+    expected = CvSpec(grid=tuple(BENCH_CONFIG["grid"]["cl1qtsvm"]))
+    for f in fields(CvSpec):
+        assert getattr(spec, f.name) == getattr(expected, f.name), f.name
+
+
+@pytest.mark.parametrize("work, argv", [
+    ("fit", lambda tmp: ["train", "--data", tmp / "d.csv", "--method", "cl1qtsvm",
+                         "--model-out", tmp / "missing" / "t.json"]),
+    ("predict_many", lambda tmp: ["predict", "--model", tmp / "m.json", "--data", tmp / "d.csv",
+                                  "--out", tmp / "missing" / "p.csv"]),
+    ("predict_many", lambda tmp: ["predict", "--model", tmp / "m.json", "--data", tmp / "d.csv",
+                                  "--out", tmp]),
+    ("sweep_results", lambda tmp: ["benchmark", "--config", tmp / "bench.json",
+                                   "--out", tmp / "missing" / "r.csv"]),
+], ids=["train", "predict", "predict-to-directory", "benchmark"])
+def test_unwritable_output_is_refused_before_the_work(tmp_path, capsys, monkeypatch, work, argv):
+    run(["generate", "--example", 1, "--m", 20, "--seed", 0, "--out", tmp_path / "d.csv"])
+    run(["train", "--data", tmp_path / "d.csv", "--method", "lsqtsvm",
+         "--model-out", tmp_path / "m.json"])
+    (tmp_path / "bench.json").write_text(json.dumps(BENCH_CONFIG))
+    capsys.readouterr()
+    monkeypatch.setattr(f"qtsvm.cli.{work}", _refuse)
+    assert run(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
 
 
 def test_replay_generate_byte_identical(tmp_path):
@@ -681,6 +734,8 @@ def trained(tmp_path_factory):
     (_unwritable(_train("lsqtsvm")), 2),
     (_unwritable(_predict_on(b"x1,x2\n0.1,0.5\n")), 2),
     (_unwritable(_bench()), 2),
+    (_train("cl1qtsvm", "--c1", "1", "--c2", "1e300"), 1),
+    (_bench(grid={**BENCH_CONFIG["grid"], "cl1qtsvm": [{"c1": 1, "c2": 1e300}]}), 1),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
         "model-n-inf", "model-c-string", "model-b-bool", "model-min-string", "model-max-bool",
         "model-version",
@@ -699,7 +754,8 @@ def trained(tmp_path_factory):
         "nemenyi-results-no-rows", "replay-input-gone", "train-cl1-span-overflows",
         "train-lsq-span-overflows", "model-scaler-span-overflows", "predict-scaling-overflows",
          "predict-distance-overflows", "generate-out-unwritable", "train-out-unwritable",
-        "predict-out-unwritable", "benchmark-out-unwritable"])
+        "predict-out-unwritable", "benchmark-out-unwritable", "train-c2-overflows",
+        "config-c2-overflows"])
 def test_cli_failures_are_clean(trained, argv, code):
     # Each input exits with its code, and on failure with one error: line
     # and nothing else on stderr, such as a traceback or a RuntimeWarning.

@@ -99,6 +99,9 @@ def test_input_validation():
     for C in (math.nan, math.inf):
         with pytest.raises(InvalidInputError):
             fit_lsq(d, C=C)
+    # Finite, but the solver's penalty 2C is not: the error names C, not c2.
+    with pytest.raises(InvalidInputError, match="^C must"):
+        fit_lsq(d, C=1e308)
     with pytest.raises(InvalidInputError):
         fit_lsq(Dataset(X_pos=np.zeros((0, 2)), X_neg=[[1.0, 2.0]]), C=1.0)
 
