@@ -196,7 +196,10 @@ def _int_from(low):
 
 
 def _list_of(ok):
-    return lambda v: isinstance(v, list) and bool(v) and all(ok(x) for x in v)
+    # A repeated entry would run again every cell or lane it is in; compared
+    # by equality, so 0 and 0.0 are one noise ratio.
+    return lambda v: (isinstance(v, list) and bool(v) and all(ok(x) for x in v)
+                      and all(v.index(x) == i for i, x in enumerate(v)))
 
 
 def _grid_of(keys):
@@ -220,7 +223,7 @@ def _get(doc, key, default, ok, what):
 
 def _benchmark_config(path):
     """Read and check a benchmark config before any work starts; returns (dataset
-    entries by name with defaults filled in, trainers, noise ratios, CvSpec, grids)."""
+    entries by name with defaults filled in, noise ratios, CvSpec by method)."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -230,10 +233,10 @@ def _benchmark_config(path):
         _config_error("expected a JSON object")
     _known_keys(cfg, _CONFIG_KEYS, "")
     methods = _get(cfg, "methods", [], _list_of(lambda m: m in list(_TRAINERS)),
-                   f"a nonempty list of method names from {sorted(_TRAINERS)}")
+                   f"a nonempty list of distinct method names from {sorted(_TRAINERS)}")
     entries = {}
     for entry in _get(cfg, "datasets", [], _list_of(lambda e: isinstance(e, dict)),
-                      "a nonempty list of objects"):
+                      "a nonempty list of distinct objects"):
         name = _get(entry, "name", None, lambda v: isinstance(v, str) and v and v not in entries,
                     "a nonempty string used once")
         # An entry with both 'example' and 'path' fails here on 'path'.
@@ -255,19 +258,20 @@ def _benchmark_config(path):
             _config_error(f"dataset {name!r} needs 'example' or 'path'")
         entries[name] = entry
     ratios = _get(cfg, "noise_ratios", [0.0], _list_of(lambda r: _number(r) and 0 <= r < 1),
-                  "a nonempty list of numbers in [0, 1)")
+                  "a nonempty list of distinct numbers in [0, 1)")
     grid_cfg = _get(cfg, "grid", {}, lambda v: isinstance(v, dict), "an object keyed by method")
     # The grid of a method not in 'methods' would otherwise go unused.
     _known_keys(grid_cfg, set(methods), " in 'grid'")
     grids = {m: tuple(_get(grid_cfg, m, default_grid(m), _grid_of(_GRID_KEYS[m]),
-                           f"a nonempty grid of objects with exactly the keys "
+                           f"a nonempty grid of distinct objects with exactly the keys "
                            f"{sorted(_GRID_KEYS[m])}, each a positive number"))
              for m in methods}
     try:
-        spec = CvSpec(grid=grids[methods[0]], **{k: cfg[k] for k in _CV_KEYS if k in cfg})
+        specs = {m: CvSpec(grid=grid, **{k: cfg[k] for k in _CV_KEYS if k in cfg})
+                 for m, grid in grids.items()}
     except InvalidInputError as exc:
         _config_error(exc)
-    return entries, [_TRAINERS[m]() for m in methods], ratios, spec, grids
+    return entries, ratios, specs
 
 
 def _benchmark_dataset(entry, seed):
@@ -280,9 +284,13 @@ def _benchmark_dataset(entry, seed):
 def cmd_benchmark(args) -> int:
     if args.jobs < 1:
         raise InvalidInputError(f"--jobs must be >= 1, got {args.jobs}")
-    entries, trainers, ratios, spec, grids = _benchmark_config(args.config)
-    datasets = {name: _benchmark_dataset(entry, spec.seed) for name, entry in entries.items()}
-    results = sweep_results(datasets, trainers, ratios, spec, grids, jobs=args.jobs)
+    entries, ratios, specs = _benchmark_config(args.config)
+    seed = next(iter(specs.values())).seed  # the config's, in every spec
+    datasets = {name: _benchmark_dataset(entry, seed) for name, entry in entries.items()}
+    keys = [(name, ratio, m) for name in sorted(datasets) for ratio in ratios for m in specs]
+    results = list(zip(keys, sweep_results(
+        [(inject_label_noise(datasets[name], ratio, seed=seed + 1), _TRAINERS[m](), specs[m])
+         for name, ratio, m in keys], jobs=args.jobs)))
 
     long_rows = sweep_rows(results)
     _write_csv(args.out, long_rows)
@@ -341,15 +349,16 @@ def cmd_replay(args) -> int:
             and isinstance(doc.get("inputs", {}), dict)
             and all(v is None or isinstance(v, (str, int, float)) for v in flags.values())):
         raise DataFormatError(f"{args.manifest} is not a qtsvm manifest")
-    for path, recorded in doc.get("inputs", {}).items():
-        if _sha256(path) != recorded:
-            raise DataFormatError(f"input {path} changed since {args.manifest} was written")
     argv = [doc["command"]]
     for key, value in flags.items():
         if value is None:
             continue
         argv += [f"--{key.replace('_', '-')}", str(value)]
     replayed = build_parser(_ReplayParser).parse_args(argv)
+    _check_outputs(replayed)
+    for path, recorded in doc.get("inputs", {}).items():
+        if _sha256(path) != recorded:
+            raise DataFormatError(f"input {path} changed since {args.manifest} was written")
     return replayed.func(replayed)
 
 
@@ -407,13 +416,17 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     return parser
 
 
+def _check_outputs(args):
+    # An output that cannot be written is refused before any work.
+    for path in filter(None, (getattr(args, "out", None), getattr(args, "model_out", None))):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(f"{path}: not a file path in an existing directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # An output that cannot be written is refused before any work.
-        for path in filter(None, (getattr(args, "out", None), getattr(args, "model_out", None))):
-            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-                raise OSError(f"{path}: not a file path in an existing directory")
+        _check_outputs(args)
         return args.func(args)
     except QtsvmError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,11 +4,11 @@ Nemenyi critical-difference test."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Dataset, fit_scaler, inject_label_noise
+from .data import Dataset, fit_scaler
 from .errors import InvalidInputError, check_int
 from .lifting import LiftingMode, lifting_mode, unpack_weights
 from .model import label_stack
@@ -252,19 +252,19 @@ def _best_point(grid, per_fold):
 
 
 def cross_validate(dataset: Dataset, trainer, spec: CvSpec) -> EvalResult:
-    """Stratified repeated k-fold evaluation with grid search.
+    """Stratified repeated k-fold evaluation with grid search: a sweep of
+    one cell.
 
     Fold assignment and all derived seeds flow deterministically from
     spec.seed, so reruns (and any parallel evaluation order) reproduce
     the same result exactly.
     """
-    return _eval_result(spec.selection, [records for task in _cv_tasks(dataset, trainer, spec)
-                                         for records in _task_records(*task)])
+    return sweep_results([(dataset, trainer, spec)])[0]
 
 
 def _cv_tasks(dataset, trainer, spec):
-    """The work of cross_validate in repeat order, one task per repeat, each
-    as the arguments of _task_records."""
+    """The work of one cell in repeat order, one task per repeat, each as
+    the arguments of _task_records."""
     if dataset.m_pos < spec.folds or dataset.m_neg < spec.folds:
         raise InvalidInputError(
             f"each class needs at least {spec.folds} samples for "
@@ -350,37 +350,30 @@ def _eval_result(selection, per_fold) -> EvalResult:
     )
 
 
-def sweep_results(datasets: dict, trainers: list, noise_ratios, spec: CvSpec,
-                  grids: dict | None = None, jobs: int = 1) -> list[tuple]:
-    """Cross-validate every (dataset, noise ratio, trainer) cell, datasets in
-    name order; returns ((dataset, ratio, method), EvalResult) pairs in that
-    order.  ``grids`` optionally maps trainer name to its grid (default
-    spec.grid).  With jobs > 1 the cells' tasks (see _cv_tasks: one per
-    repeat) run in up to ``jobs`` processes, handed out one at a time so
-    that a worker slowed by other load holds up the sweep by at most one
-    task; each task is seeded on its own, so results do not depend on
-    ``jobs``."""
-    keys = [(name, ratio, trainer) for name in sorted(datasets)
-            for ratio in noise_ratios for trainer in trainers]
-    cells = [_cv_tasks(inject_label_noise(datasets[name], ratio, seed=spec.seed + 1),
-                       trainer,
-                       replace(spec, grid=tuple((grids or {}).get(trainer.name, spec.grid))))
-             for name, ratio, trainer in keys]
-    tasks = [task for cell in cells for task in cell]
-    if jobs > 1 and tasks:
+def sweep_results(cells, jobs: int = 1) -> list[EvalResult]:
+    """Cross-validate each cell, given as the (dataset, trainer, CvSpec)
+    arguments of cross_validate; returns one EvalResult per cell, in order.
+    Every cell's tasks (see _cv_tasks: one per repeat) are made before any
+    task runs.  With more than one task and jobs > 1 they run in up to
+    ``jobs`` processes, handed out one at a time so that a worker slowed by
+    other load holds up the sweep by at most one task; each task is seeded
+    on its own, so results do not depend on ``jobs``."""
+    per_cell = [_cv_tasks(*cell) for cell in cells]
+    tasks = [task for cell in per_cell for task in cell]
+    if (workers := min(jobs, len(tasks))) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             records = iter(list(pool.map(_task_records, *zip(*tasks))))
     else:
         records = (_task_records(*task) for task in tasks)
-    return [((name, ratio, trainer.name),
-             _eval_result(spec.selection, [recs for _ in cell for recs in next(records)]))
-            for (name, ratio, trainer), cell in zip(keys, cells)]
+    return [_eval_result(spec.selection, [recs for _ in cell for recs in next(records)])
+            for (_, _, spec), cell in zip(cells, per_cell)]
 
 
 def sweep_rows(results) -> list[dict]:
-    """One results-file row per outer fold of each cell of ``sweep_results``."""
+    """One results-file row per outer fold of each ((dataset, ratio, method),
+    EvalResult) pair."""
     return [dict(dataset=ds_name, method=method, noise_ratio=ratio, fold=rec.fold,
                  repeat=rec.repeat, c1=rec.params.get("c1", ""),
                  c2=rec.params.get("c2", rec.params.get("C", "")),

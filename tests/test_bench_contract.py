@@ -75,3 +75,22 @@ def test_tracer_sees_every_solve_of_a_fit(tracing):
     assert value("solve_calls") == value("irls_iters") > 0
     for name in ("gflop", "weights_s", "objective_s"):
         assert value(name) > 0, name
+
+
+def test_tracer_counts_the_layers_of_one_cross_validation(tracing):
+    # The grid_cv workload reads its CV and solve counts from one
+    # cross_validate per cell, which hands its cell to sweep_results.
+    from qtsvm import evaluation
+    from qtsvm.data import gen_example1
+
+    spec = evaluation.CvSpec(folds=3, repeats=1, seed=0, selection="flat",
+                             grid=({"c1": 0.01, "c2": 0.01}, {"c1": 1.0, "c2": 0.01}))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        evaluation.cross_validate(gen_example1(12, seed=0), evaluation.CL1Trainer(), spec)
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracer.metrics(1)
+    assert metrics["evaluation.cv_calls"]["value"] == 1
+    assert metrics["solver_cl1.solve_calls"]["value"] > 0

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifact round-trips, replay."""
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -14,8 +15,8 @@ import pytest
 
 import qtsvm
 from qtsvm.cli import _benchmark_config, build_parser, main
-from qtsvm.data import load_csv
-from qtsvm.evaluation import CvSpec
+from qtsvm.data import gen_example1, inject_label_noise, load_csv
+from qtsvm.evaluation import CL1Trainer, CvSpec, cross_validate
 from qtsvm.solver_cl1 import SolverConfig
 
 BENCH_CONFIG = {
@@ -158,6 +159,30 @@ def test_benchmark_and_nemenyi(tmp_path, capsys):
     assert "CD=" in printed and "cl1qtsvm" in printed and "lsqtsvm" in printed
 
 
+def test_benchmark_lists_cells_by_dataset_name_and_noises_with_the_next_seed(tmp_path):
+    # Datasets come in name order, then noise ratios and methods in config
+    # order; a cell cross-validates its dataset with labels noised under
+    # seed + 1.
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({**BENCH_CONFIG, "methods": ["lsqtsvm", "cl1qtsvm"],
+                               "noise_ratios": [0.1, 0.0], "datasets": [
+                                   {"name": "b", "example": 3, "m_per_class": 30},
+                                   {"name": "a", "example": 1, "m_per_class": 30}]}))
+    out = tmp_path / "r.csv"
+    assert run(["benchmark", "--config", cfg, "--out", out]) == 0
+    with open(f"{out}.summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["dataset"], r["noise_ratio"], r["method"]) for r in rows] == [
+        (name, ratio, method) for name in "ab" for ratio in ("0.1", "0.0")
+        for method in ("lsqtsvm", "cl1qtsvm")]
+    spec = CvSpec(folds=3, repeats=1, seed=3, selection="flat",
+                  grid=tuple(BENCH_CONFIG["grid"]["cl1qtsvm"]))
+    expected = cross_validate(inject_label_noise(gen_example1(30, 3), 0.1, seed=4),
+                              CL1Trainer(), spec)
+    assert float(rows[1]["acc_mean"]) == expected.acc_mean
+    assert float(rows[1]["f1_mean"]) == expected.f1_mean
+
+
 @pytest.mark.parametrize("normalize", ["full", "per-fold"])
 @pytest.mark.parametrize("selection", ["flat", "nested"])
 def test_benchmark_parallel_matches_serial(tmp_path, selection, normalize):
@@ -259,14 +284,42 @@ def test_benchmark_config_cv_settings_are_checked_by_cvspec(tmp_path, capsys, mo
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("key, value, error", [
+    ("methods", ["lsqtsvm", "lsqtsvm"],
+     "'methods' must be a nonempty list of distinct method names from ['cl1qtsvm', 'lsqtsvm']"),
+    ("noise_ratios", [0.1, 0.0, 0.1],
+     "'noise_ratios' must be a nonempty list of distinct numbers in [0, 1)"),
+    ("noise_ratios", [0, 0.0],
+     "'noise_ratios' must be a nonempty list of distinct numbers in [0, 1)"),
+    ("grid", {"lsqtsvm": [{"C": 0.1}, {"C": 1}, {"C": 0.1}]},
+     "'lsqtsvm' must be a nonempty grid of distinct objects with exactly the keys ['C'], "
+     "each a positive number"),
+    ("datasets", [BENCH_CONFIG["datasets"][0]] * 2,
+     "'datasets' must be a nonempty list of distinct objects"),
+], ids=["methods", "noise_ratios", "noise_ratios-int-and-float", "grid", "datasets"])
+def test_benchmark_config_refuses_a_repeated_entry(tmp_path, capsys, monkeypatch, key, value,
+                                                   error):
+    # A repeated entry once ran every cell or grid lane it is in twice.
+    monkeypatch.setattr("qtsvm.cli._benchmark_dataset", _refuse)
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({**BENCH_CONFIG, "methods": ["lsqtsvm"],
+                               "grid": {"lsqtsvm": BENCH_CONFIG["grid"]["lsqtsvm"]}, key: value}))
+    assert run(["benchmark", "--config", cfg, "--out", tmp_path / "r.csv"]) == 2
+    got = value["lsqtsvm"] if key == "grid" else value
+    assert capsys.readouterr().err == f"error: benchmark config: {error}, got {got!r}\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_benchmark_config_takes_cv_defaults_from_cvspec(tmp_path):
     cv_keys = [f.name for f in fields(CvSpec) if f.name != "grid"]
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({k: v for k, v in BENCH_CONFIG.items() if k not in cv_keys}))
-    spec = _benchmark_config(cfg)[3]
-    expected = CvSpec(grid=tuple(BENCH_CONFIG["grid"]["cl1qtsvm"]))
-    for f in fields(CvSpec):
-        assert getattr(spec, f.name) == getattr(expected, f.name), f.name
+    specs = _benchmark_config(cfg)[2]
+    assert list(specs) == BENCH_CONFIG["methods"]
+    for method, spec in specs.items():
+        expected = CvSpec(grid=tuple(BENCH_CONFIG["grid"][method]))
+        for f in fields(CvSpec):
+            assert getattr(spec, f.name) == getattr(expected, f.name), (method, f.name)
 
 
 @pytest.mark.parametrize("work, argv", [
@@ -278,7 +331,8 @@ def test_benchmark_config_takes_cv_defaults_from_cvspec(tmp_path):
                                   "--out", tmp]),
     ("sweep_results", lambda tmp: ["benchmark", "--config", tmp / "bench.json",
                                    "--out", tmp / "missing" / "r.csv"]),
-], ids=["train", "predict", "predict-to-directory", "benchmark"])
+    ("load_csv", lambda tmp: _replay_unwritable(tmp, tmp / "m.json")),
+], ids=["train", "predict", "predict-to-directory", "benchmark", "replay-train"])
 def test_unwritable_output_is_refused_before_the_work(tmp_path, capsys, monkeypatch, work, argv):
     run(["generate", "--example", 1, "--m", 20, "--seed", 0, "--out", tmp_path / "d.csv"])
     run(["train", "--data", tmp_path / "d.csv", "--method", "lsqtsvm",
@@ -620,6 +674,17 @@ def _replay_without_input(tmp_path, model):
     return ["replay", tmp_path / "gone.json.manifest.json"]
 
 
+def _replay_unwritable(tmp_path, model):
+    """argv of a replay of a train manifest whose model_out names a directory
+    that does not exist and whose fit would fail with exit 1 (c2 = 1e300):
+    exit 2 shows that the output was refused before the fit."""
+    doc = json.loads(Path(f"{model}.manifest.json").read_text())
+    doc["flags"].update(method="cl1qtsvm", c1=1.0, c2=1e300,
+                        model_out=str(tmp_path / "missing" / "t.json"))
+    (tmp_path / "moved.manifest.json").write_text(json.dumps(doc))
+    return ["replay", tmp_path / "moved.manifest.json"]
+
+
 def _unwritable(make):
     """argv of make with its output path moved into a directory that does
     not exist."""
@@ -736,6 +801,10 @@ def trained(tmp_path_factory):
     (_unwritable(_bench()), 2),
     (_train("cl1qtsvm", "--c1", "1", "--c2", "1e300"), 1),
     (_bench(grid={**BENCH_CONFIG["grid"], "cl1qtsvm": [{"c1": 1, "c2": 1e300}]}), 1),
+    (_bench(methods=["lsqtsvm", "lsqtsvm"], grid={"lsqtsvm": BENCH_CONFIG["grid"]["lsqtsvm"]}),
+     2),
+    (_bench(noise_ratios=[0.1, 0.1]), 2),
+    (_replay_unwritable, 2),
 ], ids=["unlabeled-header", "unlabeled-blank-first-line", "missing-model", "model-mode", "model-b", "model-scaler",
         "model-n-inf", "model-c-string", "model-b-bool", "model-min-string", "model-max-bool",
         "model-version",
@@ -755,7 +824,8 @@ def trained(tmp_path_factory):
         "train-lsq-span-overflows", "model-scaler-span-overflows", "predict-scaling-overflows",
          "predict-distance-overflows", "generate-out-unwritable", "train-out-unwritable",
         "predict-out-unwritable", "benchmark-out-unwritable", "train-c2-overflows",
-        "config-c2-overflows"])
+        "config-c2-overflows", "config-methods-repeated", "config-noise-ratios-repeated",
+        "replay-out-unwritable"])
 def test_cli_failures_are_clean(trained, argv, code):
     # Each input exits with its code, and on failure with one error: line
     # and nothing else on stderr, such as a traceback or a RuntimeWarning.

@@ -17,7 +17,7 @@ from scipy.stats import rankdata
 
 import qtsvm
 import qtsvm.evaluation
-from qtsvm.data import gen_example1, gen_example3
+from qtsvm.data import gen_example1, gen_example3, inject_label_noise
 from qtsvm.errors import InvalidInputError
 from qtsvm.lifting import LiftingMode, unpack_weights
 from qtsvm.evaluation import (
@@ -258,11 +258,19 @@ def test_cl1_cv_stack_makes_one_config_per_grid_point(monkeypatch):
     assert [(c.c1, c.c2) for c in made] == [(p["c1"], p["c2"]) for p in FAST_GRID]
 
 
-def test_robustness_sweep_layout():
-    datasets = {"a": gen_example1(30, seed=6)}
-    spec = CvSpec(folds=3, repeats=1, seed=0, grid=FAST_GRID, selection="flat")
-    rows = sweep_rows(sweep_results(datasets, [CL1Trainer(), LSQTrainer()], [0.0, 0.1],
-                                    spec, grids={"lsqtsvm": LSQ_GRID}))
+def _cell(data, ratio, method, **cv):
+    """The (dataset, trainer, CvSpec) of one sweep cell."""
+    trainer, grid = {"cl1qtsvm": (CL1Trainer(), FAST_GRID),
+                     "lsqtsvm": (LSQTrainer(), LSQ_GRID)}[method]
+    return inject_label_noise(data, ratio, seed=1), trainer, CvSpec(grid=grid, **cv)
+
+
+def test_sweep_rows_one_per_outer_fold_of_each_cell():
+    data = gen_example1(30, seed=6)
+    keys = [("a", ratio, method) for ratio in (0.0, 0.1) for method in ("cl1qtsvm", "lsqtsvm")]
+    results = sweep_results([_cell(data, ratio, method, folds=3, repeats=1, seed=0,
+                                   selection="flat") for _, ratio, method in keys])
+    rows = sweep_rows(list(zip(keys, results)))
     # 1 dataset x 2 ratios x 2 methods x 3 folds.
     assert len(rows) == 12
     assert {r["method"] for r in rows} == {"cl1qtsvm", "lsqtsvm"}
@@ -289,30 +297,28 @@ def test_sweep_caps_processes_at_fold_count(monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    datasets = {"b": gen_example1(12, seed=6), "a": gen_example1(12, seed=7)}
-    spec = CvSpec(folds=3, repeats=1, seed=0, grid=FAST_GRID, selection="flat")
-    serial = sweep_results(datasets, [CL1Trainer(), LSQTrainer()], [0.0, 0.1], spec,
-                           grids={"lsqtsvm": LSQ_GRID})
-    pooled = sweep_results(datasets, [CL1Trainer(), LSQTrainer()], [0.0, 0.1], spec,
-                           grids={"lsqtsvm": LSQ_GRID}, jobs=1000)
+    b, a = gen_example1(12, seed=6), gen_example1(12, seed=7)
+    cv = dict(folds=3, repeats=1, seed=0, selection="flat")
+    cells = [_cell(b, 0.1, "lsqtsvm", **cv), _cell(b, 0.1, "cl1qtsvm", **cv),
+             _cell(b, 0.0, "lsqtsvm", **cv), _cell(b, 0.0, "cl1qtsvm", **cv),
+             _cell(a, 0.1, "lsqtsvm", **cv), _cell(a, 0.1, "cl1qtsvm", **cv),
+             _cell(a, 0.0, "lsqtsvm", **cv), _cell(a, 0.0, "cl1qtsvm", **cv)]
+    serial = sweep_results(cells)
+    pooled = sweep_results(cells, jobs=1000)
     # A (cell, repeat) is one task, flat or nested, under either scaler:
-    # 8 cells x 1 repeat, a cell of 10 folds and 3 repeats gets 3 workers,
-    # and a nested cell of 10 folds and 1 repeat gets 1, with per-fold
-    # scaling too.
-    sweep_results({"a": datasets["a"]}, [LSQTrainer()], [0.0],
-                  CvSpec(folds=10, repeats=3, seed=0, grid=LSQ_GRID, selection="flat"), jobs=4)
-    sweep_results({"a": datasets["a"]}, [LSQTrainer()], [0.0],
-                  CvSpec(folds=10, repeats=1, seed=0, grid=LSQ_GRID, selection="nested"), jobs=4)
-    sweep_results({"a": datasets["a"]}, [LSQTrainer()], [0.0],
-                  CvSpec(folds=10, repeats=1, seed=0, grid=LSQ_GRID, selection="nested",
-                         normalize="per-fold"), jobs=4)
-    assert sizes == [8, 3, 1, 1]
-    keys = [key for key, _ in serial]
-    assert keys == [(ds, ratio, method) for ds in "ab" for ratio in (0.0, 0.1)
-                    for method in ("cl1qtsvm", "lsqtsvm")]
-    assert keys == [key for key, _ in pooled]
-    for (_, a), (_, b) in zip(serial, pooled):
-        assert (a.acc_mean, a.f1_mean, a.best_params) == (b.acc_mean, b.f1_mean, b.best_params)
+    # 8 cells x 1 repeat, and a cell of 10 folds and 3 repeats gets 3
+    # workers.  A nested cell of 10 folds and 1 repeat is one task, which
+    # runs in this process, with per-fold scaling too.
+    sweep_results([(a, LSQTrainer(),
+                    CvSpec(folds=10, repeats=3, seed=0, grid=LSQ_GRID, selection="flat"))], jobs=4)
+    for normalize in ("full", "per-fold"):
+        one_cell = [(a, LSQTrainer(), CvSpec(
+            folds=10, repeats=1, seed=0, grid=LSQ_GRID, selection="nested", normalize=normalize))]
+        assert sweep_results(one_cell, jobs=4) == [cross_validate(*one_cell[0])]
+    assert sizes == [8, 3]
+    # One result per cell, in the order given, whatever jobs is.
+    assert serial == pooled == [cross_validate(*cell) for cell in cells]
+    assert len({r.acc_mean for r in serial}) > 1
 
 
 def test_nemenyi_cd_reference_value():

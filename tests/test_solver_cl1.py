@@ -202,7 +202,7 @@ def test_smw_branch_tolerates_zero_weights():
     np.testing.assert_allclose(w_smw, w_direct, rtol=1e-8, atol=1e-10)
 
 
-def test_update_w_minus_matches_oracle():
+def test_negative_surface_solve_matches_oracle():
     # The negative surface is minus the positive update on swapped classes.
     rng = np.random.default_rng(4)
     for _ in range(20):
