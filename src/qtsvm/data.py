@@ -219,6 +219,9 @@ def _row_blocks(path, cells=None):
     cells = cells or CSV_BLOCK_CELLS
     try:
         with open(path, newline="") as fh:
+            # A UTF-8 byte-order mark would stay in the first cell.
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
             block, size = [], 0
             for row in csv.reader(fh):
                 if "".join(row).strip():

@@ -245,7 +245,8 @@ def _inner_folds(m_pos, m_neg, seed_key):
 
 def _best_point(grid, per_fold):
     """The grid point with the best mean accuracy over the folds' counts,
-    the first one on a tie."""
+    the first one on a tie; grid may also be the columns of records of
+    every outer fold (see _eval_result)."""
     accs = [[accuracy(c) for c in counts] for counts in per_fold]
     means = [float(np.mean(point)) for point in zip(*accs)]
     return grid[int(np.argmax(means))]
@@ -277,31 +278,31 @@ def _cv_tasks(dataset, trainer, spec):
 
 
 def _task_records(dataset, trainer, spec, scaler, assign, rep):
-    """The records of repeat rep, one list per outer fold, fit as masked
-    stacks (see _stack_counts for scaler None).  Flat selection
-    cross-validates the whole grid, one record per grid point and fold;
-    nested selection gives each outer fold one record, for the grid point
-    its inner CV picks."""
-    if spec.selection == "nested":
-        return _nested_records(dataset, trainer, spec, scaler, assign, rep)
+    """The records of repeat rep, one list per outer fold in grid order: each
+    fold's grid fit on its training split and counted on its held-out rows,
+    all folds as one masked stack (see _stack_counts for scaler None).  The
+    two selections differ only in that grid: flat selection fits spec.grid
+    in every fold, nested selection each fold's inner-CV pick alone (see
+    _inner_picks)."""
+    grids = ([(pick,) for pick in _inner_picks(dataset, trainer, spec, scaler, assign, rep)]
+             if spec.selection == "nested" else [spec.grid] * spec.folds)
+    outer = _stack_counts(trainer, dataset, spec.mode, scaler,
+                          [(grid, assign != f, assign == f) for f, grid in enumerate(grids)])
     return [[FoldRecord(repeat=rep, fold=f, params=params, counts=c)
-             for params, c in zip(spec.grid, counts)]
-            for f, counts in enumerate(_stack_counts(
-                trainer, dataset, spec.mode, scaler,
-                [(spec.grid, assign != f, assign == f) for f in range(spec.folds)]))]
+             for params, c in zip(grid, counts)]
+            for f, (grid, counts) in enumerate(zip(grids, outer))]
 
 
-def _nested_records(dataset, trainer, spec, scaler, assign, rep):
-    """Nested selection over every outer fold of repeat rep, one record per
-    outer fold, fit as masked stacks on the whole dataset (see
-    _stack_counts for scaler None).
+def _inner_picks(dataset, trainer, spec, scaler, assign, rep):
+    """The grid point that nested selection picks for each outer fold of
+    repeat rep, in fold order, by inner CV fit as masked stacks on the whole
+    dataset (see _stack_counts for scaler None).
 
     Outer fold f deals its training split (assign != f) over inner folds
     (see _inner_folds), seeded [seed, rep, f, 1], so inner lane (f, j, g)
     is grid point g fit on that split less inner fold j and counted on
     inner fold j.  The inner lanes of consecutive outer folds share a stack
-    up to NESTED_STACK_LANES lanes; then each fold's outer fit, at the grid
-    point its inner CV picks, is one lane of a last stack of spec.folds."""
+    up to NESTED_STACK_LANES lanes."""
     inner = []
     for f in range(spec.folds):
         train = assign != f
@@ -321,19 +322,14 @@ def _nested_records(dataset, trainer, spec, scaler, assign, rep):
         counts = iter(_stack_counts(trainer, dataset, spec.mode, scaler,
                                     [block for f in folds for block in inner[f]]))
         picks += [_best_point(spec.grid, [next(counts) for _ in inner[f]]) for f in folds]
-    outer = _stack_counts(trainer, dataset, spec.mode, scaler,
-                          [((params,), assign != f, assign == f) for f, params in enumerate(picks)])
-    return [[FoldRecord(repeat=rep, fold=f, params=params, counts=counts)]
-            for f, (params, [counts]) in enumerate(zip(picks, outer))]
+    return picks
 
 
-def _eval_result(selection, per_fold) -> EvalResult:
-    """Summarise the outer folds' records, given in (repeat, fold) order."""
-    if selection == "flat":
-        # One grid point for the whole run, chosen by mean CV accuracy.
-        records = _best_point(list(zip(*per_fold)), [[r.counts for r in recs] for recs in per_fold])
-    else:
-        records = [rec for [rec] in per_fold]
+def _eval_result(per_fold) -> EvalResult:
+    """Summarise the outer folds' records, given in (repeat, fold) order, at
+    the grid position with the best mean accuracy: under nested selection
+    each fold's only record, its inner-CV pick."""
+    records = _best_point(list(zip(*per_fold)), [[r.counts for r in recs] for recs in per_fold])
     accs = [accuracy(r.counts) for r in records]
     f1s = [f1(r.counts) for r in records]
     # Ties go to the grid point that occurs first in record order, so the
@@ -367,8 +363,7 @@ def sweep_results(cells, jobs: int = 1) -> list[EvalResult]:
             records = iter(list(pool.map(_task_records, *zip(*tasks))))
     else:
         records = (_task_records(*task) for task in tasks)
-    return [_eval_result(spec.selection, [recs for _ in cell for recs in next(records)])
-            for (_, _, spec), cell in zip(cells, per_cell)]
+    return [_eval_result([recs for _ in cell for recs in next(records)]) for cell in per_cell]
 
 
 def sweep_rows(results) -> list[dict]:

@@ -108,6 +108,21 @@ def test_predict_unlabeled_matrix(tmp_path):
     assert len(preds.read_text().strip().splitlines()) == 61
 
 
+def test_predict_reads_every_row_after_a_byte_order_mark(tmp_path):
+    data = tmp_path / "d.csv"
+    run(["generate", "--example", 1, "--m", 30, "--seed", 3, "--out", data])
+    model = tmp_path / "model.json"
+    run(["train", "--data", data, "--method", "cl1qtsvm",
+         "--c1", 0.01, "--c2", 0.01, "--model-out", model])
+    bare = tmp_path / "bare.csv"
+    rows = np.loadtxt(data, delimiter=",", skiprows=1)[:, :2]
+    bare.write_bytes(b"\xef\xbb\xbf" + "".join(f"{a!r},{b!r}\n" for a, b in rows.tolist()).encode())
+    preds = tmp_path / "p.csv"
+    assert run(["predict", "--model", model, "--data", bare, "--out", preds]) == 0
+    # A header line, then one prediction per input row.
+    assert len(preds.read_text().strip().splitlines()) == 1 + len(rows) == 61
+
+
 def test_predict_keeps_file_order_of_labelled_rows(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run(["generate", "--example", 1, "--m", 30, "--seed", 3, "--out", data])
@@ -212,6 +227,14 @@ def test_nemenyi_raw_matrix(tmp_path, capsys, header, names):
     assert printed[0].startswith("k=3 N=3 CD=")
     methods = ["a", "b", "c"] if header else ["method1", "method2", "method3"]
     assert [line.split(":")[0].strip() for line in printed[1:4]] == methods
+
+
+def test_nemenyi_method_names_leave_out_a_byte_order_mark(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_bytes(b"\xef\xbb\xbfa,b,c\n0.9,0.8,0.7\n0.95,0.85,0.75\n0.9,0.7,0.6\n")
+    assert run(["nemenyi", "--results", scores]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0].strip() for line in printed[1:4]] == ["a", "b", "c"]
 
 
 @pytest.mark.parametrize("text, message", [

@@ -195,6 +195,26 @@ def test_load_csv_rejects_an_out_of_range_label_column(tmp_path, label_column):
     assert str(exc.value) == f"label column {label_column} is out of range for 3 columns"
 
 
+def test_a_byte_order_mark_is_not_part_of_the_first_row(tmp_path):
+    # A UTF-8 byte-order mark once stayed in the first cell, which made the
+    # first row of a headerless file its header: 4 rows loaded as 3.
+    path = tmp_path / "marked.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2,1\n3,4,-1\n5,6,1\n7,8,-1\n")
+    matrix = [[1, 2, 1], [3, 4, -1], [5, 6, 1], [7, 8, -1]]
+    X, y = data.load_labelled(path)
+    np.testing.assert_array_equal(X, [row[:2] for row in matrix])
+    np.testing.assert_array_equal(y, [row[2] for row in matrix])
+    np.testing.assert_array_equal(data.load_features(path), matrix)
+    scores, names = data.load_scores(path)
+    np.testing.assert_array_equal(scores, matrix)
+    assert names == ["method1", "method2", "method3"]
+    assert data.first_row_width(path) == 3
+    path.write_bytes(b"\xef\xbb\xbflabel,x1,x2\n1,2,3\n-1,4,5\n")
+    X, y = data.load_labelled(path, label_column="label")
+    np.testing.assert_array_equal(X, [[2, 3], [4, 5]])
+    np.testing.assert_array_equal(y, [1, -1])
+
+
 EDGE_VALUES = [1e16, 9999999999999998.0, 1e-5, 5e-324, -0.0,
                1.7976931348623157e308, 0.1, -2.5e-7, 3, -4, 0]
 

@@ -189,6 +189,21 @@ def test_cross_validate_per_fold_normalization():
     assert r.acc_mean > 0.8
 
 
+@pytest.mark.parametrize("normalize", ["full", "per-fold"])
+@pytest.mark.parametrize("trainer, point", [(CL1Trainer(), FAST_GRID[0]),
+                                            (LSQTrainer(), LSQ_GRID[0])],
+                         ids=["cl1qtsvm", "lsqtsvm"])
+def test_one_point_grid_flat_and_nested_agree(trainer, point, normalize):
+    # Nested selection's inner CV can only pick the one point, so both
+    # selections fit the same outer folds at it and keep the same records.
+    d = inject_label_noise(gen_example3(30, seed=0), 0.1, seed=1)
+    flat, nested = (cross_validate(d, trainer, CvSpec(folds=4, repeats=2, seed=0, grid=(point,),
+                                                      selection=selection, normalize=normalize))
+                    for selection in ("flat", "nested"))
+    assert nested == flat
+    assert len(flat.folds) == 8 and flat.best_params == point
+
+
 def test_cross_validate_rejects_tiny_dataset():
     d = gen_example1(3, seed=5)
     with pytest.raises(InvalidInputError):
