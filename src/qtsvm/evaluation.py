@@ -238,7 +238,7 @@ def _inner_folds(m_pos, m_neg, seed_key):
     k = min(INNER_FOLDS, m_pos, m_neg)
     if k < 2:
         raise InvalidInputError(
-            "training split too small for inner model selection; use fewer folds"
+            "training split too small for inner model selection; use fewer folds or flat selection"
         )
     return _stratified_folds(m_pos, m_neg, k, seed_key), k
 
@@ -283,9 +283,9 @@ def _task_records(dataset, trainer, spec, scaler, assign, rep):
     all folds as one masked stack (see _stack_counts for scaler None).  The
     two selections differ only in that grid: flat selection fits spec.grid
     in every fold, nested selection each fold's inner-CV pick alone (see
-    _inner_picks)."""
+    _inner_picks), which is a one-point grid's point with no inner CV."""
     grids = ([(pick,) for pick in _inner_picks(dataset, trainer, spec, scaler, assign, rep)]
-             if spec.selection == "nested" else [spec.grid] * spec.folds)
+             if spec.selection == "nested" and len(spec.grid) > 1 else [spec.grid] * spec.folds)
     outer = _stack_counts(trainer, dataset, spec.mode, scaler,
                           [(grid, assign != f, assign == f) for f, grid in enumerate(grids)])
     return [[FoldRecord(repeat=rep, fold=f, params=params, counts=c)

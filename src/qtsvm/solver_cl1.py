@@ -7,9 +7,9 @@ equations are solved in closed form, either directly in lifted space or,
 through the push-through form of the Sherman-Morrison-Woodbury identity,
 as one system in sample space whose Gram matrix is formed once per fit.
 
-The iteration runs over a stack of lanes, one per (c1, c2) setting, on
-data scaled and lifted once: ``fit_grid`` fits a whole hyperparameter grid
-that way and ``fit`` is its one-lane case.  A lane may also train on a
+The iteration runs over a stack of lanes, one per configuration, on data
+scaled and lifted once: ``fit_grid`` fits a whole hyperparameter grid that
+way and ``fit`` is its one-lane case.  A lane may also train on a
 subset of the samples, given as a mask, so that the folds of a
 cross-validation split are lanes of the same stack.  The schedule is one
 generator, ``_irls_steps``: a fit keeps its iterates, and its reports re-run
@@ -161,7 +161,8 @@ STACKED_SOLVE_MAX_DIM = 50
 # other.  The negative surface is minus the positive one with the classes
 # swapped, since negating w negates every residual and turns the slacks
 # 1 - w.z into 1 + (-w).z.  Each step takes a stack of lanes, one row per
-# lane; own and other are masks of the samples each lane trains on.
+# lane; own and other are masks of the samples each lane trains on, and
+# cap_eps, given per lane, is a column of their caps.
 
 
 def compute_weights_pos(R, S, cap_eps, own, other) -> ReweightState:
@@ -187,15 +188,6 @@ def compute_weights_pos(R, S, cap_eps, own, other) -> ReweightState:
         np.copyto(a, cap_eps, where=saturated)
         a *= keep
     return ReweightState(q=R, u=S)
-
-
-def _pick_branch(m_l: int, m_other: int, requested: str) -> str:
-    if requested != "auto":
-        return requested
-    # SMW factors an (m_own + m_other)-sized system on a Gram formed once per
-    # fit, direct an l x l system formed each iteration.  Strictly greater:
-    # at equality the direct solve runs.
-    return "smw" if m_l > m_other else "direct"
 
 
 def _psd_solve_stack(G, per_lane, system):
@@ -354,7 +346,7 @@ def update_w_plus(Z_own, Z_other, state: ReweightState, c1, c2, branch, consts):
     return solve(Z_own, Z_other, state.q, state.u, c1, c2, consts)
 
 
-def _mixed_loss_sum(a: np.ndarray, cap_eps: float, keep) -> np.ndarray:
+def _mixed_loss_sum(a: np.ndarray, cap_eps, keep) -> np.ndarray:
     """Sum over the samples that keep marks of the loss the reweighting
     scheme descends on, at residuals of magnitude a: |r| below the cap,
     (eps/2) r^2 + eps - eps^3/2 above it (continuous at |r| = eps)."""
@@ -362,7 +354,8 @@ def _mixed_loss_sum(a: np.ndarray, cap_eps: float, keep) -> np.ndarray:
     loss = np.square(a)
     loss *= 0.5 * e
     loss += e
-    loss -= 0.5 * e**3
+    # Python's float power per cap: numpy's array power can differ in the last bit.
+    loss -= 0.5 * np.array([x**3 for x in np.ravel(e).tolist()]).reshape(np.shape(e))
     np.copyto(loss, a, where=a <= e)
     loss *= keep
     return loss.sum(axis=-1)
@@ -388,32 +381,47 @@ def _abs_residuals(W, Z_own, Z_other, R=None, S=None):
     return R, S
 
 
-def _irls_steps(Z_own, Z_other, c1, c2, cfg: SolverConfig, own, other, solve):
-    """The schedule of the capped-L1 IRLS of the positive subproblem over a
-    stack of lanes, lane g with penalties (c1[g], c2[g]) and cfg's cap_eps
-    and max_iter, written once for the fit and for its report replay.
+@dataclass(frozen=True)
+class _Lanes:
+    """Each lane's settings in a stack of IRLS lanes: c1, c2, cap_eps (a
+    column), max_iter, and the boolean masks own and other of the samples it
+    trains on.  Indexing takes a subset of the lanes."""
 
-    own and other are boolean masks of shapes (G, m_own) and (G, m_other):
-    lane g trains on the samples its rows mark, and an unmarked sample gets
-    weight 0 in every state.  solve(state, c1, c2) gives the running lanes'
-    iterates and fallback flags.  Each step yields (lanes, W_new, fell,
-    state, stop, done): the running lanes, solve's output, the weights it
-    solved with (overwritten once the next step is asked for), the lanes
-    that stop here and those that met the step rule.  A lane stops on its
-    own step rule or at max_iter; only the running lanes' arrays are carried.
-    """
-    lanes = np.arange(c1.size)
-    W_old = np.zeros((c1.size, Z_own.shape[0]))
+    c1: np.ndarray
+    c2: np.ndarray
+    cap_eps: np.ndarray
+    max_iter: np.ndarray
+    own: np.ndarray
+    other: np.ndarray
+
+    def __getitem__(self, sel) -> _Lanes:
+        return _Lanes(**{k: v[sel] for k, v in vars(self).items()})
+
+
+def _irls_steps(Z_own, Z_other, lanes: _Lanes, solve):
+    """The schedule of the capped-L1 IRLS of the positive subproblem over a
+    stack of lanes, written once for the fit and for its report replay.  An
+    unmarked sample of a lane's masks gets weight 0 in every state.
+
+    solve(state, run) gives the running lanes' iterates and fallback flags.
+    Each step yields (at, run, W_new, fell, state, stop, done): the running
+    lanes' positions in the stack and their settings, solve's output, the
+    weights it solved with (overwritten once the next step is asked for),
+    the lanes that stop here and those that met the step rule.  A lane stops
+    on its own step rule or at its own max_iter; only the running lanes are
+    carried."""
+    at = np.arange(lanes.c1.size)
+    W_old = np.zeros((at.size, Z_own.shape[0]))
     # The zero start carries no residual information (own-class
     # reciprocals would all hit the division floor), so the first update
     # is a plain unweighted least-squares step on each lane's samples.
-    state = ReweightState(q=own.astype(float), u=other.astype(float))
-    for t in range(cfg.max_iter):
-        W_new, fell = solve(state, c1, c2)
+    state = ReweightState(q=lanes.own.astype(float), u=lanes.other.astype(float))
+    for t in range(lanes.max_iter.max()):
+        W_new, fell = solve(state, lanes)
         step = np.linalg.norm(W_new - W_old, axis=1)
         done = step <= CONV_TOL * (1.0 + np.linalg.norm(W_old, axis=1))
-        stop = done if t + 1 < cfg.max_iter else np.ones_like(done)
-        yield lanes, W_new, fell, state, stop, done
+        stop = done | (lanes.max_iter <= t + 1)
+        yield at, lanes, W_new, fell, state, stop, done
         if stop.all():
             return
         # The solve is done with the weights, so their buffers take |r|,
@@ -421,54 +429,50 @@ def _irls_steps(Z_own, Z_other, c1, c2, cfg: SolverConfig, own, other, solve):
         R, S = _abs_residuals(W_new, Z_own, Z_other, state.q, state.u)
         if stop.any():
             run = ~stop
-            lanes, W_new, R, S = lanes[run], W_new[run], R[run], S[run]
-            c1, c2, own, other = c1[run], c2[run], own[run], other[run]
+            at, lanes, W_new, R, S = at[run], lanes[run], W_new[run], R[run], S[run]
         W_old = W_new
-        state = compute_weights_pos(R, S, cfg.cap_eps, own, other)
+        state = compute_weights_pos(R, S, lanes.cap_eps, lanes.own, lanes.other)
 
 
-def _irls(Z_own, Z_other, c1, c2, cfg: SolverConfig, branch, own, other, consts):
+def _irls(Z_own, Z_other, lanes: _Lanes, branch, consts):
     """_irls_steps solved by update_w_plus on the given branch with its
     constants consts, keeping each step's solve output.  Returns the weight
     vectors, shape (G, l), each lane's count of least-squares fallbacks, and
     a callable that replays the kept iterates into one SubproblemReport per
-    lane (see _replay).
-    """
-    W = np.empty((c1.size, Z_own.shape[0]))
-    fallbacks = np.zeros(c1.size, dtype=int)
+    lane (see _replay)."""
+    W = np.empty((lanes.c1.size, Z_own.shape[0]))
+    fallbacks = np.zeros(lanes.c1.size, dtype=int)
     kept = []
-    steps = _irls_steps(Z_own, Z_other, c1, c2, cfg, own, other, lambda state, *penalties:
-                        update_w_plus(Z_own, Z_other, state, *penalties, branch, consts))
+    steps = _irls_steps(Z_own, Z_other, lanes, lambda state, run:
+                        update_w_plus(Z_own, Z_other, state, run.c1, run.c2, branch, consts))
     # A penalty large enough to overflow gives a non-finite iterate, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, (lanes, W_new, fell, _, stop, _) in enumerate(steps):
+        for t, (at, _, W_new, fell, _, stop, _) in enumerate(steps):
             if not np.isfinite(W_new).all():
                 raise NumericError(f"non-finite iterate at iteration {t}")
             kept.append((W_new, fell))
-            fallbacks[lanes] += fell
-            W[lanes[stop]] = W_new[stop]
-    replay = partial(_replay, kept, fallbacks, Z_own, Z_other, c1, c2, cfg, branch, own, other)
-    return W, fallbacks, replay
+            fallbacks[at] += fell
+            W[at[stop]] = W_new[stop]
+    return W, fallbacks, partial(_replay, kept, fallbacks, Z_own, Z_other, lanes, branch)
 
 
-def _replay(kept, fallbacks, Z_own, Z_other, c1, c2, cfg, branch, own, other):
+def _replay(kept, fallbacks, Z_own, Z_other, lanes: _Lanes, branch):
     """One SubproblemReport per lane of an _irls run: _irls_steps re-run with
     the kept solve outputs in place of the solves, so each lane stops where
     it stopped and each weight has its bits, recording each lane's objective
     trace, final state (the weights of its last solve) and peak weight."""
-    G = c1.size
+    G = lanes.c1.size
     trace = np.empty((len(kept), G))
     iters, converged, peak = np.zeros(G, dtype=int), np.zeros(G, dtype=bool), np.zeros(G)
-    Q, U = np.empty(own.shape), np.empty(other.shape)
+    Q, U = np.empty(lanes.own.shape), np.empty(lanes.other.shape)
     outputs = iter(kept)
-    steps = _irls_steps(Z_own, Z_other, c1, c2, cfg, own, other, lambda *_: next(outputs))
-    for t, (lanes, W, _, state, stop, done) in enumerate(steps):
-        peak[lanes] = np.maximum(peak[lanes], np.maximum(state.q.max(axis=1), state.u.max(axis=1)))
-        fin = lanes[stop]
+    steps = _irls_steps(Z_own, Z_other, lanes, lambda *_: next(outputs))
+    for t, (at, run, W, _, state, stop, done) in enumerate(steps):
+        peak[at] = np.maximum(peak[at], np.maximum(state.q.max(axis=1), state.u.max(axis=1)))
+        fin = at[stop]
         Q[fin], U[fin], iters[fin], converged[fin] = state.q[stop], state.u[stop], t + 1, done[stop]
         R, S = _abs_residuals(W, Z_own, Z_other)
-        trace[t, lanes] = objective_plus(W, R, S, c1[lanes], c2[lanes], cfg.cap_eps,
-                                         own[lanes], other[lanes])
+        trace[t, at] = objective_plus(W, R, S, run.c1, run.c2, run.cap_eps, run.own, run.other)
     return [
         SubproblemReport(
             objective_trace=trace[: iters[g], g].copy(),
@@ -493,9 +497,10 @@ def fit_grid(
     """Train the capped-L1 twin classifier under each configuration of
     ``cfgs`` on one scaled and lifted copy of the dataset.
 
-    Configurations that differ only in c1 and c2 share one stacked IRLS
-    per subproblem, each starting cold from zero.  When ``scaler`` is None
-    the [-1, 1] rescaling is fit on this dataset.
+    Every configuration is a lane, starting cold from zero with its own
+    c1, c2, cap_eps and max_iter; lanes split into stacked IRLS runs only by
+    side and solve branch.  When ``scaler`` is None the [-1, 1] rescaling is
+    fit on this dataset.
 
     ``mask``, when given, has one row per configuration over the samples
     in ``dataset.stacked()`` order (positives first): configuration g
@@ -522,38 +527,33 @@ def fit_grid(
     scaled = scale_dataset(dataset, scaler)
     Z = {"pos": lift_matrix(scaled.X_pos, mode).T, "neg": lift_matrix(scaled.X_neg, mode).T}
     l = Z["pos"].shape[0]
-    counts = {side: masks[side].sum(axis=1) for side in Z}
-
-    groups: dict = {}
-    for g, cfg in enumerate(cfgs):
-        groups.setdefault((cfg.cap_eps, cfg.max_iter, cfg.branch), []).append(g)
+    c1, c2, cap_eps, max_iter = (np.array([getattr(cfg, k) for cfg in cfgs])
+                                 for k in ("c1", "c2", "cap_eps", "max_iter"))
     w = {side: np.empty((len(cfgs), l)) for side in Z}
     fallbacks = np.zeros(len(cfgs), dtype=int)
     replays = []
     consts = {}  # each branch's constants by side (see update_w_plus)
-    for idx in groups.values():
-        shared = cfgs[idx[0]]
-        idx = np.array(idx)
-        c1 = np.array([cfgs[g].c1 for g in idx])
-        c2 = np.array([cfgs[g].c2 for g in idx])
-        for own, other in (("pos", "neg"), ("neg", "pos")):
-            branches = [_pick_branch(l, int(m), shared.branch) for m in counts[other][idx]]
-            for branch in dict.fromkeys(branches):
-                sel = np.array(branches) == branch
-                lanes = idx[sel]
-                if branch == "smw" and branch not in consts:
-                    gram = _sample_gram(Z["pos"], Z["neg"])
-                    # Swapping the classes swaps the Gram's blocks.
-                    rolled = np.roll(gram, (-Z["pos"].shape[1],) * 2, axis=(0, 1))
-                    consts[branch] = {"pos": gram, "neg": rolled}
-                elif branch not in consts:
-                    P = _pair_products(Z["pos"]), _pair_products(Z["neg"])
-                    consts[branch] = {"pos": P, "neg": P[::-1]}
-                w[own][lanes], fell, replay = _irls(Z[own], Z[other], c1[sel], c2[sel], shared,
-                                                    branch, masks[own][lanes],
-                                                    masks[other][lanes], consts[branch][own])
-                fallbacks[lanes] += fell
-                replays.append((own, lanes, replay))
+    for own, other in (("pos", "neg"), ("neg", "pos")):
+        table = _Lanes(c1, c2, cap_eps[:, None], max_iter, masks[own], masks[other])
+        # Under "auto", SMW factors an (m_own + m_other)-sized system on a Gram
+        # formed once per fit, direct an l x l system formed each iteration.
+        # Strictly greater: at equality the direct solve runs.
+        branches = [("smw" if l > m else "direct") if cfg.branch == "auto" else cfg.branch
+                    for m, cfg in zip(masks[other].sum(axis=1), cfgs)]
+        for branch in dict.fromkeys(branches):
+            lanes = np.flatnonzero(np.array(branches) == branch)
+            if branch == "smw" and branch not in consts:
+                gram = _sample_gram(Z["pos"], Z["neg"])
+                # Swapping the classes swaps the Gram's blocks.
+                rolled = np.roll(gram, (-Z["pos"].shape[1],) * 2, axis=(0, 1))
+                consts[branch] = {"pos": gram, "neg": rolled}
+            elif branch not in consts:
+                P = _pair_products(Z["pos"]), _pair_products(Z["neg"])
+                consts[branch] = {"pos": P, "neg": P[::-1]}
+            w[own][lanes], fell, replay = _irls(Z[own], Z[other], table[lanes], branch,
+                                                consts[branch][own])
+            fallbacks[lanes] += fell
+            replays.append((own, lanes, replay))
     return GridFit(
         scaler=scaler,
         mode=mode,

@@ -288,6 +288,24 @@ def test_benchmark_config_names_the_allowed_values(tmp_path, capsys, key, allowe
         f"error: benchmark config: {key!r} must be {allowed}, got 'x'\n")
 
 
+def test_benchmark_refuses_a_split_too_small_for_inner_cv(tmp_path, capsys):
+    # 2 positives and 10 negatives: each training split of 2-fold CV keeps
+    # one positive, too few for nested selection's inner CV.
+    d = gen_example1(10, seed=2)
+    rows = [(*x, 1) for x in d.X_pos[:2].tolist()] + [(*x, -1) for x in d.X_neg.tolist()]
+    data = tmp_path / "few.csv"
+    data.write_text("x1,x2,label\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({**BENCH_CONFIG, "folds": 2, "selection": "nested",
+                               "methods": ["cl1qtsvm"], "datasets": [{"name": "few",
+                                                                      "path": str(data)}],
+                               "grid": {"cl1qtsvm": BENCH_CONFIG["grid"]["cl1qtsvm"]}}))
+    assert run(["benchmark", "--config", cfg, "--out", tmp_path / "r.csv"]) == 2
+    assert capsys.readouterr().err == ("error: training split too small for inner model "
+                                       "selection; use fewer folds or flat selection\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("called before the input was refused")
 

@@ -17,7 +17,7 @@ from scipy.stats import rankdata
 
 import qtsvm
 import qtsvm.evaluation
-from qtsvm.data import gen_example1, gen_example3, inject_label_noise
+from qtsvm.data import Dataset, gen_example1, gen_example3, inject_label_noise
 from qtsvm.errors import InvalidInputError
 from qtsvm.lifting import LiftingMode, unpack_weights
 from qtsvm.evaluation import (
@@ -202,6 +202,39 @@ def test_one_point_grid_flat_and_nested_agree(trainer, point, normalize):
                     for selection in ("flat", "nested"))
     assert nested == flat
     assert len(flat.folds) == 8 and flat.best_params == point
+
+
+def test_one_point_nested_grid_skips_inner_cv(monkeypatch):
+    # Its pick is known, so nested selection hands fit_grid the lanes and
+    # stacks of flat selection: one stack of 4 lanes per repeat.
+    d = inject_label_noise(gen_example3(30, seed=0), 0.1, seed=1)
+    stacks = {}
+    fit_grid = qtsvm.evaluation.fit_grid
+    for selection in ("flat", "nested"):
+        lanes = stacks.setdefault(selection, [])
+
+        def spy(dataset, cfgs, *args, lanes=lanes):
+            lanes.append(len(cfgs))
+            return fit_grid(dataset, cfgs, *args)
+
+        monkeypatch.setattr(qtsvm.evaluation, "fit_grid", spy)
+        cross_validate(d, CL1Trainer(), CvSpec(folds=4, repeats=2, seed=0, grid=FAST_GRID[:1],
+                                               selection=selection))
+    assert stacks["nested"] == stacks["flat"] == [4, 4]
+
+
+def test_inner_cv_needs_two_samples_per_class():
+    # 2 positives and 10 negatives: each training split of 2-fold CV keeps
+    # one positive, too few for inner CV.
+    d = gen_example1(10, seed=2)
+    d = Dataset(X_pos=d.X_pos[:2], X_neg=d.X_neg)
+    with pytest.raises(InvalidInputError, match="use fewer folds or flat selection"):
+        cross_validate(d, CL1Trainer(), CvSpec(folds=2, repeats=1, grid=FAST_GRID))
+    # A one-point grid runs no inner CV, so nested selection equals flat.
+    flat, nested = (cross_validate(d, CL1Trainer(), CvSpec(folds=2, repeats=1, grid=FAST_GRID[:1],
+                                                           selection=selection))
+                    for selection in ("flat", "nested"))
+    assert nested == flat
 
 
 def test_cross_validate_rejects_tiny_dataset():

@@ -36,6 +36,7 @@ from qtsvm.solver_cl1 import (
     ReweightState,
     SolverConfig,
     _irls,
+    _Lanes,
     _pair_products,
     _psd_solve_stack,
     _sample_gram,
@@ -105,13 +106,15 @@ def split():
 def test_stacked_irls_matches_serial_loop(split, side):
     _, _, _, Zp, Zm = split
     Z_own, Z_other, sign = (Zp, Zm, -1.0) if side == "pos" else (Zm, Zp, 1.0)
-    c1 = np.array([cfg.c1 for cfg in GRID])
-    c2 = np.array([cfg.c2 for cfg in GRID])
+    G = len(GRID)
+    lanes = _Lanes(c1=np.array([cfg.c1 for cfg in GRID]), c2=np.array([cfg.c2 for cfg in GRID]),
+                   cap_eps=np.array([[cfg.cap_eps] for cfg in GRID]),
+                   max_iter=np.array([cfg.max_iter for cfg in GRID]),
+                   own=np.ones((G, Z_own.shape[1]), bool),
+                   other=np.ones((G, Z_other.shape[1]), bool))
     # The stacked loop solves the positive form; the negative surface is
     # minus that solve on swapped classes.
-    W, fallbacks, replay = _irls(Z_own, Z_other, c1, c2, SolverConfig(), "direct",
-                                 np.ones((c1.size, Z_own.shape[1]), bool),
-                                 np.ones((c1.size, Z_other.shape[1]), bool),
+    W, fallbacks, replay = _irls(Z_own, Z_other, lanes, "direct",
                                  (_pair_products(Z_own), _pair_products(Z_other)))
     reports = replay()
     np.testing.assert_array_equal(fallbacks, [rep.lstsq_fallbacks for rep in reports])
@@ -163,8 +166,8 @@ def assert_lanes_agree(a, b, pairs):
 
 
 def test_fit_grid_matches_single_fits():
-    # Configurations that differ beyond (c1, c2) are solved in separate
-    # stacks; each lane still equals its own single fit.
+    # Configurations that differ beyond (c1, c2) share one stack, each lane
+    # with its own cap_eps and max_iter; each still equals its own single fit.
     d = gen_example1(40, seed=5)
     cfgs = [SolverConfig(c1=0.01, c2=0.01), SolverConfig(c1=1.0, c2=0.1, cap_eps=0.5),
             SolverConfig(c1=1.0, c2=0.1), SolverConfig(c1=0.1, c2=1.0, max_iter=3)]
@@ -173,6 +176,52 @@ def test_fit_grid_matches_single_fits():
         assert_lanes_agree(grid, fit_grid(d, [cfg]), [(g, 0)])
         assert grid.reports[g].pos.iterations_used <= cfg.max_iter
     assert sum(r.pos.converged and r.neg.converged for r in grid.reports) >= 2
+
+
+# Caps of 1, 0.5 and 0.25, two lanes cut at 4 iterations, and two lanes
+# forced onto the SMW branch, which 40 samples per class against six lifted
+# dimensions would not take.
+MIXED_CFGS = ([SolverConfig(c1=1.0, c2=0.1, cap_eps=eps) for eps in (1.0, 0.5, 0.25)]
+              + [SolverConfig(c1=1.0, c2=0.1, cap_eps=0.5, max_iter=4)]
+              + [SolverConfig(c1=1.0, c2=0.1, cap_eps=eps, branch="smw") for eps in (1.0, 0.25)]
+              + [SolverConfig(c1=0.1, c2=1.0, cap_eps=0.25, max_iter=4, branch="smw")])
+
+
+def test_lane_table_runs_one_irls_per_side_and_branch(monkeypatch):
+    # Every configuration is a lane with its own cap_eps and max_iter, so a
+    # grid that mixes them runs one stacked IRLS per side and solve branch.
+    d = inject_label_noise(gen_example1(40, seed=5), 0.1, seed=5)
+    runs = []
+    irls = solver_cl1._irls
+
+    def spy(Z_own, Z_other, lanes, branch, consts):
+        runs.append((branch, lanes))
+        return irls(Z_own, Z_other, lanes, branch, consts)
+
+    monkeypatch.setattr(solver_cl1, "_irls", spy)
+    grid = fit_grid(d, MIXED_CFGS)
+    assert sorted(branch for branch, _ in runs) == ["direct", "direct", "smw", "smw"]
+    stacks = {"direct": [0, 1, 2, 3], "smw": [4, 5, 6]}
+    for branch, lanes in runs:
+        cfgs = [MIXED_CFGS[g] for g in stacks[branch]]
+        np.testing.assert_array_equal(lanes.cap_eps, [[cfg.cap_eps] for cfg in cfgs])
+        np.testing.assert_array_equal(lanes.max_iter, [cfg.max_iter for cfg in cfgs])
+    for cfg, report in zip(MIXED_CFGS, grid.reports):
+        for rep in (report.pos, report.neg):
+            # A weight at or below the cap is a saturated one: reciprocals of
+            # residuals within the cap are at least 1 / cap_eps >= 1.
+            weights = np.concatenate([rep.final_state.q, rep.final_state.u])
+            saturated = weights[weights <= cfg.cap_eps]
+            assert saturated.size and (saturated == cfg.cap_eps).all(), cfg
+    # Each cut lane stops at 4 while the rest of its stack runs on.
+    for cut, stack in ((3, stacks["direct"]), (6, stacks["smw"])):
+        for side in ("pos", "neg"):
+            iters = [getattr(grid.reports[g], side).iterations_used for g in stack]
+            assert getattr(grid.reports[cut], side).iterations_used == 4
+            assert max(iters) > 4
+    for g, cfg in enumerate(MIXED_CFGS):
+        assert_lanes_agree(grid, fit_grid(d, [cfg]), [(g, 0)])
+    assert sum(r.pos.converged and r.neg.converged for r in grid.reports) == 5
 
 
 def test_lane_chunks_match_one_chunk(monkeypatch):
